@@ -1,13 +1,13 @@
-"""Parallel-execution bench: serial vs process vs persistent-pool wall time.
+"""Parallel-execution bench: serial vs persistent-pool wall time.
 
-Runs the small scenario under the serial backend, the per-stage process
-backend, and the persistent ``pool`` backend at 2 and 4 workers,
-cross-checks that every run exports **byte-identical** archives, and
-writes the timings to ``BENCH_parallel.json`` in the ``repro-bench-v1``
-trajectory format.  Each run's flight-recorder summary rides along: per
-worker utilization, queue-wait share, per-shard payload bytes (with the
-shared-memory marker proving the zero-copy path engaged), and per-stage
-pool identity/restarts — the *why* behind every wall time.
+Runs the small scenario under the serial backend and the persistent
+``pool`` backend at 2 and 4 workers, cross-checks that every run exports
+**byte-identical** archives, and writes the timings to
+``BENCH_parallel.json`` in the ``repro-bench-v1`` trajectory format.
+Each run's flight-recorder summary rides along: per worker utilization,
+queue-wait share, per-shard payload bytes (with the shared-memory marker
+proving the zero-copy path engaged), and per-stage pool identity/restarts
+— the *why* behind every wall time.
 
 The JSON records the host's CPU count: the speedup assertion (pool
 backend, 4 workers, >= ``TARGET_SPEEDUP_4W``) only arms when the hardware
@@ -51,7 +51,7 @@ from benchmarks.conftest import emit
 SNAPSHOT_PATH = Path(__file__).parent / "BENCH_parallel.json"
 
 #: (backend, workers) grid the bench sweeps.
-RUNS = (("serial", 1), ("process", 2), ("process", 4), ("pool", 2), ("pool", 4))
+RUNS = (("serial", 1), ("pool", 2), ("pool", 4))
 
 #: Trimmed grid for smoke mode: structure checks, not timings.
 SMOKE_RUNS = (("serial", 1), ("pool", 2))
@@ -127,7 +127,7 @@ def _assert_fast_path_active(run: dict) -> None:
 
 def test_bench_parallel_snapshot(tmp_path):
     if not process_backend_available():
-        pytest.skip("process executor backend unavailable on this host")
+        pytest.skip("worker-pool backend unavailable on this host")
 
     grid = SMOKE_RUNS if _smoke() else RUNS
     try:

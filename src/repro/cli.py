@@ -118,18 +118,18 @@ def _workers_spec(value: str) -> "int | str":
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=("serial", "process", "pool"),
+        choices=("serial", "pool"),
         default="serial",
-        help="execution backend for the campaign/clustering fan-outs: serial, "
-        "process (fresh worker pool per stage), or pool (one persistent pool "
-        "reused across stages; default: serial)",
+        help="execution backend for the campaign/clustering fan-outs: serial "
+        "or pool (one persistent worker pool reused across stages; default: "
+        "serial)",
     )
     parser.add_argument(
         "--workers",
         type=_workers_spec,
         default=1,
         metavar="N",
-        help="worker processes for --backend process/pool, or 'auto' for "
+        help="worker processes for --backend pool, or 'auto' for "
         "cpu_count-1 (results are identical at any N)",
     )
 

@@ -230,7 +230,7 @@ def _cluster_shard(
     identical fancy-indexing, identical bytes.
 
     OPTICS draws no randomness, so shard placement cannot affect labels;
-    per-ISP spans and timings are recorded here so serial and process
+    per-ISP spans and timings are recorded here so the serial and pool
     backends produce the same telemetry shape.
 
     Each shard carries its own :class:`ClusteringMemo`: the pair list is

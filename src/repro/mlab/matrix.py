@@ -142,7 +142,7 @@ class _CampaignShardInputs:
     rate-limited) is decided in the parent before fan-out; shards only draw
     the per-probe measurement noise from their own stream (a compact seed
     riding on ``shard.payload``).  Every array field is a
-    :class:`~repro.parallel.SharedArray`: on the process backends they
+    :class:`~repro.parallel.SharedArray`: on the pool backend they
     cross into workers as shared-memory references (~100 bytes each)
     instead of pickled copies, and by value — bit-identically — where
     shared memory is unavailable.
@@ -290,7 +290,7 @@ def measure_offnets(
     # stream (tens of bytes on shard.payload) where the old design pickled
     # the whole stage's generator tuple into every submission.
     seeds = plan.shard_seeds(rng_pings, "campaign")
-    # Heavy read-only arrays ride shared memory on the process backends;
+    # Heavy read-only arrays ride shared memory on the pool backend;
     # the registry is scoped to the fan-out and unlinks on exit (workers'
     # attached views stay valid for in-flight shards until they drop).
     with ShmRegistry(enabled=parallel.backend != "serial") as registry:

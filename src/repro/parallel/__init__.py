@@ -12,7 +12,7 @@ bit-reproducibility:
   compact wire form, :meth:`ShardPlan.shard_seeds`), so every shard sees
   the same randomness on every backend;
 * :func:`run_sharded` executes the shards on the configured backend
-  (:class:`SerialExecutor`, :class:`ProcessExecutor`, or the persistent
+  (:class:`SerialExecutor` or the persistent, supervised
   :class:`PoolExecutor`) and merges results in shard order — dispatch is
   largest-cost-first (:func:`steal_order`) but the merge is keyed by shard
   index, so scheduling never touches bytes;
@@ -21,9 +21,8 @@ bit-reproducibility:
   being pickled per shard, with a guaranteed-unlink registry lifecycle.
 
 Consequently a study's exported artifacts are byte-identical across
-``backend="serial"``, ``backend="process"``, and ``backend="pool"`` at any
-worker count — the property ``tests/test_parallel_equivalence.py`` proves
-differentially.
+``backend="serial"`` and ``backend="pool"`` at any worker count — the
+property ``tests/test_parallel_equivalence.py`` proves differentially.
 """
 
 from repro.parallel.executor import (
@@ -34,7 +33,6 @@ from repro.parallel.executor import (
     Executor,
     ParallelConfig,
     PoolExecutor,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
     preferred_start_method,
@@ -75,7 +73,6 @@ __all__ = [
     "NullFlightRecorder",
     "ParallelConfig",
     "PoolExecutor",
-    "ProcessExecutor",
     "SHARD_DURATION_METRIC",
     "STRAGGLER_FACTOR",
     "SerialExecutor",

@@ -1,48 +1,46 @@
-"""Execution backends: run a shard task serially, on processes, or on a pool.
+"""Execution backends: run a shard task serially or on a persistent pool.
 
 A *shard task* is a picklable callable ``task(shard, telemetry) -> result``.
-All backends return results **in shard-index order**, so a sharded stage is
-a drop-in replacement for its serial loop: determinism comes from the
+Both backends return results **in shard-index order**, so a sharded stage
+is a drop-in replacement for its serial loop: determinism comes from the
 :class:`~repro.parallel.plan.ShardPlan` (partition and RNG streams fixed
 before dispatch), not from execution order.  Dispatch order is a free
-variable the process backends exploit: shards enter the pool
-largest-estimated-cost-first (:func:`~repro.parallel.plan.steal_order`) so
-uneven shards cannot straggle a stage, while the ordered merge keeps the
-result list — and therefore every artifact byte — identical.
+variable the pool exploits: shards enter it largest-estimated-cost-first
+(:func:`~repro.parallel.plan.steal_order`) so uneven shards cannot
+straggle a stage, while the ordered merge keeps the result list — and
+therefore every artifact byte — identical.
 
-Three backends:
+Two backends:
 
 * ``serial`` — in-process, in order; the reference implementation.
-* ``process`` — a fresh supervised :class:`ProcessPoolExecutor` per
-  fan-out (spawn + import warmup paid per stage).
-* ``pool`` — the same supervision over a **persistent** process-wide
+* ``pool`` — a supervised, **persistent** process-wide
   :class:`~repro.parallel.pool.WorkerPool`, reused across stages,
-  campaign cells, and (under ``repro serve``) whole campaigns, so warmup
-  is paid once per process instead of once per stage.
+  campaign cells, and (under ``repro serve``) whole campaigns, so spawn +
+  import warmup is paid once per process instead of once per stage.
 
 Telemetry crosses the process boundary by value: each worker records into a
 fresh private bundle, returns its snapshot alongside the shard result, and
 the parent merges snapshots back — counters add, histogram observations
 extend, and the worker's span forest is adopted under the stage's fan-out
-span, in shard order.  Nothing is recorded twice: in process mode the
-parent records only the fan-out span and the merge, never the per-shard
-work the workers already accounted for.  When telemetry is captured the
-parent also measures each submission's pickled size (and whether it rode
-shared memory, :mod:`repro.parallel.shm`) into the flight recorder, making
+span, in shard order.  Nothing is recorded twice: on the pool the parent
+records only the fan-out span and the merge, never the per-shard work the
+workers already accounted for.  When telemetry is captured the parent also
+measures each submission's pickled size (and whether it rode shared
+memory, :mod:`repro.parallel.shm`) into the flight recorder, making
 serialization cost a first-class observable.
 
-All backends are *supervised* when given a
+Both backends are *supervised* when given a
 :class:`~repro.resilience.ResilienceConfig` and/or a
 :class:`~repro.faults.FaultPlan`:
 
 * a shard that fails with a retryable error (transient injected fault,
   dead worker, broken pool, per-shard timeout) is retried/requeued up to
   the policy's attempt limit;
-* the process backends detect dead workers (``BrokenProcessPool``) and
-  hung workers (``ParallelConfig.shard_timeout_s``), replace the
-  poisoned pool (the persistent pool is rebuilt in place, keeping its
-  identity and counting the restart), re-dispatch the survivors, and run
-  a shard whose pool attempts are exhausted *in-process* before
+* the pool detects dead workers (``BrokenProcessPool``, whether it
+  surfaces from a result or from the next submit) and hung workers
+  (``ParallelConfig.shard_timeout_s``), rebuilds itself in place (keeping
+  its identity and counting the restart), re-dispatches the survivors,
+  and runs a shard whose pool attempts are exhausted *in-process* before
   quarantining it;
 * a quarantined shard yields a :class:`~repro.resilience.ShardLoss`
   sentinel in the result list, and :func:`run_sharded` aborts with
@@ -89,11 +87,11 @@ from repro.resilience import (
 )
 
 from repro.parallel.plan import Shard, ShardPlan, steal_order
-from repro.parallel.pool import WorkerPool, get_pool
+from repro.parallel.pool import get_pool
 from repro.parallel.shm import measure_payload, sweep_orphan_segments
 
 #: Recognised backend names, in preference order.
-BACKENDS = ("serial", "process", "pool")
+BACKENDS = ("serial", "pool")
 
 #: Shard-duration histogram shared by every sharded stage.
 SHARD_DURATION_METRIC = "parallel.shard_duration_ms"
@@ -151,8 +149,8 @@ class ParallelConfig:
     #: be memoized (other values stay correct, just without the reuse).
     clustering_chunk: int = DEFAULT_CLUSTERING_CHUNK
     #: Per-shard execution timeout; ``None`` (default) never times out.
-    #: On the process backends a shard past its deadline is treated as a
-    #: hung worker; retry/fallback behaviour then follows the stage's
+    #: On the pool a shard past its deadline is treated as a hung worker;
+    #: retry/fallback behaviour then follows the stage's
     #: :class:`~repro.resilience.ResilienceConfig` (or the timeout error
     #: propagates when none is configured).
     shard_timeout_s: float | None = None
@@ -172,18 +170,21 @@ def _shard_sites(label: str) -> tuple[str, str]:
     return ("parallel.shard", f"{label}.shard")
 
 
-def _trip_local_fault(
+def _trip_shard_fault(
     faults: FaultPlan | None,
     label: str,
     shard_index: int,
     attempt: int,
-    shard_timeout_s: float | None,
+    shard_timeout_s: float | None = None,
+    in_worker: bool = False,
 ) -> None:
-    """Apply a shard-site fault in the parent process (serial/fallback path).
+    """Apply a shard-site fault, for real in a worker or emulated in-process.
 
-    Crashes become :class:`WorkerCrashError` (the serial emulation of a
-    dead worker) and hangs become :class:`ShardTimeoutError` when a
-    timeout would have caught them, so serial and process backends make
+    In a worker a crash kills the process and a hang really sleeps, so the
+    pool's supervisor meets the genuine failure.  In-process (the serial
+    backend and the pool's fallback) a crash becomes
+    :class:`WorkerCrashError` and a hang that ``shard_timeout_s`` would
+    have caught becomes :class:`ShardTimeoutError`, so both backends make
     identical retry decisions from the same plan.
     """
     if faults is None:
@@ -194,6 +195,8 @@ def _trip_local_fault(
     if spec.kind == "error":
         raise_injected(spec, spec.site, shard_index)
     elif spec.kind == "crash":
+        if in_worker:
+            os._exit(CRASH_EXIT_CODE)
         raise WorkerCrashError(f"injected worker crash at shard {shard_index}")
     elif spec.kind == "hang":
         if shard_timeout_s is not None and spec.hang_s > shard_timeout_s:
@@ -203,19 +206,28 @@ def _trip_local_fault(
         time.sleep(spec.hang_s)
 
 
-def _trip_worker_fault(faults: FaultPlan | None, label: str, shard_index: int, attempt: int) -> None:
-    """Apply a shard-site fault inside a worker process (the real thing)."""
-    if faults is None:
-        return
-    spec = faults.decide_any(_shard_sites(label), shard_index, attempt)
-    if spec is None:
-        return
-    if spec.kind == "error":
-        raise_injected(spec, spec.site, shard_index)
-    elif spec.kind == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    elif spec.kind == "hang":
-        time.sleep(spec.hang_s)
+def _run_in_process(
+    task: ShardTask,
+    shard: Shard,
+    telemetry: Telemetry | None,
+    label: str,
+    attempt: int,
+    worker: str,
+    faults: FaultPlan | None,
+    shard_timeout_s: float | None,
+) -> Any:
+    """One in-process shard attempt: trip its fault, run it, record it.
+
+    ``worker`` names the attempt in the flight recorder: ``"serial"`` on
+    the serial backend, ``"fallback"`` when the pool gave up on a shard.
+    """
+    obs = ensure_telemetry(telemetry)
+    _trip_shard_fault(faults, label, shard.index, attempt, shard_timeout_s)
+    with obs.span(f"{label}.shard", shard=shard.index, n_items=len(shard)) as span:
+        value = task(shard, telemetry)
+    obs.observe(SHARD_DURATION_METRIC, span.duration_ms)
+    _record_flight(obs, label, shard.index, worker, 0.0, span.duration_s, attempt, span.start_s)
+    return value
 
 
 class SerialExecutor:
@@ -255,14 +267,10 @@ class SerialExecutor:
         attempt = 0
         while True:
             try:
-                _trip_local_fault(self.faults, label, shard.index, attempt, self.shard_timeout_s)
-                with obs.span(f"{label}.shard", shard=shard.index, n_items=len(shard)) as span:
-                    value = task(shard, telemetry)
-                obs.observe(SHARD_DURATION_METRIC, span.duration_ms)
-                _record_flight(
-                    obs, label, shard.index, "serial", 0.0, span.duration_s, attempt, span.start_s
+                return _run_in_process(
+                    task, shard, telemetry, label, attempt, "serial",
+                    self.faults, self.shard_timeout_s,
                 )
-                return value
             except Exception as error:  # noqa: BLE001 — classified below
                 if policy is not None and is_retryable(error) and policy.retries_left(attempt):
                     obs.count("resilience.retries")
@@ -281,22 +289,21 @@ class SerialExecutor:
                 raise
 
 
-class ProcessExecutor:
-    """Runs shards on a supervised :class:`ProcessPoolExecutor`.
+class PoolExecutor:
+    """The ``pool`` backend: supervised shards on a persistent worker pool.
 
-    Supervision is a polling loop over in-flight futures: completed
-    shards are harvested in completion order (results re-ordered by
-    shard index at the end), a broken pool or a shard past its deadline
-    replaces the pool and re-dispatches the survivors, and exhausted
-    shards fall back to in-process execution before quarantine.
-
-    The pool itself is ephemeral — built on stage entry, torn down on
-    stage exit.  :class:`PoolExecutor` reuses this entire supervision
-    loop over a persistent pool by overriding the three ``_lease`` /
-    ``_recycle`` / ``_release`` hooks.
+    The pool is leased from :func:`repro.parallel.pool.get_pool`
+    (process-wide, keyed by worker count) and survives stage exit, so
+    spawn + import warmup is paid once per process, not once per fan-out.
+    Supervision is a polling loop over in-flight futures: completed shards
+    are harvested in completion order (results re-ordered by shard index
+    at the end); a broken pool or a shard past its deadline rebuilds the
+    pool **in place** — its identity and restart count persist in the
+    flight recorder — and re-dispatches the survivors; exhausted shards
+    fall back to in-process execution before quarantine.
     """
 
-    name = "process"
+    name = "pool"
 
     #: Poll interval while any shard has a deadline to watch.
     _POLL_S = 0.05
@@ -317,28 +324,6 @@ class ProcessExecutor:
         self.resilience = resilience
         self.shard_timeout_s = shard_timeout_s
 
-    # -- pool lifecycle hooks (overridden by PoolExecutor) ----------------------
-
-    def _lease(self, window: int, start_method: str) -> Any:
-        """Acquire the pool this stage submits to."""
-        context = multiprocessing.get_context(start_method)
-        return ProcessPoolExecutor(max_workers=window, mp_context=context)
-
-    def _recycle(self, pool: Any, window: int, start_method: str) -> Any:
-        """Replace a broken/hung pool with a fresh one."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        return self._lease(window, start_method)
-
-    def _release(self, pool: Any) -> None:
-        """Give the pool back at stage exit."""
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _pool_info(self, pool: Any, window: int, restarts: int) -> dict[str, Any]:
-        """Flight-recorder identity for the pool this stage used."""
-        return {"pool": "ephemeral", "workers": window, "restarts": restarts, "persistent": False}
-
-    # -- the supervision loop ---------------------------------------------------
-
     def map_shards(
         self, task: ShardTask, shards: list[Shard], telemetry: Telemetry | None, label: str
     ) -> list[Any]:
@@ -347,7 +332,8 @@ class ProcessExecutor:
         # Backstop for SIGKILLed predecessors: reap shared-memory segments
         # whose creating process is gone before exporting our own.
         sweep_orphan_segments()
-        start_method = preferred_start_method()
+        # The pool always holds the configured worker count; ``window``
+        # only bounds in-flight submissions for small stages.
         window = min(self.workers, len(shards))
         results: dict[int, Any] = {}
         snapshots: dict[int, tuple[dict[str, Any], float, int, tuple[int, bool]]] = {}
@@ -358,87 +344,93 @@ class ProcessExecutor:
         active: dict[Future, tuple[Shard, int, float | None, float, tuple[int, bool]]] = {}
         restarts = 0
         task_payload = measure_payload(task) if capture else (0, False)
-        pool = self._lease(window, start_method)
-        try:
-            while queue or active:
-                while queue and len(active) < window:
-                    shard, attempt = queue.popleft()
+        pool = get_pool(self.workers, preferred_start_method())
+        while queue or active:
+            pool_broken = False
+            while queue and len(active) < window:
+                shard, attempt = queue.popleft()
+                try:
                     future = pool.submit(
                         _invoke_shard, task, shard, label, capture, self.faults, attempt
                     )
-                    deadline = (
-                        time.monotonic() + self.shard_timeout_s
-                        if self.shard_timeout_s is not None
-                        else None
-                    )
-                    if capture:
-                        shard_bytes, shard_shm = measure_payload(shard)
-                        payload = (task_payload[0] + shard_bytes, task_payload[1] or shard_shm)
-                    else:
-                        payload = (0, False)
-                    # Submission wall time feeds the flight recorder's
-                    # queue-wait (worker start wall − submit wall).
-                    active[future] = (
-                        shard,
-                        attempt,
-                        deadline,
-                        time.time() if capture else 0.0,
-                        payload,
-                    )
-                if self.shard_timeout_s is not None:
-                    poll: float | None = self._POLL_S
-                elif obs.stream.enabled:
-                    poll = self._HEARTBEAT_POLL_S
+                except BrokenProcessPool:
+                    # A worker died after the last harvest.  This shard
+                    # never ran: it goes back to the front with its
+                    # attempt unchanged, and the pool is rebuilt below
+                    # once the futures that already finished are in.
+                    queue.appendleft((shard, attempt))
+                    pool_broken = True
+                    break
+                deadline = (
+                    time.monotonic() + self.shard_timeout_s
+                    if self.shard_timeout_s is not None
+                    else None
+                )
+                if capture:
+                    shard_bytes, shard_shm = measure_payload(shard)
+                    payload = (task_payload[0] + shard_bytes, task_payload[1] or shard_shm)
                 else:
-                    poll = None
-                done, _pending = wait(list(active), timeout=poll, return_when=FIRST_COMPLETED)
-                pool_broken = False
-                for future in done:
-                    shard, attempt, _deadline, submit_wall, payload = active.pop(future)
-                    try:
-                        value, snapshot = future.result()
-                    except BrokenProcessPool as error:
-                        pool_broken = True
-                        self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
-                    except Exception as error:  # noqa: BLE001 — classified in _dispose
-                        self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
+                    payload = (0, False)
+                # Submission wall time feeds the flight recorder's
+                # queue-wait (worker start wall − submit wall).
+                active[future] = (
+                    shard,
+                    attempt,
+                    deadline,
+                    time.time() if capture else 0.0,
+                    payload,
+                )
+            if pool_broken:
+                poll: float | None = 0.0  # harvest what already finished
+            elif self.shard_timeout_s is not None:
+                poll = self._POLL_S
+            elif obs.stream.enabled:
+                poll = self._HEARTBEAT_POLL_S
+            else:
+                poll = None
+            done, _pending = wait(list(active), timeout=poll, return_when=FIRST_COMPLETED)
+            for future in done:
+                shard, attempt, _deadline, submit_wall, payload = active.pop(future)
+                try:
+                    value, snapshot = future.result()
+                except Exception as error:  # noqa: BLE001 — classified in _dispose
+                    pool_broken = pool_broken or isinstance(error, BrokenProcessPool)
+                    self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
+                else:
+                    results[shard.index] = value
+                    if snapshot is not None:
+                        snapshots[shard.index] = (snapshot, submit_wall, attempt, payload)
+            if done:
+                obs.progress(label, len(results), len(shards))
+            obs.heartbeat(label=label, in_flight=len(active))
+            now = time.monotonic()
+            hung = {
+                future
+                for future, (_shard, _attempt, deadline, _submit, _payload) in active.items()
+                if deadline is not None and now > deadline
+            }
+            if pool_broken or hung:
+                # A broken pool fails every in-flight future; a hung worker
+                # permanently occupies a slot.  Either way this pool is
+                # unusable: rebuild it and re-dispatch the survivors.
+                if pool_broken:
+                    obs.count("resilience.worker_crashes")
+                obs.count("resilience.timeouts", len(hung))
+                survivors = list(active.items())
+                active.clear()
+                restarts += 1
+                pool.rebuild()
+                for future, (shard, attempt, _deadline, _submit, _payload) in survivors:
+                    if future in hung:
+                        error: Exception = ShardTimeoutError(
+                            f"shard {shard.index} exceeded its {self.shard_timeout_s}s timeout"
+                        )
                     else:
-                        results[shard.index] = value
-                        if snapshot is not None:
-                            snapshots[shard.index] = (snapshot, submit_wall, attempt, payload)
-                if done:
-                    obs.progress(label, len(results), len(shards))
-                obs.heartbeat(label=label, in_flight=len(active))
-                now = time.monotonic()
-                hung = {
-                    future
-                    for future, (_shard, _attempt, deadline, _submit, _payload) in active.items()
-                    if deadline is not None and now > deadline
-                }
-                if pool_broken or hung:
-                    # A broken pool has already failed every in-flight
-                    # future; a hung worker permanently occupies a slot.
-                    # Either way this pool is unusable: replace it and
-                    # re-dispatch the survivors on the fresh one.
-                    if pool_broken:
-                        obs.count("resilience.worker_crashes")
-                    obs.count("resilience.timeouts", len(hung))
-                    survivors = list(active.items())
-                    active.clear()
-                    restarts += 1
-                    pool = self._recycle(pool, window, start_method)
-                    for future, (shard, attempt, _deadline, _submit, _payload) in survivors:
-                        if future in hung:
-                            error: Exception = ShardTimeoutError(
-                                f"shard {shard.index} exceeded its {self.shard_timeout_s}s timeout"
-                            )
-                        else:
-                            error = WorkerCrashError("worker pool torn down mid-shard")
-                        self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
-        finally:
-            self._release(pool)
+                        error = WorkerCrashError("worker pool torn down mid-shard")
+                    self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
         if capture and telemetry is not None:
-            telemetry.flight.set_pool(label, self._pool_info(pool, window, restarts))
+            # Handle-cumulative ``restarts`` plus this stage's own share.
+            telemetry.flight.set_pool(label, dict(pool.info(), stage_restarts=restarts))
             for shard in shards:
                 entry = snapshots.get(shard.index)
                 if entry is not None:
@@ -478,64 +470,29 @@ class ProcessExecutor:
             # stage's tail short.
             queue.appendleft((shard, attempt + 1))
             return
-        if self.resilience is not None and self.resilience.fallback_in_process:
+        if self.resilience is None:
+            raise error
+        attempts = attempt + 1
+        if self.resilience.fallback_in_process:
             obs.count("resilience.fallbacks")
+            attempts += 1
             try:
-                _trip_local_fault(self.faults, label, shard.index, attempt + 1, self.shard_timeout_s)
-                with obs.span(f"{label}.shard", shard=shard.index, n_items=len(shard)) as span:
-                    value = task(shard, telemetry)
-                obs.observe(SHARD_DURATION_METRIC, span.duration_ms)
-                _record_flight(
-                    obs, label, shard.index, "fallback", 0.0, span.duration_s, attempt + 1, span.start_s
+                results[shard.index] = _run_in_process(
+                    task, shard, telemetry, label, attempt + 1, "fallback",
+                    self.faults, self.shard_timeout_s,
                 )
-                results[shard.index] = value
                 return
             except Exception as fallback_error:  # noqa: BLE001 — quarantined below
                 error = fallback_error
-        if self.resilience is not None:
-            obs.count("resilience.quarantined_shards")
-            results[shard.index] = ShardLoss(
-                index=shard.index,
-                error=f"{type(error).__name__}: {error}",
-                attempts=attempt + 2,
-            )
-            return
-        raise error
+        obs.count("resilience.quarantined_shards")
+        results[shard.index] = ShardLoss(
+            index=shard.index,
+            error=f"{type(error).__name__}: {error}",
+            attempts=attempts,
+        )
 
 
-class PoolExecutor(ProcessExecutor):
-    """The ``pool`` backend: supervision over a persistent worker pool.
-
-    Identical dispatch, supervision, and resilience semantics to
-    :class:`ProcessExecutor` — the only difference is pool lifetime.  The
-    pool is leased from :func:`repro.parallel.pool.get_pool` (process-wide,
-    keyed by worker count), survives stage exit, and a broken/hung pool is
-    rebuilt **in place** so its identity and restart count persist in the
-    flight recorder.  Spawn + import warmup is therefore paid once per
-    process, not once per fan-out.
-    """
-
-    name = "pool"
-
-    def _lease(self, window: int, start_method: str) -> WorkerPool:
-        # The persistent pool always holds the configured worker count;
-        # ``window`` only bounds in-flight submissions for small stages.
-        return get_pool(self.workers, start_method)
-
-    def _recycle(self, pool: WorkerPool, window: int, start_method: str) -> WorkerPool:
-        pool.rebuild()
-        return pool
-
-    def _release(self, pool: WorkerPool) -> None:
-        # Deliberately kept alive: the next stage (or campaign) reuses it.
-        pass
-
-    def _pool_info(self, pool: WorkerPool, window: int, restarts: int) -> dict[str, Any]:
-        # handle-cumulative ``restarts`` plus this stage's own share.
-        return dict(pool.info(), stage_restarts=restarts)
-
-
-Executor = SerialExecutor | ProcessExecutor
+Executor = SerialExecutor | PoolExecutor
 
 
 def make_executor(
@@ -546,13 +503,6 @@ def make_executor(
     """The executor for ``config`` (``serial`` unless told otherwise)."""
     if config.backend == "pool":
         return PoolExecutor(
-            config.workers,
-            faults=faults,
-            resilience=resilience,
-            shard_timeout_s=config.shard_timeout_s,
-        )
-    if config.backend == "process":
-        return ProcessExecutor(
             config.workers,
             faults=faults,
             resilience=resilience,
@@ -677,7 +627,7 @@ def _invoke_shard(
     start, execute seconds) so the parent can rebase the worker's spans
     onto its own timeline and feed the flight recorder.
     """
-    _trip_worker_fault(faults, label, shard.index, attempt)
+    _trip_shard_fault(faults, label, shard.index, attempt, in_worker=True)
     if not capture:
         return task(shard, None), None
     worker = Telemetry(tracer=Tracer(), metrics=MetricsRegistry(), logger=NULL_LOGGER)
@@ -757,7 +707,7 @@ def _probe_worker() -> int:
 
 
 def preferred_start_method() -> str:
-    """The multiprocessing start method the process backends use.
+    """The multiprocessing start method the worker pool uses.
 
     ``fork`` when the platform offers it (cheapest, inherits the parent's
     imports), otherwise whatever the platform default is (``spawn`` on

@@ -94,10 +94,8 @@ class FlightRecorder:
     def __init__(self, straggler_factor: float = STRAGGLER_FACTOR) -> None:
         self.records: list[ShardFlight] = []
         self.straggler_factor = straggler_factor
-        #: Per-stage pool identity (pool id, restarts, reuse counters) —
-        #: the answer to "why does a 2-worker run show 4 pids?": each
-        #: ``process``-backend stage built its own ephemeral pool, while
-        #: the ``pool`` backend shows one id across every stage.
+        #: Per-stage pool identity (pool id, restarts, reuse counters):
+        #: one id across every stage that leased the same pool.
         self.pools: dict[str, dict[str, Any]] = {}
 
     def record(
@@ -232,18 +230,11 @@ class FlightRecorder:
                 f"{payload['shm_shards']}/{len(self.records)} shards via shared memory"
             )
         for label, info in sorted(self.pools.items()):
-            if info.get("persistent"):
-                lines.append(
-                    f"pool {label}: {info.get('pool')} ({info.get('workers')} workers, "
-                    f"{info.get('restarts', 0)} restarts, "
-                    f"stage {info.get('stages_served', '?')} on this pool)"
-                )
-            else:
-                lines.append(
-                    f"pool {label}: ephemeral ({info.get('workers')} workers, "
-                    f"{info.get('restarts', 0)} restarts) — a fresh pool per stage, "
-                    "which is why an N-worker run can show more than N pids"
-                )
+            lines.append(
+                f"pool {label}: {info.get('pool')} ({info.get('workers')} workers, "
+                f"{info.get('restarts', 0)} restarts, "
+                f"stage {info.get('stages_served', '?')} on this pool)"
+            )
         stragglers = self.stragglers()
         if stragglers:
             for record in stragglers:

@@ -15,7 +15,7 @@ Invariants (property-tested in ``tests/test_parallel.py``):
   the original item order for *any* chunk size.
 
 Shards optionally carry a **cost estimate** (``ShardPlan.of(...,
-costs=...)``, summed per chunk): the process backends *dispatch*
+costs=...)``, summed per chunk): the pool backend *dispatches*
 largest-cost-first (:func:`steal_order`, classic LPT scheduling) so one
 oversized ISP doesn't straggle the whole stage, while results are still
 *merged* in shard-index order — dispatch order is an execution detail and
@@ -59,7 +59,7 @@ class Shard:
 def steal_order(shards: Sequence[Shard]) -> list[Shard]:
     """Shards in dispatch order: largest estimated cost first, index-stable.
 
-    The work-stealing queue discipline of the process backends: big shards
+    The work-stealing queue discipline of the pool backend: big shards
     enter the pool first so their tails overlap the small shards' work
     instead of starting last and straggling.  Ties (and the default
     all-equal costs) preserve index order, so plans without estimates

@@ -1,23 +1,22 @@
 """The persistent worker pool: one supervised pool, many stages.
 
-The ``process`` backend builds a fresh :class:`ProcessPoolExecutor` per
-fan-out, so a study pays spawn + import warmup twice (campaign, then
-clustering) and a sweep or timeline campaign pays it per cell stage —
-the flight snapshot in BENCH_parallel.json showed 4 distinct pids for a
-2-worker run for exactly this reason.  The ``pool`` backend instead
+A :class:`ProcessPoolExecutor` built per fan-out would make a study pay
+spawn + import warmup twice (campaign, then clustering) and a sweep or
+timeline campaign pay it per cell stage.  The ``pool`` backend instead
 leases a process-wide :class:`WorkerPool` keyed by worker count:
 
 * the first stage to ask for ``N`` workers creates the pool; every later
   stage (and, under ``repro serve``, every later *campaign*) reuses it;
 * a broken or hung pool is **rebuilt in place** — same handle, fresh
-  processes, ``restarts`` incremented — so the resilience layer's
-  requeue/fallback protocol works unchanged against it;
+  processes, ``restarts`` incremented — by the supervision loop in
+  :class:`~repro.parallel.executor.PoolExecutor`, which then requeues,
+  falls back or quarantines the shards it lost;
 * :func:`shutdown_pools` tears everything down (registered at interpreter
   exit; the serve scheduler also calls it on drain).
 
 The handle exposes identity (``pool_id``), ``restarts`` and
-``stages_served`` so the flight recorder can show pool reuse instead of
-leaving an N-workers/2N-pids puzzle in the bench snapshot.
+``stages_served`` so the flight recorder shows one pool serving every
+stage of a run.
 """
 
 from __future__ import annotations
@@ -71,11 +70,8 @@ class WorkerPool:
         cancelled.  The handle keeps its identity so callers see the
         restart in ``restarts`` rather than a brand-new pool.
         """
-        old = self._executor
-        self._executor = None
         self.restarts += 1
-        if old is not None:
-            old.shutdown(wait=False, cancel_futures=True)
+        self.shutdown()
 
     def shutdown(self) -> None:
         """Terminate the pool's workers (the handle can be re-leased)."""

@@ -1,6 +1,6 @@
 """Zero-copy shard payloads: numpy arrays over POSIX shared memory.
 
-The process backends used to re-pickle every heavy array (the VP×IP
+Parallel fan-outs used to re-pickle every heavy array (the VP×IP
 latency matrix, the campaign's base-RTT matrix) into every shard
 submission — BENCH_parallel.json measured the result: 0.38× *slower*
 than serial at 4 workers, queue-wait fraction 0.42.  This module makes
@@ -23,7 +23,7 @@ those payloads reference-shaped instead of value-shaped:
 
 * :func:`sweep_orphan_segments` removes name-prefixed segments whose
   creating process is dead — the backstop for SIGKILLed parents and
-  crashed workers, run by the process backends on executor startup and
+  crashed workers, run by the pool executor on every fan-out and
   regression-tested in ``tests/test_parallel.py``.
 
 Segment names are ``repro_shm_<pid>_<counter>`` so ownership is readable
@@ -246,7 +246,7 @@ def sweep_orphan_segments() -> int:
 
     The guaranteed-unlink lifecycle covers every orderly exit; this sweep
     covers the rest — a SIGKILLed parent, an OOM-killed worker holding a
-    registry.  Runs on process-backend executor startup; returns how many
+    registry.  Runs at the start of every pool fan-out; returns how many
     segments were removed.  Linux-only by construction (``/dev/shm``);
     other platforms return 0 and rely on their own named-segment reaping.
     """

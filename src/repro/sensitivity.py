@@ -166,7 +166,7 @@ def run_sensitivity(
     Implemented as a :func:`repro.sweep.campaign.run_campaign` over
     :func:`sensitivity_grid`: pass ``store`` to make the run durable and
     resumable (each seed checkpoints as it completes), ``parallel`` to
-    fan seeds out across the process backend.  Values are identical to
+    fan seeds out across the worker pool.  Values are identical to
     the historical serial loop.
     """
     from repro.sweep.campaign import run_campaign

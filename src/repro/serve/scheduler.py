@@ -19,7 +19,7 @@ it to the *campaign* via :class:`_DrainHook`, a picklable per-cell hook
 that checks a flag file and raises :class:`DrainRequested` — a
 :class:`KeyboardInterrupt` subclass **on purpose**, so the executors'
 ``except Exception`` retry/quarantine paths never swallow it and it
-propagates out of both serial and process backends.  Everything the
+propagates out of both the serial and pool backends.  Everything the
 campaign completed before the drain is already checkpointed, so the
 re-queued campaign resumes from cache on restart.
 """
@@ -78,7 +78,7 @@ class DrainRequested(KeyboardInterrupt):
     catch ``Exception`` for retry/quarantine, so an ``Exception``-based
     drain signal would be retried as a shard failure and burn the error
     budget.  ``KeyboardInterrupt`` propagates cleanly out of the serial
-    backend and is pickled back to the parent by the process backend.
+    backend and is pickled back to the parent by the pool backend.
     """
 
 

@@ -271,7 +271,7 @@ def run_campaign(
     checkpointed as they finish.  ``max_cells`` truncates the expansion
     to its first N cells (a deterministic partial campaign — useful for
     smoke runs and for exercising resume).  ``parallel`` dispatches one
-    cell per shard through the configured backend; with a process
+    cell per shard through the configured backend; on the pool
     backend, ``cell_hook`` must be picklable.
 
     ``faults`` wires the ``sweep.cell``, ``sweep.shard``, and

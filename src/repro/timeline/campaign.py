@@ -13,7 +13,7 @@ The :class:`TimelineReport` is a pure function of (config, quarters):
 cache provenance (hits/misses) is surfaced separately and excluded from
 :meth:`TimelineReport.to_json`, so an interrupted-then-resumed campaign
 serialises **byte-identically** to an uninterrupted one
-(``tests/test_timeline_resume.py`` proves this, serial and process).
+(``tests/test_timeline_resume.py`` proves this, serial and pool).
 
 Honest coverage under faults: a quarter whose shard exhausts its retry
 budget is reported as a ``status="lost"`` row — never silently dropped —
@@ -154,7 +154,7 @@ def _run_epochs_shard(
     Each freshly-computed epoch row is checkpointed under its ``epoch``
     key before it is returned — the whole resume protocol.
     ``epoch_hook`` fires after the checkpoint (the abort-mid-campaign
-    tests hook here; with a process backend it must be picklable).
+    tests hook here; on the pool backend it must be picklable).
     """
     obs = ensure_telemetry(telemetry)
     store = StageStore(store_root) if store_root is not None else None

@@ -47,7 +47,7 @@ def pytest_collection_modifyitems(config, items):
 
     if process_backend_available():
         return
-    skip = pytest.mark.skip(reason="process executor backend unavailable (multiprocessing restricted)")
+    skip = pytest.mark.skip(reason="worker-pool backend unavailable (multiprocessing restricted)")
     for item in items:
         if item.get_closest_marker("parallel"):
             item.add_marker(skip)

@@ -6,8 +6,8 @@ run of the same config:
 1. **Transient faults are artifact-inert.**  A plan that crashes every
    campaign shard once and injects one retryable error per clustering
    shard produces *byte-identical* exports once the resilience layer has
-   retried everything away — on the serial backend and on process pools
-   at 1, 2, and 4 workers.  Retries must never consume measurement RNG
+   retried everything away — on the serial backend and on the persistent
+   pool at 1, 2, and 4 workers.  Retries must never consume measurement RNG
    draws, shift shard boundaries, or reorder merges.
 
 2. **Permanent faults degrade gracefully and honestly.**  A plan that
@@ -113,24 +113,6 @@ class TestTransientFaultsAreInert:
 
     @pytest.mark.parallel
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_crash_requeue_is_identical(self, clean_digests, tmp_path, workers):
-        """Real worker crashes (os._exit in the child), requeued on fresh
-        pools, still export the same bytes at any worker count."""
-        telemetry = Telemetry.capture()
-        study = run_study(
-            _config(
-                faults=TRANSIENT_PLAN,
-                resilience=ResilienceConfig(),
-                parallel=ParallelConfig(backend="process", workers=workers),
-            ),
-            telemetry=telemetry,
-        )
-        assert study.coverage.complete
-        assert _archive_digests(study, tmp_path / f"w{workers}") == clean_digests
-        assert telemetry.metrics.counter("resilience.worker_crashes") >= 1
-
-    @pytest.mark.parallel
-    @pytest.mark.parametrize("workers", [2, 4])
     def test_pool_worker_kill_mid_campaign_recovers_identically(
         self, clean_digests, tmp_path, workers
     ):

@@ -48,6 +48,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["study", "--scenario", "gigantic"])
 
+    def test_removed_process_backend_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["study", "--backend", "process"])
+        assert exit_info.value.code == 2
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -346,7 +351,7 @@ class TestServeParser:
 
         args = build_parser().parse_args(
             ["serve", "--state-dir", "/tmp/state", "--max-queue", "3",
-             "--tenant-quota", "2", "--backend", "process", "--workers", "2"]
+             "--tenant-quota", "2", "--backend", "pool", "--workers", "2"]
         )
         assert args.handler.__name__ == "_cmd_serve"
         assert args.max_queue == 3 and args.tenant_quota == 2

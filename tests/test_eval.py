@@ -8,7 +8,7 @@ Covers the tentpole contracts:
 * the committed ``benchmarks/BENCH_accuracy.json`` floors hold on a fresh
   small-scenario scorecard, and a deliberately injected misclassification
   trips the gate;
-* scorecard JSON is byte-stable across serial/process backends and
+* scorecard JSON is byte-stable across the serial and pool backends and
   1/2/4 workers (the ``tests/test_parallel_equivalence.py`` discipline).
 """
 
@@ -215,5 +215,10 @@ class TestDifferentialScorecard:
     @pytest.mark.parallel
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_process_backend_matches_serial(self, serial_json, workers):
-        process = _compact_scorecard_json(ParallelConfig(backend="process", workers=workers))
+        from repro.parallel import shutdown_pools
+
+        try:
+            process = _compact_scorecard_json(ParallelConfig(backend="pool", workers=workers))
+        finally:
+            shutdown_pools()
         assert process == serial_json

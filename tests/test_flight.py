@@ -142,11 +142,9 @@ class TestFlightRecorder:
             "campaign",
             {"pool": "pool-1-0", "workers": 2, "restarts": 0, "persistent": True, "stages_served": 1},
         )
-        recorder.set_pool("clustering", {"pool": "ephemeral", "workers": 2, "restarts": 1, "persistent": False})
         assert recorder.to_json()["pools"]["campaign"]["pool"] == "pool-1-0"
         text = recorder.render()
         assert "pool campaign: pool-1-0" in text
-        assert "ephemeral" in text
 
     def test_render(self):
         recorder = FlightRecorder()

@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.parallel`: plans, executors, and telemetry merge.
 
-The differential serial≡process study harness lives in
+The differential serial≡pool study harness lives in
 ``tests/test_parallel_equivalence.py``; this module covers the building
 blocks — partition invariants (hypothesis property tests), ordered merge,
 per-shard RNG stability, and worker-telemetry accounting.
@@ -20,7 +20,6 @@ from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.parallel import (
     ParallelConfig,
     PoolExecutor,
-    ProcessExecutor,
     SHARD_DURATION_METRIC,
     SerialExecutor,
     Shard,
@@ -38,7 +37,7 @@ from repro.parallel import (
 )
 
 
-# Module-level so the process backend can pickle them.
+# Module-level so the pool backend can pickle them.
 def _sum_shard(shard: Shard, telemetry) -> int:
     if telemetry is not None:
         telemetry.count("test.items_seen", len(shard.items))
@@ -186,6 +185,7 @@ class TestParallelConfig:
             {"workers": 0},
             {"campaign_chunk": 0},
             {"clustering_chunk": -1},
+            {"backend": "process"},
         ],
     )
     def test_validation(self, kwargs):
@@ -194,13 +194,11 @@ class TestParallelConfig:
 
     def test_factory(self):
         assert isinstance(make_executor(ParallelConfig()), SerialExecutor)
-        executor = make_executor(ParallelConfig(backend="process", workers=3))
-        assert isinstance(executor, ProcessExecutor) and executor.workers == 3
         pooled = make_executor(ParallelConfig(backend="pool", workers=2))
         assert isinstance(pooled, PoolExecutor) and pooled.workers == 2
 
     def test_workers_auto_resolves_at_construction(self):
-        config = ParallelConfig(backend="process", workers="auto")
+        config = ParallelConfig(backend="pool", workers="auto")
         assert config.workers == max(1, usable_cpu_count() - 1)
         assert isinstance(config.workers, int)
 
@@ -236,34 +234,32 @@ class TestSerialExecution:
 
 @pytest.mark.parallel
 class TestProcessExecution:
-    def test_results_match_serial(self):
-        plan = ShardPlan.of(range(57), chunk_size=5)
-        config = ParallelConfig(backend="process", workers=4)
-        assert run_sharded(_sum_shard, plan, config) == run_sharded(_sum_shard, plan)
+    """Shards run in worker processes (the pool backend)."""
 
     def test_ordered_despite_completion_order(self):
         plan = ShardPlan.of(range(30), chunk_size=2)
-        config = ParallelConfig(backend="process", workers=4)
-        results = run_sharded(_echo_shard, plan, config)
+        config = ParallelConfig(backend="pool", workers=4)
+        try:
+            results = run_sharded(_echo_shard, plan, config)
+        finally:
+            shutdown_pools()
         assert [index for index, _ in results] == list(range(plan.n_shards))
-
-    def test_worker_exceptions_propagate(self):
-        config = ParallelConfig(backend="process", workers=2)
-        with pytest.raises(RuntimeError, match="exploded"):
-            run_sharded(_boom_shard, ShardPlan.of(range(4), chunk_size=2), config)
 
     def test_worker_telemetry_merges_without_double_counting(self):
         plan = ShardPlan.of(range(22), chunk_size=4)
         serial_telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         run_sharded(_sum_shard, plan, telemetry=serial_telemetry, label="stage")
         process_telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
-        run_sharded(
-            _sum_shard,
-            plan,
-            ParallelConfig(backend="process", workers=3),
-            telemetry=process_telemetry,
-            label="stage",
-        )
+        try:
+            run_sharded(
+                _sum_shard,
+                plan,
+                ParallelConfig(backend="pool", workers=3),
+                telemetry=process_telemetry,
+                label="stage",
+            )
+        finally:
+            shutdown_pools()
         # Worker-side counters and histograms arrive exactly once.
         for metrics in (serial_telemetry.metrics, process_telemetry.metrics):
             assert metrics.counter("test.items_seen") == 22
@@ -348,14 +344,17 @@ class TestCampaignSharding:
         serial = measure_offnets(
             internet, state, ips, vps, seed=4, parallel=ParallelConfig(campaign_chunk=32)
         )
-        process = measure_offnets(
-            internet,
-            state,
-            ips,
-            vps,
-            seed=4,
-            parallel=ParallelConfig(backend="process", workers=4, campaign_chunk=32),
-        )
+        try:
+            process = measure_offnets(
+                internet,
+                state,
+                ips,
+                vps,
+                seed=4,
+                parallel=ParallelConfig(backend="pool", workers=4, campaign_chunk=32),
+            )
+        finally:
+            shutdown_pools()
         assert np.array_equal(serial.rtt_ms, process.rtt_ms, equal_nan=True)
         assert serial.split_location_ips == process.split_location_ips
 
@@ -531,28 +530,31 @@ class TestPoolBackend:
 @pytest.mark.parallel
 class TestProcessBackendCli:
     def test_trace_output_stable_across_backends(self, capsys):
-        """`--trace` with the process backend reports the same stage set."""
+        """`--trace` with the pool backend reports the same stage set."""
         from repro.cli import main
 
         assert main(["study", "--scenario", "small", "--trace", "--sections", "t1"]) == 0
         serial_err = capsys.readouterr().err
-        assert (
-            main(
-                [
-                    "study",
-                    "--scenario",
-                    "small",
-                    "--trace",
-                    "--sections",
-                    "t1",
-                    "--backend",
-                    "process",
-                    "--workers",
-                    "2",
-                ]
+        try:
+            assert (
+                main(
+                    [
+                        "study",
+                        "--scenario",
+                        "small",
+                        "--trace",
+                        "--sections",
+                        "t1",
+                        "--backend",
+                        "pool",
+                        "--workers",
+                        "2",
+                    ]
+                )
+                == 0
             )
-            == 0
-        )
+        finally:
+            shutdown_pools()
         process_err = capsys.readouterr().err
         for stage in ("ping_campaign", "clustering", "campaign.fanout", "clustering.fanout"):
             assert stage in serial_err and stage in process_err

@@ -1,7 +1,7 @@
 """The serial≡parallel differential harness.
 
 Runs the *same* :class:`StudyConfig` under the serial backend and under the
-process and persistent-pool backends at 1, 2, 4, and 8 workers, exports
+persistent-pool backend at 1, 2, 4, and 8 workers, exports
 each run with :func:`repro.io.archive.save_archive`, and asserts the
 archives are **byte-identical** file by file.  This is the strongest
 equivalence claim the executor makes: not "statistically close", but the
@@ -86,19 +86,6 @@ class TestSerialReference:
 @pytest.mark.parallel
 class TestProcessEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    def test_process_backend_bytes_identical(self, serial_run, tmp_path, workers):
-        """The headline differential: serial ≡ process at 1/2/4/8 workers."""
-        _, reference = serial_run
-        study = run_study(
-            _study_config(ParallelConfig(backend="process", workers=workers))
-        )
-        digests = _archive_digests(study, tmp_path / f"process-{workers}")
-        assert digests == reference, (
-            f"process backend at {workers} workers diverged from serial on: "
-            f"{sorted(name for name in reference if digests.get(name) != reference[name])}"
-        )
-
-    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_pool_backend_bytes_identical(self, serial_run, tmp_path, workers):
         """The persistent pool joins the differential: serial ≡ pool at
         1/2/4/8 workers, with every stage reusing one pool."""
@@ -142,10 +129,15 @@ class TestProcessEquivalence:
 
     def test_in_memory_artifacts_equal(self, serial_run):
         """Beyond the export: the live Study objects agree field by field."""
+        from repro.parallel import shutdown_pools
+
         serial_study, _ = serial_run
-        process_study = run_study(
-            _study_config(ParallelConfig(backend="process", workers=2))
-        )
+        try:
+            process_study = run_study(
+                _study_config(ParallelConfig(backend="pool", workers=2))
+            )
+        finally:
+            shutdown_pools()
         assert np.array_equal(
             serial_study.matrix.rtt_ms, process_study.matrix.rtt_ms, equal_nan=True
         )
@@ -197,14 +189,7 @@ class TestGoldenExport:
         assert _composite_digest(tmp_path / "serial") == GOLDEN_EXPORT_SHA256
 
     @pytest.mark.parallel
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_export_matches_golden_digest(self, tmp_path, workers):
-        study = run_study(_study_config(ParallelConfig(backend="process", workers=workers)))
-        save_archive(study, tmp_path / "proc")
-        assert _composite_digest(tmp_path / "proc") == GOLDEN_EXPORT_SHA256
-
-    @pytest.mark.parallel
-    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_pool_export_matches_golden_digest(self, tmp_path, workers):
         from repro.parallel import shutdown_pools
 
@@ -236,11 +221,15 @@ class TestProcessEquivalenceAtScale:
 
     def test_small_scenario_bytes_identical(self, tmp_path):
         from repro.experiments.scenarios import SMALL_SCENARIO
+        from repro.parallel import shutdown_pools
 
         serial = SMALL_SCENARIO.run()
-        process = SMALL_SCENARIO.run(
-            parallel=ParallelConfig(backend="process", workers=4)
-        )
+        try:
+            process = SMALL_SCENARIO.run(
+                parallel=ParallelConfig(backend="pool", workers=4)
+            )
+        finally:
+            shutdown_pools()
         assert _archive_digests(serial, tmp_path / "serial") == _archive_digests(
             process, tmp_path / "process"
         )
@@ -299,10 +288,15 @@ class TestObservabilityByteIdentity:
 
     @pytest.mark.parallel
     def test_process_instrumented_matches_bare(self, serial_run, tmp_path):
+        from repro.parallel import shutdown_pools
+
         _, reference = serial_run
-        study, telemetry = self._instrumented(
-            ParallelConfig(backend="process", workers=2), tmp_path, "process"
-        )
+        try:
+            study, telemetry = self._instrumented(
+                ParallelConfig(backend="pool", workers=2), tmp_path, "process"
+            )
+        finally:
+            shutdown_pools()
         assert _archive_digests(study, tmp_path / "instrumented-proc") == reference
         workers = {r.worker for r in telemetry.flight.records}
         assert any(w.startswith("pid-") for w in workers)

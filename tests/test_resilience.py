@@ -11,7 +11,10 @@ forever.
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from repro.faults import (
     WorkerCrashError,
 )
 from repro.obs import Telemetry
-from repro.parallel import ParallelConfig, Shard, ShardPlan, run_sharded
+from repro.parallel import ParallelConfig, Shard, ShardPlan, run_sharded, shutdown_pools
 from repro.resilience import (
     CoverageReport,
     ErrorBudget,
@@ -39,7 +42,7 @@ from repro.resilience import (
 )
 
 
-# Module-level so the process backend can pickle them.
+# Module-level so the pool backend can pickle them.
 def _sum_shard(shard: Shard, telemetry) -> int:
     return sum(shard.items)
 
@@ -287,7 +290,14 @@ class TestSerialSupervision:
 
 @pytest.mark.parallel
 class TestProcessSupervision:
-    CONFIG = ParallelConfig(backend="process", workers=2)
+    CONFIG = ParallelConfig(backend="pool", workers=2)
+
+    @pytest.fixture(autouse=True)
+    def _cold_pools(self):
+        try:
+            yield
+        finally:
+            shutdown_pools()
 
     def test_worker_crash_is_requeued_to_success(self):
         faults = FaultPlan(
@@ -328,7 +338,7 @@ class TestProcessSupervision:
                 FaultSpec(site="parallel.shard", kind="hang", rate=0.4, hang_s=120.0, fail_attempts=1),
             ),
         )
-        config = ParallelConfig(backend="process", workers=2, shard_timeout_s=1.0)
+        config = ParallelConfig(backend="pool", workers=2, shard_timeout_s=1.0)
         telemetry = Telemetry.capture()
         start = time.monotonic()
         results = run_sharded(
@@ -348,7 +358,7 @@ class TestProcessSupervision:
         """A task that hangs for real (no fault plan) is caught by the
         timeout and quarantined once its attempts and the in-process
         fallback are exhausted — the study-level stall guard."""
-        config = ParallelConfig(backend="process", workers=1, shard_timeout_s=0.5)
+        config = ParallelConfig(backend="pool", workers=1, shard_timeout_s=0.5)
         resilience = ResilienceConfig(
             retry=RetryPolicy(max_attempts=1),
             fallback_in_process=False,
@@ -360,3 +370,70 @@ class TestProcessSupervision:
         )
         assert time.monotonic() - start < 20.0
         assert len(results) == 1 and isinstance(results[0], ShardLoss)
+
+    def test_losses_count_only_attempts_that_ran(self):
+        """A loss's ``attempts`` counts the in-process fallback only when
+        it ran: with the fallback off, pool and serial losses agree."""
+        faults = FaultPlan(
+            seed=1, specs=(FaultSpec(site="parallel.shard", kind="error", rate=1.0),)
+        )
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1),
+            fallback_in_process=False,
+            budget=ErrorBudget(shard_loss_fraction=1.0),
+        )
+        plan = ShardPlan.of(range(4), chunk_size=2)
+        serial = run_sharded(_sum_shard, plan, faults=faults, resilience=resilience)
+        pool = run_sharded(_sum_shard, plan, self.CONFIG, faults=faults, resilience=resilience)
+        assert [loss.attempts for loss in pool] == [loss.attempts for loss in serial] == [1, 1]
+        with_fallback = dataclasses.replace(resilience, fallback_in_process=True)
+        pool = run_sharded(_sum_shard, plan, self.CONFIG, faults=faults, resilience=with_fallback)
+        assert [loss.attempts for loss in pool] == [2, 2]
+
+
+class _SubmitBreaksPool:
+    """Pool stand-in whose ``submit`` raises ``BrokenProcessPool`` on the
+    first call after the lease and after the first rebuild — a worker that
+    died between ``wait()`` and the next submit — and otherwise runs the
+    task inline."""
+
+    def __init__(self) -> None:
+        self.restarts = 0
+        self._fresh = True
+
+    def submit(self, fn, *args):
+        if self._fresh and self.restarts < 2:
+            self._fresh = False
+            raise BrokenProcessPool("a worker died before this submit")
+        self._fresh = False
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def rebuild(self) -> None:
+        self.restarts += 1
+        self._fresh = True
+
+    def info(self) -> dict:
+        return {"pool": "stub", "workers": 2, "restarts": self.restarts, "persistent": True}
+
+
+class TestSubmitTimeBreak:
+    def test_broken_pool_at_submit_rebuilds_and_requeues(self, monkeypatch):
+        """A pool that breaks at submit is rebuilt and the unsubmitted shard
+        requeued uncharged, so the stage completes without a retry policy."""
+        import repro.parallel.executor as executor
+
+        stub = _SubmitBreaksPool()
+        monkeypatch.setattr(executor, "get_pool", lambda workers, start_method: stub)
+        telemetry = Telemetry.capture()
+        results = run_sharded(
+            _sum_shard,
+            _plan(),
+            ParallelConfig(backend="pool", workers=2),
+            telemetry=telemetry,
+            label="stage",
+        )
+        assert results == run_sharded(_sum_shard, _plan())
+        assert telemetry.flight.pools["stage"]["stage_restarts"] == 2
+        assert telemetry.metrics.counter("resilience.worker_crashes") == 2

@@ -3,7 +3,7 @@
 The headline guarantee, proven differentially: SIGKILL the server
 mid-campaign, restart it against the same state directory, and the
 recovered campaign's result is **byte-identical** to an uninterrupted
-run's — on the serial and process backends.  Alongside it: SIGTERM
+run's — on the serial and pool backends.  Alongside it: SIGTERM
 drains gracefully (checkpoint, exit 0, the re-queued campaign resumes on
 restart), a corrupt journal tail degrades recovery honestly instead of
 wedging it, injected ``serve.request`` faults surface as the documented
@@ -185,8 +185,8 @@ class TestKillDashNine:
     @pytest.mark.parallel
     def test_sigkill_recovery_on_process_backend(self, tmp_path):
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
-        _kill9_roundtrip(tmp_path, "--backend", "process", "--workers", "2")
+            pytest.skip("worker-pool backend unavailable")
+        _kill9_roundtrip(tmp_path, "--backend", "pool", "--workers", "2")
 
     def test_double_kill_double_recovery(self, tmp_path):
         """Killing the server during *recovery's re-run* and recovering

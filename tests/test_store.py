@@ -59,7 +59,7 @@ class TestKeys:
         """backend/workers never change artifacts, so the content address
         normalises them away — while the full fingerprint still differs."""
         serial = _tiny_config()
-        process = _tiny_config(parallel=ParallelConfig(backend="process", workers=4))
+        process = _tiny_config(parallel=ParallelConfig(backend="pool", workers=4))
         assert config_fingerprint(serial) != config_fingerprint(process)
         assert study_key(serial) == study_key(process)
 
@@ -362,20 +362,23 @@ class TestCachedStudyKeying:
                 internet=SMALL_SCENARIO.config.internet,
                 n_vantage_points=SMALL_SCENARIO.config.n_vantage_points,
                 seed=SMALL_SCENARIO.config.seed,
-                parallel=ParallelConfig(backend="process", workers=2),
+                parallel=ParallelConfig(backend="pool", workers=2),
             ),
             n_traceroute_regions=SMALL_SCENARIO.n_traceroute_regions,
             capacity_sample=SMALL_SCENARIO.capacity_sample,
         )
         assert config_fingerprint(variant.config) != config_fingerprint(SMALL_SCENARIO.config)
         baseline = cached_study("small")
-        from repro.parallel import process_backend_available
+        from repro.parallel import process_backend_available, shutdown_pools
 
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
-        other = cached_study(variant)
+            pytest.skip("worker-pool backend unavailable")
+        try:
+            other = cached_study(variant)
+        finally:
+            shutdown_pools()
         assert other is not baseline
-        assert other.config.parallel.backend == "process"
+        assert other.config.parallel.backend == "pool"
         assert baseline.config.parallel.backend == "serial"
         # Both now memoised independently.
         assert cached_study(variant) is other

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.pipeline import StudyConfig
 from repro.faults import FaultPlan, FaultSpec, WorkerCrashError
-from repro.parallel import ParallelConfig, process_backend_available
+from repro.parallel import ParallelConfig, process_backend_available, shutdown_pools
 from repro.resilience import ErrorBudget, ResilienceConfig, RetryPolicy
 from repro.store import StudyStore
 from repro.sweep import MetricSpec, ParameterGrid, run_campaign
@@ -179,23 +179,30 @@ class TestCrashResume:
 
 @pytest.mark.parallel
 class TestResumeProcess:
+    @pytest.fixture(autouse=True)
+    def _cold_pools(self):
+        try:
+            yield
+        finally:
+            shutdown_pools()
+
     def test_interrupt_resume_replay(self, tmp_path):
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
-        parallel = ParallelConfig(backend="process", workers=2)
+            pytest.skip("worker-pool backend unavailable")
+        parallel = ParallelConfig(backend="pool", workers=2)
         _resume_roundtrip(parallel, tmp_path, k=1)
 
     def test_serial_and_process_resumes_interchange(self, tmp_path):
-        """A store written by a serial run must be readable by a process
+        """A store written by a serial run must be readable by a pool
         resume (and vice versa): the content address normalises the
         execution backend away."""
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
+            pytest.skip("worker-pool backend unavailable")
         grid = _grid(2)
         store = StudyStore(tmp_path / "store")
         run_campaign(grid, METRICS, store=store, max_cells=1)  # serial
         resumed = run_campaign(
-            grid, METRICS, store=store, parallel=ParallelConfig(backend="process", workers=2)
+            grid, METRICS, store=store, parallel=ParallelConfig(backend="pool", workers=2)
         )
         assert resumed.cache_hits == 1
         assert resumed.cache_misses == 1

@@ -332,7 +332,7 @@ class TestFingerprint:
         from repro.parallel import ParallelConfig
 
         base = _tiny_config()
-        tweaked = replace(base, parallel=ParallelConfig(backend="process", workers=4))
+        tweaked = replace(base, parallel=ParallelConfig(backend="pool", workers=4))
         assert timeline_fingerprint(base) == timeline_fingerprint(tweaked)
 
     def test_spec_changes_fingerprint(self):

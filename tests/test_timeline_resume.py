@@ -1,7 +1,7 @@
 """Kill-and-resume guarantees for timeline campaigns.
 
 Mirrors ``tests/test_sweep_resume.py`` for the longitudinal engine: kill
-a campaign mid-epoch (serial and process backends), resume it against
+a campaign mid-epoch (serial and pool backends), resume it against
 the same stage store, and (a) only the remaining epochs are computed
 (visible through the report's hit/miss provenance and the store status),
 (b) the final series report is **byte-identical** to an uninterrupted
@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, WorkerCrashError
-from repro.parallel import ParallelConfig, process_backend_available
+from repro.parallel import ParallelConfig, process_backend_available, shutdown_pools
 from repro.resilience import ErrorBudget, ResilienceConfig, RetryPolicy
 from repro.store import StageStore
 from repro.timeline import TimelineConfig, TimelineSpec, run_timeline, timeline_status
@@ -183,22 +183,29 @@ class TestCrashResume:
 
 @pytest.mark.parallel
 class TestResumeProcess:
+    @pytest.fixture(autouse=True)
+    def _cold_pools(self):
+        try:
+            yield
+        finally:
+            shutdown_pools()
+
     def test_interrupt_resume_replay(self, tmp_path):
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
-        _resume_roundtrip(ParallelConfig(backend="process", workers=2), tmp_path, k=1)
+            pytest.skip("worker-pool backend unavailable")
+        _resume_roundtrip(ParallelConfig(backend="pool", workers=2), tmp_path, k=1)
 
     def test_serial_and_process_resumes_interchange(self, tmp_path):
-        """A store written by a serial run must be readable by a process
+        """A store written by a serial run must be readable by a pool
         resume (and vice versa): the content address normalises the
         execution backend away."""
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
+            pytest.skip("worker-pool backend unavailable")
         config = _config()
         store = StageStore(tmp_path / "store")
         run_timeline(config, store=store, max_epochs=1)  # serial
         resumed = run_timeline(
-            replace(config, parallel=ParallelConfig(backend="process", workers=2)), store=store
+            replace(config, parallel=ParallelConfig(backend="pool", workers=2)), store=store
         )
         assert resumed.cache_hits == 1
         assert resumed.cache_misses == N_EPOCHS - 1
