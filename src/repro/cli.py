@@ -466,14 +466,16 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
     return 0 if status.n_pending == 0 else 2
 
 
-def _cmd_sweep_gc(args: argparse.Namespace) -> int:
-    from repro.store import StudyStore
+def _cmd_store_gc(args: argparse.Namespace) -> int:
+    """``sweep gc`` (study store) and ``timeline gc`` (stage store)."""
+    from repro.store import StageStore, StudyStore
 
-    store = StudyStore(args.store_dir)
+    store = (StudyStore if args.command == "sweep" else StageStore)(args.store_dir)
     before = store.stats()
     evicted = store.gc(
         max_entries=args.max_entries,
         max_bytes=args.max_bytes,
+        max_age_s=getattr(args, "max_age_s", None),  # only ``timeline gc`` has --max-age-s
         max_quarantine_entries=args.max_quarantine_entries,
         max_quarantine_age_s=args.max_quarantine_age_s,
     )
@@ -488,35 +490,12 @@ def _cmd_sweep_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline_gc(args: argparse.Namespace) -> int:
-    from repro.store import StageStore
-
-    store = StageStore(args.store_dir)
-    before = store.stats()
-    evicted = store.gc(
-        max_entries=args.max_entries,
-        max_bytes=args.max_bytes,
-        max_age_s=args.max_age_s,
-        max_quarantine_entries=args.max_quarantine_entries,
-        max_quarantine_age_s=args.max_quarantine_age_s,
-    )
-    after = store.stats()
-    print(
-        f"evicted {len(evicted)} of {before['entries']} entries "
-        f"({before['total_bytes'] - after['total_bytes']:,} bytes freed, "
-        f"{after['entries']} entries / {after['total_bytes']:,} bytes remain)"
-    )
-    for key in evicted:
-        print(f"  evicted {key}")
-    return 0
-
-
 def _cmd_timeline(args: argparse.Namespace) -> int:
     # Dispatched by attribute rather than sub-parser set_defaults: on
     # Python < 3.13 the parent parser's set_defaults(handler=...) would
     # clobber the sub-parser's (bpo-9351).
     if getattr(args, "timeline_command", None) == "gc":
-        return _cmd_timeline_gc(args)
+        return _cmd_store_gc(args)
     from repro.experiments.scenarios import scenario_by_name
     from repro.timeline import TimelineConfig, TimelineSpec, run_timeline, timeline_status
 
@@ -830,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="evict quarantined entries older than this many seconds",
     )
-    sweep_gc.set_defaults(handler=_cmd_sweep_gc)
+    sweep_gc.set_defaults(handler=_cmd_store_gc)
 
     timeline = subparsers.add_parser(
         "timeline", help="run/resume the longitudinal (quarterly-epoch) campaign, or GC its store"

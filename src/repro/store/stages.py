@@ -13,35 +13,30 @@ seed material its randomness is derived from), a hit is definitionally
 the value the stage would recompute — which is what lets the
 differential harness prove incremental ≡ full byte-identically.
 
-Layout of a stage-store directory::
-
-    objects/<k2>/<key>.json      one JSON entry per stage invocation
-    quarantine/<key>.<tag>.json  entries that failed their digest check
-
-Writes are atomic (temp file + ``os.replace``), loads verify the
-payload digest recorded at write time and degrade corrupt entries to
-misses (the bad file is moved to ``quarantine/`` for post-mortems, so
-the slot heals on rewrite).  :meth:`StageStore.gc` bounds the store by
-entry count / total bytes / age and sweeps the quarantine the same way
-:meth:`repro.store.store.StudyStore.gc` does.  Hit/miss/write counts
-land both on a :class:`~repro.obs.metrics.MetricsRegistry` under
-``stage.<kind>.hits`` etc. and on the instance-local :attr:`counters`
-dict (benchmarks assert on exact per-stage hit counts).
+Each entry is one file, ``objects/<k2>/<key>.json``, laid out, published,
+quarantined and garbage-collected by
+:class:`~repro.store.objects.ObjectStore`.  Loads verify the payload
+digest recorded at write time and degrade corrupt entries to misses (the
+bad file is moved to ``quarantine/`` for post-mortems, so the slot heals
+on rewrite).  Reads do not re-stamp entries, so :meth:`StageStore.gc`
+evicts in write order — for timeline campaigns also epoch order, the
+natural staleness axis.  Hit/miss/write counts land both on a
+:class:`~repro.obs.metrics.MetricsRegistry` under ``stage.<kind>.hits``
+etc. and on the instance-local :attr:`StageStore.counters` dict
+(benchmarks assert on exact per-stage hit counts).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
-import uuid
 from pathlib import Path
 from typing import Any
 
 from repro import __version__
-from repro.obs import MetricsRegistry, global_metrics
+from repro.obs import MetricsRegistry
 from repro.store.keys import STORE_SCHEMA
+from repro.store.objects import ObjectStore
 
 #: Schema tag for stage entries (bump on incompatible layout changes).
 STAGE_SCHEMA = "repro-stage-v1"
@@ -71,51 +66,23 @@ def stage_key(kind: str, payload: Any) -> str:
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-class StageStore:
+class StageStore(ObjectStore):
     """Content-addressed JSON store for per-stage timeline artifacts.
 
-    A plain directory of small JSON files — no LRU index, no archive
-    format — because stage entries are tiny and a whole timeline's worth
-    fits comfortably on disk.  ``metrics`` receives ``stage.*`` counters
-    (defaults to the process-wide registry); :attr:`counters` mirrors
-    them per instance so tests and benchmarks can assert exact reuse.
+    A plain directory of small JSON files — no archive format — because
+    stage entries are tiny and a whole timeline's worth fits comfortably
+    on disk.  ``metrics`` receives ``stage.*`` counters (defaults to the
+    process-wide registry); :attr:`counters` mirrors them per instance so
+    tests and benchmarks can assert exact reuse.  Bound the store with
+    :meth:`gc`.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        metrics: MetricsRegistry | None = None,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-        max_age_s: float | None = None,
-        max_quarantine_entries: int | None = None,
-        max_quarantine_age_s: float | None = None,
-    ) -> None:
-        self.root = Path(root)
-        self.metrics = metrics if metrics is not None else global_metrics()
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.max_age_s = max_age_s
-        self.max_quarantine_entries = max_quarantine_entries
-        self.max_quarantine_age_s = max_quarantine_age_s
+    suffix = ".json"
+
+    def __init__(self, root: str | Path, metrics: MetricsRegistry | None = None) -> None:
+        super().__init__(root, metrics)
         #: Instance-local ``{"<kind>.hits": n, ...}`` counters.
         self.counters: dict[str, int] = {}
-
-    # -- paths -----------------------------------------------------------------
-
-    @property
-    def objects_dir(self) -> Path:
-        """Where completed entries live."""
-        return self.root / "objects"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where entries that failed verification are parked."""
-        return self.root / "quarantine"
-
-    def entry_path(self, key: str) -> Path:
-        """The file an entry with content address ``key`` occupies."""
-        return self.objects_dir / key[:2] / f"{key}.json"
 
     # -- counters --------------------------------------------------------------
 
@@ -123,6 +90,9 @@ class StageStore:
         name = f"{kind}.{event}"
         self.counters[name] = self.counters.get(name, 0) + 1
         self.metrics.count(f"stage.{name}")
+
+    def _count_gc(self, event: str) -> None:
+        self._count("gc", event)
 
     def counter(self, kind: str, event: str) -> int:
         """The instance-local count of ``event`` (hits/misses/writes) for ``kind``."""
@@ -153,7 +123,7 @@ class StageStore:
             self._count(kind, "misses")
             return None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
-            self._quarantine(key, path)
+            self._quarantine(key)
             self._count(kind, "corruptions")
             self._count(kind, "misses")
             return None
@@ -165,12 +135,11 @@ class StageStore:
     def put(self, kind: str, key: str, payload: Any) -> str:
         """Persist ``payload`` under ``key`` (idempotent); returns ``key``.
 
-        Written to a temp file then published with one ``os.replace``,
-        so concurrent writers (timeline shards racing on a shared stage)
-        and crashes can never land a torn entry.
+        Written under ``tmp/`` then published with one ``os.rename``, so
+        concurrent writers (timeline shards racing on a shared stage) and
+        crashes can never land a torn entry.
         """
-        path = self.entry_path(key)
-        if path.exists():
+        if self.entry_path(key).exists():
             return key
         entry = {
             "schema": STAGE_SCHEMA,
@@ -179,113 +148,8 @@ class StageStore:
             "sha256": hashlib.sha256(_canonical_json(payload).encode()).hexdigest(),
             "payload": payload,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        staging = path.parent / f".{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+        staging = self._staging(key)
         staging.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(staging, path)
+        self._publish(key, staging)
         self._count(kind, "writes")
         return key
-
-    # -- maintenance -----------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Entry count and total bytes on disk."""
-        entries = 0
-        total = 0
-        if self.objects_dir.exists():
-            for bucket in self.objects_dir.iterdir():
-                for file in bucket.glob("*.json"):
-                    entries += 1
-                    total += file.stat().st_size
-        return {"entries": entries, "total_bytes": total}
-
-    def gc(
-        self,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-        max_age_s: float | None = None,
-        max_quarantine_entries: int | None = None,
-        max_quarantine_age_s: float | None = None,
-    ) -> list[str]:
-        """Evict oldest entries until within the given bounds.
-
-        ``None`` bounds fall back to the store's configured limits; all
-        ``None`` means no eviction.  Stage entries carry no access index
-        (they are immutable content-addressed files), so "oldest" is by
-        file mtime — write order, which for timeline campaigns is also
-        epoch order, the natural staleness axis.  Quarantined entries
-        are pruned by the quarantine bounds (anything past the age
-        bound, then oldest-first down to the count bound).  Returns the
-        evicted object keys, oldest first.
-        """
-        max_entries = max_entries if max_entries is not None else self.max_entries
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        max_age_s = max_age_s if max_age_s is not None else self.max_age_s
-        self._prune_quarantine(max_quarantine_entries, max_quarantine_age_s)
-        if max_entries is None and max_bytes is None and max_age_s is None:
-            return []
-        files: list[tuple[float, str, Path, int]] = []
-        if self.objects_dir.exists():
-            for bucket in sorted(self.objects_dir.iterdir()):
-                for file in sorted(bucket.glob("*.json")):
-                    stat = file.stat()
-                    files.append((stat.st_mtime, file.stem, file, stat.st_size))
-        files.sort(key=lambda item: (item[0], item[1]))
-        total = sum(size for _, _, _, size in files)
-        now = time.time()
-        evicted: list[str] = []
-
-        def _evict(mtime: float, key: str, path: Path, size: int) -> None:
-            nonlocal total
-            path.unlink(missing_ok=True)
-            total -= size
-            evicted.append(key)
-            self._count("gc", "evictions")
-
-        if max_age_s is not None:
-            stale = [item for item in files if now - item[0] > max_age_s]
-            for item in stale:
-                _evict(*item)
-            files = [item for item in files if now - item[0] <= max_age_s]
-        while files and (
-            (max_entries is not None and len(files) > max_entries)
-            or (max_bytes is not None and total > max_bytes)
-        ):
-            _evict(*files.pop(0))
-        return evicted
-
-    def _prune_quarantine(
-        self, max_entries: int | None = None, max_age_s: float | None = None
-    ) -> None:
-        """Delete quarantined entries past the configured count/age bounds."""
-        max_entries = (
-            max_entries if max_entries is not None else self.max_quarantine_entries
-        )
-        max_age_s = max_age_s if max_age_s is not None else self.max_quarantine_age_s
-        if max_entries is None and max_age_s is None:
-            return
-        if not self.quarantine_dir.exists():
-            return
-        entries = sorted(
-            (entry for entry in self.quarantine_dir.iterdir() if entry.is_file()),
-            key=lambda entry: (entry.stat().st_mtime, entry.name),
-        )
-        now = time.time()
-        doomed: list[Path] = []
-        if max_age_s is not None:
-            doomed.extend(e for e in entries if now - e.stat().st_mtime > max_age_s)
-        if max_entries is not None and len(entries) - len(doomed) > max_entries:
-            survivors = [e for e in entries if e not in doomed]
-            doomed.extend(survivors[: len(survivors) - max_entries])
-        for entry in doomed:
-            entry.unlink(missing_ok=True)
-            self._count("gc", "quarantine_pruned")
-
-    def _quarantine(self, key: str, path: Path) -> None:
-        """Move a bad entry aside so the next access recomputes it."""
-        destination = self.quarantine_dir / f"{key}.{uuid.uuid4().hex[:8]}.json"
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(path, destination)
-        except OSError:
-            path.unlink(missing_ok=True)

@@ -1,26 +1,20 @@
 """The on-disk, content-addressed study store.
 
-Layout of a store directory::
-
-    index.json                   LRU bookkeeping: key -> {seq, bytes}
-    objects/<k2>/<key>/          one archive per study (io.archive format,
-                                 plus store_entry.json provenance)
-    tmp/                         in-flight writes (crash debris is inert)
-    quarantine/                  entries that failed their digest check
+Each entry is a directory, ``objects/<k2>/<key>/``: one study archive
+(:mod:`repro.io.archive` format) plus ``store_entry.json`` provenance,
+laid out, published, quarantined and garbage-collected by
+:class:`~repro.store.objects.ObjectStore`.
 
 Entries are keyed by :func:`repro.store.keys.study_key` — a canonical
 hash of the artifact-relevant config plus the package version — so a hit
 is *definitionally* the study that config would produce.  Writes are
-atomic (build in ``tmp/``, then one ``os.rename`` into place): a killed
+atomic (built in ``tmp/``, then one ``os.rename`` into place): a killed
 process leaves either a complete entry or no entry, never a torn one,
 which is what makes sweep campaigns resumable.  Loads verify every file
 digest; corrupt entries are moved to ``quarantine/`` and reported as
 misses, so a bad disk degrades to recomputation rather than bad science.
-
-The filesystem is authoritative: ``index.json`` only orders entries for
-LRU eviction and is rebuilt from the object directories whenever it is
-missing or stale (concurrent writers from sweep workers may race on it;
-losing an index row never loses an artifact).
+Hits and repeat puts re-stamp the entry's mtime, so :meth:`StudyStore.gc`
+evicts least-recently-used first.
 
 Hit/miss/write/evict/corruption counts land on a
 :class:`~repro.obs.metrics.MetricsRegistry` (the process-wide registry by
@@ -29,23 +23,19 @@ default) under ``store.*``.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
-import shutil
-import time
-import uuid
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro import __version__
 from repro.core.pipeline import PrecomputedArtifacts, Study, StudyConfig, run_study
 from repro.faults import FaultPlan, InjectedFault, raise_injected, stable_index
 from repro.io.archive import ArchiveCorruptError, load_archive, save_archive
-from repro.obs import MetricsRegistry, Telemetry, global_metrics
+from repro.obs import MetricsRegistry, Telemetry
 from repro.resilience import RetryPolicy, call_with_retry
 from repro.store.keys import STORE_SCHEMA, canonical_config_json, study_key
+from repro.store.objects import ObjectStore
 
-_INDEX_NAME = "index.json"
 _ENTRY_NAME = "store_entry.json"
 
 
@@ -65,28 +55,11 @@ def _poison_entry(path: Path) -> None:
         return
 
 
-@dataclass(frozen=True)
-class StoreStats:
-    """A point-in-time summary of one store directory."""
-
-    entries: int
-    total_bytes: int
-
-    def to_json(self) -> dict:
-        """JSON-serialisable form."""
-        return {"entries": self.entries, "total_bytes": self.total_bytes}
-
-
-class StudyStore:
+class StudyStore(ObjectStore):
     """Content-addressed persistence for pipeline studies.
 
-    ``max_entries`` / ``max_bytes`` bound the store; when set, every
-    :meth:`put` enforces them by evicting least-recently-used entries
-    (:meth:`gc`).  ``max_quarantine_entries`` / ``max_quarantine_age_s``
-    bound the ``quarantine/`` directory the same way (quarantined entries
-    are only kept for post-mortems — they are never read back).
     ``metrics`` receives the ``store.*`` counters (defaults to the
-    process-wide registry).
+    process-wide registry).  Bound the store with :meth:`gc`.
 
     ``retry`` (a :class:`~repro.resilience.RetryPolicy`) makes
     :meth:`get` re-attempt loads that fail with retryable errors;
@@ -98,33 +71,13 @@ class StudyStore:
     def __init__(
         self,
         root: str | Path,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
         metrics: MetricsRegistry | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
-        max_quarantine_entries: int | None = None,
-        max_quarantine_age_s: float | None = None,
     ) -> None:
-        self.root = Path(root)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.metrics = metrics if metrics is not None else global_metrics()
+        super().__init__(root, metrics)
         self.faults = faults
         self.retry = retry
-        self.max_quarantine_entries = max_quarantine_entries
-        self.max_quarantine_age_s = max_quarantine_age_s
-
-    # -- paths -----------------------------------------------------------------
-
-    @property
-    def objects_dir(self) -> Path:
-        """Where completed entries live."""
-        return self.root / "objects"
-
-    def entry_path(self, key: str) -> Path:
-        """The directory a study with content address ``key`` occupies."""
-        return self.objects_dir / key[:2] / key
 
     def key_for(self, config: StudyConfig) -> str:
         """The content address for ``config`` (see :func:`study_key`)."""
@@ -148,7 +101,9 @@ class StudyStore:
         (see :class:`~repro.core.pipeline.PrecomputedArtifacts`), so the
         returned object is a full :class:`Study` whose exported artifacts
         are byte-identical to a fresh run's.  Corrupt entries are
-        quarantined and reported as misses.
+        quarantined and reported as misses.  An error while rehydrating
+        verified bytes is not corruption: it propagates and the entry
+        stays in place.
         """
         key = self.key_for(config)
         path = self.entry_path(key)
@@ -169,12 +124,6 @@ class StudyStore:
                 )
             else:
                 loaded = _load(0)
-            precomputed = PrecomputedArtifacts(
-                rtt_ms=loaded.rtt_ms,
-                target_ips=tuple(loaded.target_ips),
-                clusterings=loaded.clusterings,
-            )
-            study = run_study(config, telemetry=telemetry, precomputed=precomputed)
         except InjectedFault:
             # An injected load failure the retries (if any) could not
             # clear: the entry itself is fine, so degrade to a miss and
@@ -183,11 +132,22 @@ class StudyStore:
             self.metrics.count("store.misses")
             return None
         except (ArchiveCorruptError, ValueError, KeyError, OSError) as error:
-            self._quarantine(key, path, error)
+            destination = self._quarantine(key)
+            if destination is not None:
+                with contextlib.suppress(OSError):
+                    (destination / "quarantine_reason.txt").write_text(
+                        f"{type(error).__name__}: {error}\n"
+                    )
             self.metrics.count("store.corruptions")
             self.metrics.count("store.misses")
             return None
-        self._touch(key)
+        precomputed = PrecomputedArtifacts(
+            rtt_ms=loaded.rtt_ms,
+            target_ips=tuple(loaded.target_ips),
+            clusterings=loaded.clusterings,
+        )
+        study = run_study(config, telemetry=telemetry, precomputed=precomputed)
+        self._stamp(key)
         self.metrics.count("store.hits")
         return study
 
@@ -210,12 +170,11 @@ class StudyStore:
         if study.coverage.shards_lost > 0:
             self.metrics.count("store.degraded_skipped")
             return key
-        final = self.entry_path(key)
         if self.contains_key(key):
-            self._touch(key)
+            self._stamp(key)
             return key
-        staging = self.root / "tmp" / f"{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-        staging.mkdir(parents=True, exist_ok=True)
+        staging = self._staging(key)
+        staging.mkdir()
         save_archive(study, staging)
         entry = {
             "schema": STORE_SCHEMA,
@@ -224,84 +183,16 @@ class StudyStore:
             "config": json.loads(canonical_config_json(study.config)),
         }
         (staging / _ENTRY_NAME).write_text(json.dumps(entry, sort_keys=True, indent=2))
-        size = sum(p.stat().st_size for p in staging.iterdir() if p.is_file())
-        final.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            os.rename(staging, final)
-        except OSError:
-            # Lost a publish race: another writer landed the same content.
-            shutil.rmtree(staging, ignore_errors=True)
-            self._touch(key)
-            return key
-        self._touch(key, size=size)
-        self.metrics.count("store.writes")
-        self.metrics.count("store.bytes_written", size)
-        if any(
-            bound is not None
-            for bound in (
-                self.max_entries,
-                self.max_bytes,
-                self.max_quarantine_entries,
-                self.max_quarantine_age_s,
-            )
-        ):
-            self.gc()
+        size = self._publish(key, staging)
+        if size is not None:
+            self.metrics.count("store.writes")
+            self.metrics.count("store.bytes_written", size)
         return key
 
-    # -- maintenance -----------------------------------------------------------
-
-    def gc(
-        self,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-        max_quarantine_entries: int | None = None,
-        max_quarantine_age_s: float | None = None,
-    ) -> list[str]:
-        """Evict least-recently-used entries until within the given bounds.
-
-        ``None`` bounds fall back to the store's configured limits; all
-        ``None`` means no eviction.  Quarantined entries are pruned by the
-        quarantine bounds (oldest first by count, plus anything older than
-        the age bound — they exist only for post-mortems).  Returns the
-        evicted *object* keys, oldest first.
-        """
-        max_entries = max_entries if max_entries is not None else self.max_entries
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        self._prune_quarantine(max_quarantine_entries, max_quarantine_age_s)
-        if max_entries is None and max_bytes is None:
-            return []
-        index = self._load_index()
-        entries = sorted(index["entries"].items(), key=lambda kv: kv[1]["seq"])
-        total = sum(meta["bytes"] for _, meta in entries)
-        evicted: list[str] = []
-        while entries and (
-            (max_entries is not None and len(entries) > max_entries)
-            or (max_bytes is not None and total > max_bytes)
-        ):
-            key, meta = entries.pop(0)
-            shutil.rmtree(self.entry_path(key), ignore_errors=True)
-            del index["entries"][key]
-            total -= meta["bytes"]
-            evicted.append(key)
-            self.metrics.count("store.evictions")
-        if evicted:
-            self._write_index(index)
-        return evicted
-
-    def stats(self) -> StoreStats:
-        """Entry count and total size, from the (reconciled) index."""
-        index = self._load_index()
-        return StoreStats(
-            entries=len(index["entries"]),
-            total_bytes=sum(meta["bytes"] for meta in index["entries"].values()),
-        )
-
-    def keys(self) -> list[str]:
-        """All stored content addresses, least recently used first."""
-        index = self._load_index()
-        return [key for key, _ in sorted(index["entries"].items(), key=lambda kv: kv[1]["seq"])]
-
     # -- internals -------------------------------------------------------------
+
+    def _count_gc(self, event: str) -> None:
+        self.metrics.count(f"store.{event}")
 
     def _trip_load_fault(self, key: str, path: Path, attempt: int) -> None:
         """Apply a planned ``store.load`` fault to this load attempt.
@@ -320,94 +211,3 @@ class StudyStore:
             _poison_entry(path)
         elif spec.kind == "error":
             raise_injected(spec, "store.load", stable_index(key))
-
-    def _prune_quarantine(
-        self, max_entries: int | None = None, max_age_s: float | None = None
-    ) -> None:
-        """Delete quarantined entries past the configured count/age bounds."""
-        max_entries = (
-            max_entries if max_entries is not None else self.max_quarantine_entries
-        )
-        max_age_s = max_age_s if max_age_s is not None else self.max_quarantine_age_s
-        if max_entries is None and max_age_s is None:
-            return
-        quarantine = self.root / "quarantine"
-        if not quarantine.exists():
-            return
-        entries = sorted(
-            (entry for entry in quarantine.iterdir() if entry.is_dir()),
-            key=lambda entry: (entry.stat().st_mtime, entry.name),
-        )
-        now = time.time()
-        doomed: list[Path] = []
-        if max_age_s is not None:
-            doomed.extend(e for e in entries if now - e.stat().st_mtime > max_age_s)
-        if max_entries is not None and len(entries) - len(doomed) > max_entries:
-            survivors = [e for e in entries if e not in doomed]
-            doomed.extend(survivors[: len(survivors) - max_entries])
-        for entry in doomed:
-            shutil.rmtree(entry, ignore_errors=True)
-            self.metrics.count("store.quarantine_pruned")
-
-    def _quarantine(self, key: str, path: Path, error: Exception) -> None:
-        """Move a bad entry aside so the next run recomputes it."""
-        destination = self.root / "quarantine" / f"{key}.{uuid.uuid4().hex[:8]}"
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            os.rename(path, destination)
-            (destination / "quarantine_reason.txt").write_text(f"{type(error).__name__}: {error}\n")
-        except OSError:
-            shutil.rmtree(path, ignore_errors=True)
-        index = self._load_index()
-        if key in index["entries"]:
-            del index["entries"][key]
-            self._write_index(index)
-
-    def _touch(self, key: str, size: int | None = None) -> None:
-        """Record an access (or a new entry) for LRU ordering."""
-        index = self._load_index()
-        meta = index["entries"].get(key, {"bytes": 0})
-        if size is not None:
-            meta["bytes"] = size
-        meta["seq"] = index["next_seq"]
-        index["next_seq"] += 1
-        index["entries"][key] = meta
-        self._write_index(index)
-
-    def _load_index(self) -> dict:
-        """The LRU index, reconciled against the object directories."""
-        index = {"format": STORE_SCHEMA, "next_seq": 0, "entries": {}}
-        path = self.root / _INDEX_NAME
-        if path.exists():
-            try:
-                raw = json.loads(path.read_text())
-                index["next_seq"] = int(raw.get("next_seq", 0))
-                index["entries"] = {
-                    str(key): {"seq": int(meta["seq"]), "bytes": int(meta["bytes"])}
-                    for key, meta in raw.get("entries", {}).items()
-                }
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                index = {"format": STORE_SCHEMA, "next_seq": 0, "entries": {}}
-        # Reconcile: the filesystem wins.  Entries that vanished are dropped;
-        # entries the index never saw (concurrent writers, lost index) are
-        # adopted with a fresh sequence number.
-        on_disk = {}
-        if self.objects_dir.exists():
-            for bucket in sorted(self.objects_dir.iterdir()):
-                for entry_dir in sorted(bucket.iterdir()):
-                    if (entry_dir / _ENTRY_NAME).exists():
-                        on_disk[entry_dir.name] = entry_dir
-        index["entries"] = {k: v for k, v in index["entries"].items() if k in on_disk}
-        for key, entry_dir in on_disk.items():
-            if key not in index["entries"]:
-                size = sum(p.stat().st_size for p in entry_dir.iterdir() if p.is_file())
-                index["entries"][key] = {"seq": index["next_seq"], "bytes": size}
-                index["next_seq"] += 1
-        return index
-
-    def _write_index(self, index: dict) -> None:
-        """Atomically replace ``index.json``."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        staging = self.root / f".{_INDEX_NAME}.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-        staging.write_text(json.dumps(index, sort_keys=True, indent=2))
-        os.replace(staging, self.root / _INDEX_NAME)

@@ -326,7 +326,7 @@ class TestTimelineGcCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "evicted 3 of 4 entries" in out
-        assert StageStore(tmp_path / "stages").stats()["entries"] == 1
+        assert StageStore(tmp_path / "stages").stats().entries == 1
 
     def test_gc_without_bounds_is_a_noop(self, capsys, tmp_path):
         from repro.store import StageStore

@@ -183,6 +183,25 @@ class TestCorruption:
         healthy = StudyStore(tmp_path / "store", metrics=MetricsRegistry())
         assert healthy.get(_tiny_config()) is not None
 
+    def test_rehydration_error_propagates_and_keeps_the_entry(
+        self, store, tiny_study, monkeypatch
+    ):
+        """Verified bytes are not corrupt: a failure replaying the pipeline
+        around them is a bug to surface, not a reason to quarantine."""
+        import repro.store.store as store_module
+
+        def failing_run_study(config, telemetry=None, precomputed=None):
+            if precomputed is not None:
+                raise ValueError("rehydration failed")
+            return run_study(config, telemetry=telemetry)
+
+        key = store.put(tiny_study)
+        monkeypatch.setattr(store_module, "run_study", failing_run_study)
+        with pytest.raises(ValueError, match="rehydration failed"):
+            store.get(_tiny_config())
+        assert store.contains_key(key)
+        assert store.metrics.counter("store.corruptions") == 0
+
 
 class TestDegradedStudies:
     def test_degraded_study_is_never_persisted(self, tmp_path):
@@ -256,14 +275,6 @@ class TestQuarantineGc:
         survivors = set(quarantine.iterdir())
         assert survivors == set(entries[1:])
 
-    def test_put_enforces_configured_quarantine_bound(self, tmp_path, tiny_study):
-        store = StudyStore(
-            tmp_path / "store", metrics=MetricsRegistry(), max_quarantine_entries=1
-        )
-        self._quarantine_n(store, tiny_study, 2)
-        store.put(tiny_study)  # put() triggers gc() with the configured bound
-        assert len(list((store.root / "quarantine").iterdir())) == 1
-
     def test_gc_without_quarantine_dir_is_a_noop(self, store, tiny_study):
         store.put(tiny_study)
         assert store.gc(max_quarantine_entries=1) == []
@@ -328,18 +339,15 @@ class TestGcAndIndex:
         assert len(evicted) == 1
         assert store.stats().entries == 1
 
-    def test_put_enforces_configured_limits(self, tmp_path, tiny_study):
-        store = StudyStore(tmp_path / "store", max_entries=1, metrics=MetricsRegistry())
-        store.put(tiny_study)
-        store.put(run_study(_tiny_config(seed=4)))
-        assert store.stats().entries == 1
-
-    def test_index_rebuilds_from_filesystem(self, store, tiny_study):
-        key = store.put(tiny_study)
-        (store.root / "index.json").unlink()
-        assert store.contains_key(key)
-        assert store.keys() == [key]
-        assert store.stats().entries == 1
+    def test_lru_order_survives_fresh_instances(self, tmp_path, tiny_study):
+        """Recency lives in the entries' mtimes, not in any one instance."""
+        root = tmp_path / "store"
+        first = StudyStore(root, metrics=MetricsRegistry())
+        key_a = first.put(tiny_study)
+        key_b = first.put(run_study(_tiny_config(seed=4)))
+        assert StudyStore(root, metrics=MetricsRegistry()).get(_tiny_config()) is not None
+        assert StudyStore(root, metrics=MetricsRegistry()).gc(max_entries=1) == [key_b]
+        assert first.contains_key(key_a)
 
     def test_crash_debris_in_tmp_is_inert(self, store, tiny_study):
         key = store.put(tiny_study)
@@ -348,6 +356,39 @@ class TestGcAndIndex:
         (debris / "manifest.json").write_text("{}")
         assert store.keys() == [key]
         assert store.get(_tiny_config()) is not None
+
+    @pytest.mark.parametrize("kind", ["study", "stage"])
+    def test_gc_reaps_debris_of_exited_writers_only(self, tmp_path, tiny_study, kind):
+        """A writer killed mid-put leaves its staging behind; gc reclaims it
+        once the writer is gone, and never touches a live writer's."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.store import StageStore, stage_key
+
+        if kind == "study":
+            store = StudyStore(tmp_path / "store", metrics=MetricsRegistry())
+            store.put(tiny_study)
+        else:
+            store = StageStore(tmp_path / "store", metrics=MetricsRegistry())
+            store.put("epoch", stage_key("epoch", {"i": 0}), {"row": 0})
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert exited.wait(timeout=60) == 0
+        dead = store.root / "tmp" / f"{'ab' * 32}.{exited.pid}.deadbeef"
+        live = store.root / "tmp" / f"{'cd' * 32}.{os.getpid()}.cafef00d"
+        for debris in (dead, live):
+            debris.parent.mkdir(parents=True, exist_ok=True)
+            if kind == "study":
+                debris.mkdir()
+                (debris / "latency.npz").write_bytes(b"\0" * 4096)
+            else:
+                debris.write_text("{}")
+        before = store.stats()
+        assert store.gc() == []
+        assert not dead.exists()
+        assert live.exists()
+        assert store.stats() == before
 
 
 class TestCachedStudyKeying:

@@ -191,6 +191,7 @@ class TestBuildTimeline:
             assert second[key] == first[key]
 
 
+@pytest.mark.store
 class TestStageStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = StageStore(tmp_path)
@@ -247,6 +248,7 @@ class TestStageStore:
         assert len(parked) == 1, "the bad bytes must survive for post-mortems"
 
 
+@pytest.mark.store
 class TestStageStoreGC:
     """Size/age-bounded GC + quarantine sweep (StudyStore.gc parity)."""
 
@@ -269,17 +271,17 @@ class TestStageStoreGC:
         keys = self._seed(store, 5)
         evicted = store.gc(max_entries=2)
         assert evicted == keys[:3]
-        assert store.stats()["entries"] == 2
+        assert store.stats().entries == 2
         assert not store.contains(keys[0]) and store.contains(keys[4])
         assert store.counter("gc", "evictions") == 3
 
     def test_evicts_oldest_beyond_max_bytes(self, tmp_path):
         store = StageStore(tmp_path)
         keys = self._seed(store, 4)
-        per_entry = store.stats()["total_bytes"] // 4
+        per_entry = store.stats().total_bytes // 4
         evicted = store.gc(max_bytes=2 * per_entry)
         assert evicted == keys[:2]
-        assert store.stats()["total_bytes"] <= 2 * per_entry
+        assert store.stats().total_bytes <= 2 * per_entry
 
     def test_evicts_entries_past_max_age(self, tmp_path):
         store = StageStore(tmp_path)
@@ -290,16 +292,11 @@ class TestStageStoreGC:
         assert sorted(evicted) == sorted(keys)
         assert store.contains(fresh)
 
-    def test_constructor_bounds_are_the_defaults(self, tmp_path):
-        store = StageStore(tmp_path, max_entries=1)
-        keys = self._seed(store, 3)
-        assert store.gc() == keys[:2]
-
     def test_no_bounds_is_a_noop(self, tmp_path):
         store = StageStore(tmp_path)
         self._seed(store, 3)
         assert store.gc() == []
-        assert store.stats()["entries"] == 3
+        assert store.stats().entries == 3
 
     def test_quarantine_sweep_by_count_and_age(self, tmp_path):
         import os
