@@ -13,7 +13,7 @@ computing the upper triangle and mirroring is exact, halving the work) and
 takes a bookkeeping-free fast path when the columns contain no NaN.  Both
 shortcuts preserve bit-identical output versus the per-pair reference —
 every kept float travels through the same op sequence (abs, sort, cumsum,
-divide) regardless of which pairs share a block.
+divide) regardless of which pairs share a chunk.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ def pairwise_trimmed_manhattan_reference(
     return matrix
 
 
+#: Floats per pair chunk of :func:`pairwise_trimmed_manhattan` (pairs x
+#: vantage points): each temporary stays near 0.5 MB at any ISP size.
+PAIR_CHUNK_FLOATS = 1 << 16
+
+
 def pairwise_trimmed_manhattan(columns: np.ndarray, trim_fraction: float = 0.2) -> np.ndarray:
     """All-pairs distance matrix for ``columns`` of shape ``(n_vps, n_ips)``.
 
@@ -76,59 +81,61 @@ def pairwise_trimmed_manhattan(columns: np.ndarray, trim_fraction: float = 0.2) 
     entries for pairs with fewer than two common vantage points are NaN.
     Equivalent to calling :func:`trimmed_manhattan` per pair (see
     :func:`pairwise_trimmed_manhattan_reference`, kept for clarity and
-    property-testing), but ~100x faster at paper scale: only the upper
-    triangle is computed (the lower is a bitwise-exact mirror, because every
-    per-pair operation is symmetric in the pair), and NaN-free inputs skip
-    the valid-count bookkeeping entirely.
+    property-testing), but ~100x faster at paper scale: only the strict
+    upper triangle is computed (the lower is a bitwise-exact mirror, because
+    every per-pair operation is symmetric in the pair), in chunks of about
+    :data:`PAIR_CHUNK_FLOATS` floats, and each pair's running sum stops at
+    its last kept entry.  NaN-free inputs skip the valid-count bookkeeping
+    entirely.
     """
     require_fraction(trim_fraction, "trim_fraction")
     columns = np.asarray(columns, dtype=float)
     require(columns.ndim == 2, "columns must be (n_vps, n_ips)")
     n_vps, n_ips = columns.shape
-    if n_ips == 0:
-        return np.zeros((0, 0))
-    # Work in (row-block, trailing-ips, n_vps) chunks with the vantage axis
-    # last: the per-pair sort runs over contiguous memory, and the chunking
-    # keeps the temporaries cache-friendly even for very large ISPs.  Each
-    # block covers rows [start:stop] against columns [start:] — the strict
-    # upper triangle plus the diagonal band — and is mirrored in place.
+    matrix = np.zeros((n_ips, n_ips))
+    if n_vps < 2:
+        # No pair can share two vantage points.
+        matrix.fill(np.nan)
+        np.fill_diagonal(matrix, 0.0)
+        return matrix
+    # Pairs (i, j), i < j, in row-major order, one chunk at a time; the
+    # vantage axis is last so each pair's sort runs over contiguous memory.
     transposed = np.ascontiguousarray(columns.T)
-    matrix = np.empty((n_ips, n_ips))
     has_nan = bool(np.isnan(transposed).any())
     # With no NaN every pair keeps the same number of entries, so the
     # per-pair valid counts collapse to one scalar (same float product and
     # floor as the array expression below — bit-identical kept index).
     kept_all = n_vps - int(np.floor(trim_fraction * n_vps))
-    start = 0
-    while start < n_ips:
-        width = n_ips - start
-        block = max(1, int(4_000_000 / max(1, width * n_vps)))
-        stop = min(n_ips, start + block)
+    # Pair index at which row i's pairs (i, i+1..n-1) begin.
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n_ips - 1, 0, -1))))
+    n_pairs = int(row_start[-1])
+    chunk = max(1, PAIR_CHUNK_FLOATS // n_vps)
+    for first in range(0, n_pairs, chunk):
+        pair = np.arange(first, min(first + chunk, n_pairs))
+        left = np.searchsorted(row_start, pair, side="right") - 1
+        right = pair - row_start[left] + left + 1
         # NaN where either side is missing; sort puts NaNs last, aligning
         # per-pair valid prefixes.
-        diffs = np.abs(transposed[start:stop, None, :] - transposed[None, start:, :])
+        diffs = transposed[left] - transposed[right]
+        np.abs(diffs, out=diffs)
         if has_nan:
-            valid_counts = (~np.isnan(diffs)).sum(axis=2)
-            diffs.sort(axis=2)
+            valid_counts = n_vps - np.count_nonzero(np.isnan(diffs), axis=1)
+            diffs.sort(axis=1)
             # Number of entries kept after trimming, per pair.
             kept = valid_counts - np.floor(trim_fraction * valid_counts).astype(int)
-            np.nan_to_num(diffs, copy=False)  # NaNs are sorted past every kept index
-            cumulative = np.cumsum(diffs, axis=2)
-            kept_index = np.clip(kept - 1, 0, n_vps - 1)
-            sums = np.take_along_axis(cumulative, kept_index[:, :, None], axis=2)[:, :, 0]
+            # Entries before a pair's kept index are never NaN: they sort
+            # first, and kept <= valid_counts.
+            prefix = np.cumsum(diffs[:, : max(1, int(kept.max()))], axis=1)
+            kept_index = np.clip(kept - 1, 0, None)
+            sums = np.take_along_axis(prefix, kept_index[:, None], axis=1)[:, 0]
             with np.errstate(invalid="ignore", divide="ignore"):
-                rows = sums / kept
-            rows[valid_counts < 2] = np.nan
+                values = sums / kept
+            values[valid_counts < 2] = np.nan
         else:
-            diffs.sort(axis=2)
-            cumulative = np.cumsum(diffs, axis=2)
-            kept_index = min(max(kept_all - 1, 0), n_vps - 1)
+            diffs.sort(axis=1)
+            prefix = np.cumsum(diffs[:, : max(1, kept_all)], axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
-                rows = cumulative[:, :, kept_index] / kept_all
-            if n_vps < 2:
-                rows[...] = np.nan
-        matrix[start:stop, start:] = rows
-        matrix[start:, start:stop] = rows.T
-        start = stop
-    np.fill_diagonal(matrix, 0.0)
+                values = prefix[:, -1] / kept_all
+        matrix[left, right] = values
+        matrix[right, left] = values
     return matrix

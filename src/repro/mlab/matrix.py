@@ -22,7 +22,7 @@ from repro._util import make_rng, require, require_fraction, spawn_rng
 from repro.deployment.placement import DeploymentState
 from repro.faults import FaultPlan
 from repro.mlab.latency import base_rtt_matrix, vp_pair_floor_matrix
-from repro.mlab.pings import PingConfig, ping_rtts
+from repro.mlab.pings import PingConfig, aggregate_probes, draw_probes
 from repro.mlab.vantage import VantagePoint
 from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import (
@@ -166,7 +166,15 @@ def _measure_shard(
     shard: Shard,
     telemetry: Telemetry | None,
 ) -> np.ndarray:
-    """Measure one shard's columns: shape ``(n_vps, len(shard))``."""
+    """Measure one shard's columns: shape ``(n_vps, len(shard))``.
+
+    Only the RNG draws run per vantage-point row, in the stream order the
+    artifacts pin: the split coin, the lossy coin, then the row's probe
+    draws (:func:`~repro.mlab.pings.draw_probes`).  Facility selection,
+    the NaN masks and :func:`~repro.mlab.pings.aggregate_probes` then run
+    once over the whole shard, elementwise, so every value is the float a
+    row-at-a-time ``ping_rtts`` loop would produce.
+    """
     obs = ensure_telemetry(telemetry)
     # The shard's RNG stream, spawned in the parent before dispatch and
     # shipped as seed material (see ShardPlan.shard_seeds): identical to
@@ -182,18 +190,25 @@ def _measure_shard(
     lossy = inputs.lossy.array[cols]
     n_vps = base.shape[0]
     drop_mask = inputs.dropped.array[cols] if inputs.dropped is not None else None
-    rtt = np.empty((n_vps, k))
+    split_coin = np.empty((n_vps, k)) if split.any() else None
+    lossy_coin = np.empty((n_vps, k)) if lossy.any() else None
+    probes = (n_vps, k, inputs.ping.pings_per_target)
+    queueing, noise, loss = np.empty(probes), np.empty(probes), np.empty(probes)
     for i in range(n_vps):
-        base_row = base[i, target_facility].copy()
-        if split.any():
-            # Each vantage point hits one of the two locations, 50/50.
-            use_alternate = split & (rng.random(k) < 0.5)
-            base_row[use_alternate] = base[i, alternate_facility[use_alternate]]
-        base_row[unresponsive] = np.nan
-        if lossy.any():
-            rate_limited = lossy & (rng.random(k) >= inputs.lossy_success_rate)
-            base_row[rate_limited] = np.nan
-        rtt[i] = ping_rtts(base_row, inputs.ping, rng, drop_mask=drop_mask)
+        if split_coin is not None:
+            rng.random(out=split_coin[i])
+        if lossy_coin is not None:
+            rng.random(out=lossy_coin[i])
+        draw_probes(rng, queueing[i], noise[i], loss[i])
+    base_rtt = base[:, target_facility]
+    if split_coin is not None:
+        # Each vantage point hits one of the two locations, 50/50.
+        use_alternate = split & (split_coin < 0.5)
+        base_rtt[use_alternate] = base[:, alternate_facility][use_alternate]
+    base_rtt[:, unresponsive] = np.nan
+    if lossy_coin is not None:
+        base_rtt[lossy & (lossy_coin >= inputs.lossy_success_rate)] = np.nan
+    rtt = aggregate_probes(base_rtt, queueing, noise, loss, inputs.ping, drop_mask=drop_mask)
     obs.count("campaign.shard_measurements", n_vps * k)
     return rtt
 

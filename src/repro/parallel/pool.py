@@ -65,12 +65,23 @@ class WorkerPool:
     def rebuild(self) -> None:
         """Replace a poisoned pool with fresh processes, in place.
 
-        The old executor is abandoned without waiting (its workers are
-        dead or hung); in-flight futures were already failed or will be
-        cancelled.  The handle keeps its identity so callers see the
-        restart in ``restarts`` rather than a brand-new pool.
+        The old executor's workers are SIGKILLed and reaped first: a hung
+        worker would otherwise sleep out its task, and interpreter exit
+        would wait for it.  SIGKILL rather than SIGTERM, because workers
+        can inherit a SIGTERM drain handler (``repro serve``).  In-flight
+        futures were already failed or will be cancelled.  The handle
+        keeps its identity so callers see the restart in ``restarts``
+        rather than a brand-new pool.
         """
         self.restarts += 1
+        if self._executor is not None:
+            # ProcessPoolExecutor has no public handle on its workers
+            # before Python 3.14's kill_workers().
+            workers = list((getattr(self._executor, "_processes", None) or {}).values())
+            for process in workers:
+                process.kill()
+            for process in workers:
+                process.join()
         self.shutdown()
 
     def shutdown(self) -> None:

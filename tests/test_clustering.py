@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.distance import (
+    PAIR_CHUNK_FLOATS,
     pairwise_trimmed_manhattan,
     pairwise_trimmed_manhattan_reference,
     trimmed_manhattan,
@@ -79,6 +80,29 @@ class TestTrimmedManhattan:
         d_ab = trimmed_manhattan(a, b, trim)
         assert d_ab >= 0
         assert d_ab == pytest.approx(trimmed_manhattan(b, a, trim))
+
+    @pytest.mark.parametrize("holes", [False, True])
+    @pytest.mark.parametrize("n_vps", [163, 6])
+    def test_entry_does_not_depend_on_chunking(self, n_vps, holes):
+        """An entry has the same bits whether its pair shares a chunk with
+        thousands of others or is the only pair; the mirror is exact."""
+        chunk = PAIR_CHUNK_FLOATS // n_vps
+        n_ips = next(n for n in range(2, 10_000) if n * (n - 1) // 2 > 3 * chunk)
+        rng = np.random.default_rng(n_vps)
+        columns = rng.uniform(5.0, 150.0, size=(n_vps, n_ips))
+        if holes:
+            columns[rng.random((n_vps, n_ips)) < 0.1] = np.nan
+            columns[1:, 0] = np.nan  # a column no pair can measure
+        matrix = pairwise_trimmed_manhattan(columns)
+        assert matrix.tobytes() == matrix.T.copy().tobytes()
+        rows, cols = np.triu_indices(n_ips, k=1)
+        edges = [p for c in range(1, 4) for p in (c * chunk - 1, c * chunk)]
+        picks = edges + [0, rows.size - 1] + rng.integers(0, rows.size, size=40).tolist()
+        for pair in picks:
+            i, j = int(rows[pair]), int(cols[pair])
+            alone = pairwise_trimmed_manhattan(columns[:, [i, j]])[0, 1]
+            assert np.array(matrix[i, j]).tobytes() == np.array(alone).tobytes(), (i, j)
+        assert np.isnan(matrix[0, 1:]).all() == holes
 
 
 class TestOptics:

@@ -15,14 +15,107 @@ from repro.mlab.latency import (
 )
 from repro.mlab.matrix import (
     LatencyCampaignConfig,
+    _CampaignShardInputs,
     _implausible_for_single_location,
     _implausible_mask,
+    _measure_shard,
     apply_quality_filters,
     measure_offnets,
 )
 from repro.obs import Telemetry
 from repro.mlab.pings import PingConfig, ping_rtts
 from repro.mlab.vantage import build_vantage_points
+from repro.parallel import Shard, SharedArray
+
+
+def _ping_row_reference(base_rtts_ms, config, rng, drop_mask=None):
+    """One campaign row drawn with ``exponential``/``normal``/``random``:
+    the oracle :func:`ping_rtts` and the batched shard match bit for bit."""
+    base = np.asarray(base_rtts_ms, dtype=float)
+    n = base.shape[0]
+    k = config.pings_per_target
+    samples = (
+        base[:, None]
+        + rng.exponential(config.queueing_mean_ms, size=(n, k))
+        + rng.normal(0.0, config.noise_std_ms, size=(n, k))
+    )
+    samples = np.maximum(samples, base[:, None])
+    lost = rng.random((n, k)) < config.loss_probability
+    samples[lost] = np.nan
+    responses = (~np.isnan(samples)).sum(axis=1)
+    samples_sorted = np.sort(samples, axis=1)
+    if config.aggregation == "min":
+        measured = samples_sorted[:, 0]
+    elif config.aggregation == "median":
+        with np.errstate(all="ignore"):
+            measured = np.nanmedian(samples, axis=1)
+    else:
+        measured = samples_sorted[:, 1]
+    measured[responses < config.min_responses] = np.nan
+    measured[np.isnan(base)] = np.nan
+    if drop_mask is not None:
+        measured[drop_mask] = np.nan
+    return measured
+
+
+def _measure_shard_per_row(inputs, shard):
+    """The campaign shard as a per-vantage-point loop (the oracle)."""
+    rng = np.random.default_rng(shard.payload)
+    base = inputs.base.array
+    cols = np.asarray(shard.items, dtype=int)
+    k = cols.size
+    target_facility = inputs.target_facility.array[cols]
+    alternate_facility = inputs.alternate_facility.array[cols]
+    unresponsive = inputs.unresponsive.array[cols]
+    split = inputs.split.array[cols]
+    lossy = inputs.lossy.array[cols]
+    drop_mask = inputs.dropped.array[cols] if inputs.dropped is not None else None
+    rtt = np.empty((base.shape[0], k))
+    for i in range(base.shape[0]):
+        base_row = base[i, target_facility].copy()
+        if split.any():
+            use_alternate = split & (rng.random(k) < 0.5)
+            base_row[use_alternate] = base[i, alternate_facility[use_alternate]]
+        base_row[unresponsive] = np.nan
+        if lossy.any():
+            rate_limited = lossy & (rng.random(k) >= inputs.lossy_success_rate)
+            base_row[rate_limited] = np.nan
+        rtt[i] = _ping_row_reference(base_row, inputs.ping, rng, drop_mask=drop_mask)
+    return rtt
+
+
+def _random_shard_case(rng, aggregation, loss_probability):
+    """A random campaign shard: sizes, pathologies and probe model vary."""
+    n_vps = int(rng.integers(1, 40))
+    n_facilities = int(rng.integers(1, 8))
+    n_ips = int(rng.integers(1, 50))
+    pings = int(rng.integers(2, 10))
+    config = PingConfig(
+        pings_per_target=pings,
+        min_responses=int(rng.integers(2, pings + 1)),
+        queueing_mean_ms=float(rng.choice([0.0, 0.4, 3.0])),
+        noise_std_ms=float(rng.choice([0.0, 0.05, 1.0])),
+        loss_probability=loss_probability,
+        aggregation=aggregation,
+    )
+
+    def flags(rate):
+        return SharedArray(rng.random(n_ips) < rate)
+
+    inputs = _CampaignShardInputs(
+        base=SharedArray(rng.uniform(1.0, 200.0, size=(n_vps, n_facilities))),
+        target_facility=SharedArray(rng.integers(0, n_facilities, size=n_ips)),
+        alternate_facility=SharedArray(rng.integers(0, n_facilities, size=n_ips)),
+        unresponsive=flags(rng.choice([0.0, 0.2])),
+        split=flags(rng.choice([0.0, 0.3])),
+        lossy=flags(rng.choice([0.0, 0.3])),
+        ping=config,
+        lossy_success_rate=float(rng.uniform()),
+        dropped=flags(0.2) if rng.random() < 0.3 else None,
+    )
+    items = np.sort(rng.choice(n_ips, size=int(rng.integers(1, n_ips + 1)), replace=False))
+    seed = (int(rng.integers(0, 2**63 - 1)), *map(ord, "campaign.shard-0"))
+    return inputs, Shard(index=0, items=tuple(items.tolist()), payload=seed)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +223,22 @@ class TestPings:
         with pytest.raises(ValueError):
             PingConfig(min_responses=9)
 
+    @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+    @pytest.mark.parametrize("aggregation", ["second_smallest", "min", "median"])
+    def test_same_bits_and_stream_as_per_row_draws(self, aggregation):
+        """Unit draws scaled afterwards are the floats exponential/normal
+        return, taken from the same stream positions."""
+        config = PingConfig(aggregation=aggregation, loss_probability=0.3)
+        base = np.linspace(1.0, 80.0, 60)
+        base[::7] = np.nan
+        drop = np.zeros(60, dtype=bool)
+        drop[5] = True
+        batched, per_row = make_rng(9), make_rng(9)
+        measured = ping_rtts(base, config, batched, drop_mask=drop)
+        expected = _ping_row_reference(base, config, per_row, drop_mask=drop)
+        assert measured.tobytes() == expected.tobytes()
+        assert batched.random() == per_row.random()
+
 
 class TestCampaign:
     def test_matrix_shape(self, campaign, state23, vps):
@@ -199,6 +308,22 @@ class TestCampaign:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LatencyCampaignConfig(lossy_isp_fraction=2.0)
+
+
+class TestBatchedShard:
+    @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+    @pytest.mark.parametrize("loss_probability", [0.0, 0.02, 0.5])
+    @pytest.mark.parametrize("aggregation", ["second_smallest", "min", "median"])
+    def test_shard_equals_per_row_loop(self, aggregation, loss_probability):
+        """A shard's draws stay per row and in stream order; batching the
+        arithmetic over the shard changes no bit of any column."""
+        rng = np.random.default_rng([len(aggregation), int(loss_probability * 100)])
+        for case in range(35):
+            inputs, shard = _random_shard_case(rng, aggregation, loss_probability)
+            expected = _measure_shard_per_row(inputs, shard)
+            measured = _measure_shard(inputs, shard, None)
+            assert measured.shape == expected.shape, case
+            assert measured.tobytes() == expected.tobytes(), (case, inputs.ping)
 
 
 class TestFloorMatrix:

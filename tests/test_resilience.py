@@ -12,8 +12,13 @@ forever.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from concurrent.futures import Future
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -370,6 +375,38 @@ class TestProcessSupervision:
         )
         assert time.monotonic() - start < 20.0
         assert len(results) == 1 and isinstance(results[0], ShardLoss)
+
+    def test_rebuild_kills_hung_workers_before_exit(self):
+        """A rebuilt pool's hung workers are killed, not abandoned: a
+        process that recovered from a 60 s hang exits long before the hang
+        would have ended (interpreter exit joins every pool worker)."""
+        script = textwrap.dedent(
+            """
+            from repro.faults import FaultPlan, FaultSpec
+            from repro.parallel import ParallelConfig, ShardPlan, run_sharded
+            from repro.resilience import ResilienceConfig
+            from tests.test_resilience import _sum_shard
+
+            faults = FaultPlan(seed=1, specs=(FaultSpec(
+                site="parallel.shard", kind="hang", rate=1.0, hang_s=60.0, fail_attempts=1),))
+            config = ParallelConfig(backend="pool", workers=2, shard_timeout_s=0.5)
+            plan = ShardPlan.of([1, 2, 3, 4], chunk_size=2)
+            print(run_sharded(_sum_shard, plan, config, faults=faults, resilience=ResilienceConfig()))
+            """
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        start = time.monotonic()
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script], cwd=root, env=env, capture_output=True,
+                text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the process waited out its hung pool workers at exit")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[3,", "7]"]
+        assert time.monotonic() - start < 30.0
 
     def test_losses_count_only_attempts_that_ran(self):
         """A loss's ``attempts`` counts the in-process fallback only when
