@@ -22,7 +22,7 @@ from repro._util import make_rng, require, require_fraction, spawn_rng
 from repro.deployment.placement import DeploymentState
 from repro.faults import FaultPlan
 from repro.mlab.latency import base_rtt_matrix, vp_pair_floor_matrix
-from repro.mlab.pings import PingConfig, aggregate_probes, draw_probes
+from repro.mlab.pings import PingConfig, ping_rtts
 from repro.mlab.vantage import VantagePoint
 from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import (
@@ -168,12 +168,13 @@ def _measure_shard(
 ) -> np.ndarray:
     """Measure one shard's columns: shape ``(n_vps, len(shard))``.
 
-    Only the RNG draws run per vantage-point row, in the stream order the
-    artifacts pin: the split coin, the lossy coin, then the row's probe
-    draws (:func:`~repro.mlab.pings.draw_probes`).  Facility selection,
-    the NaN masks and :func:`~repro.mlab.pings.aggregate_probes` then run
-    once over the whole shard, elementwise, so every value is the float a
-    row-at-a-time ``ping_rtts`` loop would produce.
+    One :func:`~repro.mlab.pings.ping_rtts` call per vantage-point row, in
+    the stream order the artifacts pin: the row's split coin, its lossy
+    coin, then its probes.  The rest runs once per shard: the facility
+    columns are gathered up front, and the masks that only blank a
+    measurement (unresponsive, rate-limited and dropped targets) apply
+    after the loop -- a NaN base row would have measured NaN, from the
+    same draws.
     """
     obs = ensure_telemetry(telemetry)
     # The shard's RNG stream, spawned in the parent before dispatch and
@@ -183,32 +184,28 @@ def _measure_shard(
     base = inputs.base.array
     cols = np.asarray(shard.items, dtype=int)
     k = cols.size
-    target_facility = inputs.target_facility.array[cols]
-    alternate_facility = inputs.alternate_facility.array[cols]
-    unresponsive = inputs.unresponsive.array[cols]
     split = inputs.split.array[cols]
     lossy = inputs.lossy.array[cols]
     n_vps = base.shape[0]
-    drop_mask = inputs.dropped.array[cols] if inputs.dropped is not None else None
-    split_coin = np.empty((n_vps, k)) if split.any() else None
+    base_rtt = base[:, inputs.target_facility.array[cols]]
+    alternate = base[:, inputs.alternate_facility.array[cols]] if split.any() else None
+    split_coin = np.empty(k)
     lossy_coin = np.empty((n_vps, k)) if lossy.any() else None
-    probes = (n_vps, k, inputs.ping.pings_per_target)
-    queueing, noise, loss = np.empty(probes), np.empty(probes), np.empty(probes)
+    rtt = np.empty((n_vps, k))
     for i in range(n_vps):
-        if split_coin is not None:
-            rng.random(out=split_coin[i])
+        base_row = base_rtt[i]
+        if alternate is not None:
+            # Each vantage point hits one of the two locations, 50/50.
+            rng.random(out=split_coin)
+            base_row = np.where(split & (split_coin < 0.5), alternate[i], base_row)
         if lossy_coin is not None:
             rng.random(out=lossy_coin[i])
-        draw_probes(rng, queueing[i], noise[i], loss[i])
-    base_rtt = base[:, target_facility]
-    if split_coin is not None:
-        # Each vantage point hits one of the two locations, 50/50.
-        use_alternate = split & (split_coin < 0.5)
-        base_rtt[use_alternate] = base[:, alternate_facility][use_alternate]
-    base_rtt[:, unresponsive] = np.nan
+        rtt[i] = ping_rtts(base_row, inputs.ping, rng)
+    rtt[:, inputs.unresponsive.array[cols]] = np.nan
     if lossy_coin is not None:
-        base_rtt[lossy & (lossy_coin >= inputs.lossy_success_rate)] = np.nan
-    rtt = aggregate_probes(base_rtt, queueing, noise, loss, inputs.ping, drop_mask=drop_mask)
+        rtt[lossy & (lossy_coin >= inputs.lossy_success_rate)] = np.nan
+    if inputs.dropped is not None:
+        rtt[:, inputs.dropped.array[cols]] = np.nan
     obs.count("campaign.shard_measurements", n_vps * k)
     return rtt
 

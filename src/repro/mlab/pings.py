@@ -46,71 +46,6 @@ class PingConfig:
         )
 
 
-def draw_probes(
-    rng: np.random.Generator, queueing: np.ndarray, noise: np.ndarray, loss: np.ndarray
-) -> None:
-    """Fill one row's probe randomness: unit queueing, noise and loss draws.
-
-    Each buffer is a C-contiguous float array of shape
-    ``(n, pings_per_target)``.  The draws consume ``rng`` exactly as
-    ``rng.exponential(queueing_mean_ms, ...)``, ``rng.normal(0.0,
-    noise_std_ms, ...)`` and ``rng.random(...)`` would, in that order;
-    :func:`aggregate_probes` applies the scales, so the samples are the
-    same floats.  A row's draw order is part of the artifact: batch the
-    arithmetic over rows, never the draws.
-    """
-    rng.standard_exponential(out=queueing)
-    rng.standard_normal(out=noise)
-    rng.random(out=loss)
-
-
-def aggregate_probes(
-    base_rtts_ms: np.ndarray,
-    queueing: np.ndarray,
-    noise: np.ndarray,
-    loss: np.ndarray,
-    config: PingConfig,
-    drop_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Turn :func:`draw_probes` draws into one measurement per target.
-
-    ``base_rtts_ms`` has any shape ``(..., n)``; the three draw arrays add
-    a trailing ``pings_per_target`` axis.  Every operation is elementwise
-    over the leading axes, so a block of rows aggregates to the same bits
-    as each row on its own.  NaN base entries stay NaN, as do targets with
-    fewer than ``min_responses`` answered probes and targets marked in
-    ``drop_mask`` (bool, shape ``(n,)``).
-
-    The draws are consumed: ``queueing`` and ``noise`` are overwritten
-    (the samples are built in place, so a shard needs no more buffers).
-    """
-    base = np.asarray(base_rtts_ms, dtype=float)
-    floor = base[..., None]
-    # base + exponential(mean) + normal(0, std), with the generators' own
-    # float ops: mean * unit draw, and 0.0 + std * unit draw (IEEE + and
-    # * commute bitwise, so the in-place operand order is free).
-    samples = np.multiply(queueing, config.queueing_mean_ms, out=queueing)
-    samples += floor
-    np.multiply(noise, config.noise_std_ms, out=noise)
-    noise += 0.0
-    samples += noise
-    # Never below the physical floor: clamp the noise term at >= 0 total.
-    np.maximum(samples, floor, out=samples)
-    samples[loss < config.loss_probability] = np.nan
-    samples.sort(axis=-1)  # NaNs sort last
-    if config.aggregation == "median":
-        with np.errstate(all="ignore"):
-            measured = np.nanmedian(samples, axis=-1)
-    else:
-        measured = samples[..., 0 if config.aggregation == "min" else 1].copy()
-    # Fewer than min_responses answers (none for a NaN base) leave a NaN
-    # at that rank.
-    measured[np.isnan(samples[..., config.min_responses - 1])] = np.nan
-    if drop_mask is not None:
-        measured[..., drop_mask] = np.nan
-    return measured
-
-
 def ping_rtts(
     base_rtts_ms: np.ndarray,
     config: PingConfig,
@@ -129,11 +64,27 @@ def ping_rtts(
     the randomness an undropped one would — injection never shifts the
     probe streams of its neighbours.
 
-    One row of the campaign: :func:`draw_probes` then
-    :func:`aggregate_probes`.
+    The campaign calls this once per vantage-point row, so the samples
+    are built in place, in the exponential draw's buffer.
     """
     base = np.asarray(base_rtts_ms, dtype=float)
+    floor = base[:, None]
     shape = (base.shape[0], config.pings_per_target)
-    queueing, noise, loss = np.empty(shape), np.empty(shape), np.empty(shape)
-    draw_probes(rng, queueing, noise, loss)
-    return aggregate_probes(base, queueing, noise, loss, config, drop_mask)
+    samples = rng.exponential(config.queueing_mean_ms, size=shape)
+    samples += floor
+    samples += rng.normal(0.0, config.noise_std_ms, size=shape)
+    # Never below the physical floor: clamp the noise term at >= 0 total.
+    np.maximum(samples, floor, out=samples)
+    samples[rng.random(shape) < config.loss_probability] = np.nan
+    samples.sort(axis=1)  # NaNs sort last
+    if config.aggregation == "median":
+        with np.errstate(all="ignore"):
+            measured = np.nanmedian(samples, axis=1)
+    else:
+        measured = samples[:, 0 if config.aggregation == "min" else 1].copy()
+    # Fewer than min_responses answers (none for a NaN base) leave a NaN
+    # at that rank.
+    measured[np.isnan(samples[:, config.min_responses - 1])] = np.nan
+    if drop_mask is not None:
+        measured[drop_mask] = np.nan
+    return measured

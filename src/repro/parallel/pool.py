@@ -77,7 +77,7 @@ class WorkerPool:
         if self._executor is not None:
             # ProcessPoolExecutor has no public handle on its workers
             # before Python 3.14's kill_workers().
-            workers = list((getattr(self._executor, "_processes", None) or {}).values())
+            workers = list(self._executor._processes.values())
             for process in workers:
                 process.kill()
             for process in workers:

@@ -29,8 +29,8 @@ from repro.parallel import Shard, SharedArray
 
 
 def _ping_row_reference(base_rtts_ms, config, rng, drop_mask=None):
-    """One campaign row drawn with ``exponential``/``normal``/``random``:
-    the oracle :func:`ping_rtts` and the batched shard match bit for bit."""
+    """The ping model with a fresh temporary per step: the oracle that
+    :func:`ping_rtts` and the campaign shard match bit for bit."""
     base = np.asarray(base_rtts_ms, dtype=float)
     n = base.shape[0]
     k = config.pings_per_target
@@ -225,19 +225,19 @@ class TestPings:
 
     @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
     @pytest.mark.parametrize("aggregation", ["second_smallest", "min", "median"])
-    def test_same_bits_and_stream_as_per_row_draws(self, aggregation):
-        """Unit draws scaled afterwards are the floats exponential/normal
-        return, taken from the same stream positions."""
+    def test_same_bits_and_stream_as_reference(self, aggregation):
+        """Building the samples in place changes no bit of the result and
+        leaves the stream where the reference leaves it."""
         config = PingConfig(aggregation=aggregation, loss_probability=0.3)
         base = np.linspace(1.0, 80.0, 60)
         base[::7] = np.nan
         drop = np.zeros(60, dtype=bool)
         drop[5] = True
-        batched, per_row = make_rng(9), make_rng(9)
-        measured = ping_rtts(base, config, batched, drop_mask=drop)
-        expected = _ping_row_reference(base, config, per_row, drop_mask=drop)
+        in_place, reference = make_rng(9), make_rng(9)
+        measured = ping_rtts(base, config, in_place, drop_mask=drop)
+        expected = _ping_row_reference(base, config, reference, drop_mask=drop)
         assert measured.tobytes() == expected.tobytes()
-        assert batched.random() == per_row.random()
+        assert in_place.random() == reference.random()
 
 
 class TestCampaign:
@@ -310,13 +310,14 @@ class TestCampaign:
             LatencyCampaignConfig(lossy_isp_fraction=2.0)
 
 
-class TestBatchedShard:
+class TestCampaignShard:
     @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
     @pytest.mark.parametrize("loss_probability", [0.0, 0.02, 0.5])
     @pytest.mark.parametrize("aggregation", ["second_smallest", "min", "median"])
     def test_shard_equals_per_row_loop(self, aggregation, loss_probability):
-        """A shard's draws stay per row and in stream order; batching the
-        arithmetic over the shard changes no bit of any column."""
+        """Gathering the facility columns once and blanking unresponsive,
+        rate-limited and dropped targets after the row loop changes no bit
+        of any column."""
         rng = np.random.default_rng([len(aggregation), int(loss_probability * 100)])
         for case in range(35):
             inputs, shard = _random_shard_case(rng, aggregation, loss_probability)
