@@ -20,6 +20,7 @@ Equivalence *under injected transient faults* lives in
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,19 @@ GOLDEN_EXPORT_SHA256 = "41da77a76b4ce02bac6074e4ab3f9f7bcd59ac64ec8c727a5f4e4517
 GOLDEN_NUMPY_PREFIX = "2.4"
 
 
+def _require_golden_numpy() -> None:
+    """Skip off the pinned numpy line, or fail where CI sets ``REPRO_REQUIRE_GOLDEN=1``."""
+    if np.__version__.startswith(GOLDEN_NUMPY_PREFIX):
+        return
+    reason = (
+        f"golden digest captured under numpy {GOLDEN_NUMPY_PREFIX}.x "
+        f"(running {np.__version__}); float bit-patterns may differ"
+    )
+    if os.environ.get("REPRO_REQUIRE_GOLDEN") == "1":
+        pytest.fail(reason + "; REPRO_REQUIRE_GOLDEN=1 forbids skipping")
+    pytest.skip(reason)
+
+
 def _composite_digest(directory: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(directory.iterdir()):
@@ -177,11 +191,7 @@ class TestGoldenExport:
 
     @pytest.fixture(autouse=True)
     def _pin_numpy(self):
-        if not np.__version__.startswith(GOLDEN_NUMPY_PREFIX):
-            pytest.skip(
-                f"golden digest captured under numpy {GOLDEN_NUMPY_PREFIX}.x "
-                f"(running {np.__version__}); float bit-patterns may differ"
-            )
+        _require_golden_numpy()
 
     def test_serial_export_matches_golden_digest(self, tmp_path):
         study = run_study(_study_config(ParallelConfig()))
@@ -302,8 +312,7 @@ class TestObservabilityByteIdentity:
         assert any(w.startswith("pid-") for w in workers)
 
     def test_serial_instrumented_matches_golden_digest(self, tmp_path):
-        if not np.__version__.startswith(GOLDEN_NUMPY_PREFIX):
-            pytest.skip("golden digest pinned to numpy " + GOLDEN_NUMPY_PREFIX)
+        _require_golden_numpy()
         study, _ = self._instrumented(ParallelConfig(), tmp_path, "golden")
         save_archive(study, tmp_path / "export")
         assert _composite_digest(tmp_path / "export") == GOLDEN_EXPORT_SHA256
