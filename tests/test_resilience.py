@@ -408,6 +408,27 @@ class TestProcessSupervision:
         assert done.stdout.split() == ["[3,", "7]"]
         assert time.monotonic() - start < 30.0
 
+    def test_sigterm_stops_a_worker_forked_under_a_drain_handler(self):
+        """``repro serve`` installs a SIGTERM handler that only sets a flag;
+        a worker forked while it is installed must still stop on SIGTERM."""
+        import multiprocessing
+        import signal
+
+        from repro.parallel import get_pool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("only forked workers inherit the parent's handlers")
+        previous = signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
+        try:
+            pid = get_pool(1, "fork").submit(os.getpid).result(timeout=60)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        os.kill(pid, signal.SIGTERM)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and pid in {p.pid for p in multiprocessing.active_children()}:
+            time.sleep(0.05)
+        assert pid not in {p.pid for p in multiprocessing.active_children()}
+
     def test_losses_count_only_attempts_that_ran(self):
         """A loss's ``attempts`` counts the in-process fallback only when
         it ran: with the fallback off, pool and serial losses agree."""

@@ -217,6 +217,71 @@ class TestKillDashNine:
         assert body == _reference_result(tmp_path, LONG_TIMELINE)
 
 
+def _proc_stat(pid: int) -> tuple[int, str, int] | None:
+    """``(ppid, state, start time)`` of a live process, ``None`` once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    # The command name is parenthesised and may hold spaces; fields follow it.
+    fields = stat[stat.rindex(")") + 2:].split()
+    return int(fields[1]), fields[0], int(fields[19])
+
+
+def _descendants(root: int) -> dict[int, int]:
+    """Every live descendant of ``root``: pid -> start time."""
+    children: dict[int, list[tuple[int, int]]] = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(int(entry.name))
+            if stat is not None:
+                children.setdefault(stat[0], []).append((int(entry.name), stat[2]))
+    found: dict[int, int] = {}
+    frontier = [root]
+    while frontier:
+        for pid, started in children.get(frontier.pop(), []):
+            found[pid] = started
+            frontier.append(pid)
+    return found
+
+
+def _still_running(pid: int, started: int) -> bool:
+    """Alive and not a reused pid; a zombie awaiting its reaper is dead."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[1] != "Z" and stat[2] == started
+
+
+class TestPoolWorkersDieWithServer:
+    @pytest.mark.parallel
+    def test_sigkilled_server_leaves_no_worker_behind(self, tmp_path):
+        """Pool workers block on their call queue, whose pipe they hold
+        open themselves, so without a parent watch they would outlive a
+        SIGKILLed server forever."""
+        if not process_backend_available():
+            pytest.skip("worker-pool backend unavailable")
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("needs /proc to find the server's workers")
+        state = tmp_path / "state"
+        state.mkdir()
+        server = _Server(state, "--backend", "pool", "--workers", "2")
+        try:
+            cid = _post_json(server.url + "/campaigns", LONG_TIMELINE)["campaign"]
+            server.wait_for(cid, ("RUNNING",), timeout_s=60)
+            server.wait_for_partial_progress()
+            workers = _descendants(server.process.pid)
+            server.kill9()
+        finally:
+            server.cleanup()
+        assert workers, "the pool campaign started no worker"
+        deadline = time.time() + 5
+        while time.time() < deadline and any(_still_running(*w) for w in workers.items()):
+            time.sleep(0.1)
+        survivors = [pid for pid, started in workers.items() if _still_running(pid, started)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == [], f"workers {survivors} outlived the SIGKILLed server by 5 s"
+
+
 class TestGracefulDrain:
     def test_sigterm_checkpoints_requeues_and_exits_zero(self, tmp_path):
         state = tmp_path / "state"
