@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import __version__
 from repro.report import available_sections
@@ -411,33 +411,27 @@ def _install_graceful_shutdown() -> None:
         pass  # not the main thread (e.g. under a test harness)
 
 
-def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from repro.sensitivity import DEFAULT_METRICS
-    from repro.sweep import load_grid, run_campaign
+def _run_durable(
+    args: argparse.Namespace, report_type: type, store, header: str, run: Callable
+) -> int:
+    """Run a durable campaign, then print its report, or a resume hint on interrupt.
 
-    grid = load_grid(args.spec)
-    store = _store_from_args(args)
+    ``run(telemetry)`` returns the campaign's
+    :class:`~repro.durable.CellReport`, of ``report_type``, whose
+    ``label``, ``unit`` and ``hole`` words name the cells in every message.
+    """
     telemetry = _telemetry_from_args(args)
     print(
-        f"sweep campaign: {grid.n_cells} cells over axes {', '.join(grid.axis_names) or '(none)'}"
+        f"{report_type.label} campaign: {header}"
         + (f" (store: {store.root})" if store is not None else " (no store: not resumable)"),
         file=sys.stderr,
     )
     _install_graceful_shutdown()
     try:
-        report = run_campaign(
-            grid,
-            metrics=DEFAULT_METRICS,
-            store=store,
-            parallel=_parallel_from_args(args),
-            telemetry=telemetry,
-            max_cells=args.max_cells,
-            faults=_faults_from_args(args),
-            resilience=_resilience_from_args(args),
-        )
+        report = run(telemetry)
     except KeyboardInterrupt:
         print(
-            "interrupted — completed cells are checkpointed"
+            f"interrupted — completed {report_type.unit} are checkpointed"
             + (" in the store; rerun the same command to resume" if store is not None else
                "; rerun with --store-dir to make campaigns resumable"),
             file=sys.stderr,
@@ -446,15 +440,39 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         return 130
     print(report.render())
     print(
-        f"cells: {len(report.cells)} ({report.cache_hits} from store, "
-        f"{report.cache_misses} computed)",
+        f"{report.unit}: {len(report.rows)} ({report.cache_hits} from store, "
+        f"{report.cache_misses} computed, {len(report.lost)} {report.hole})",
         file=sys.stderr,
     )
     if args.report_out:
         path = report.write(args.report_out)
-        print(f"wrote campaign report to {path}", file=sys.stderr)
+        print(f"wrote {report.label} report to {path}", file=sys.stderr)
     _emit_telemetry(args, telemetry)
     return 0
+
+
+def _cmd_sweep_run(args: argparse.Namespace) -> int:
+    from repro.sensitivity import DEFAULT_METRICS
+    from repro.sweep import CampaignReport, load_grid, run_campaign
+
+    grid = load_grid(args.spec)
+    store = _store_from_args(args)
+    return _run_durable(
+        args,
+        CampaignReport,
+        store,
+        f"{grid.n_cells} cells over axes {', '.join(grid.axis_names) or '(none)'}",
+        lambda telemetry: run_campaign(
+            grid,
+            metrics=DEFAULT_METRICS,
+            store=store,
+            parallel=_parallel_from_args(args),
+            telemetry=telemetry,
+            max_cells=args.max_cells,
+            faults=_faults_from_args(args),
+            resilience=_resilience_from_args(args),
+        ),
+    )
 
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
@@ -497,7 +515,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     if getattr(args, "timeline_command", None) == "gc":
         return _cmd_store_gc(args)
     from repro.experiments.scenarios import scenario_by_name
-    from repro.timeline import TimelineConfig, TimelineSpec, run_timeline, timeline_status
+    from repro.timeline import TimelineConfig, TimelineReport, TimelineSpec, run_timeline, timeline_status
 
     spec = TimelineSpec(
         start=args.start,
@@ -536,39 +554,16 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         status = timeline_status(config, store)
         print(status.render())
         return 0 if status.n_pending == 0 else 2
-    telemetry = _telemetry_from_args(args)
     n_quarters = len(spec.quarters) if args.max_epochs is None else min(args.max_epochs, len(spec.quarters))
-    print(
-        f"timeline campaign: {n_quarters} quarterly epochs "
-        f"({spec.start}..{spec.end}, policy {spec.policy!r})"
-        + (f" (store: {store.root})" if store is not None else " (no store: not resumable)"),
-        file=sys.stderr,
-    )
-    _install_graceful_shutdown()
-    try:
-        report = run_timeline(
+    return _run_durable(
+        args,
+        TimelineReport,
+        store,
+        f"{n_quarters} quarterly epochs ({spec.start}..{spec.end}, policy {spec.policy!r})",
+        lambda telemetry: run_timeline(
             config, store=store, telemetry=telemetry, max_epochs=args.max_epochs
-        )
-    except KeyboardInterrupt:
-        print(
-            "interrupted — completed epochs are checkpointed"
-            + (" in the store; rerun the same command to resume" if store is not None else
-               "; rerun with --store-dir to make campaigns resumable"),
-            file=sys.stderr,
-        )
-        _emit_telemetry(args, telemetry)
-        return 130
-    print(report.render())
-    print(
-        f"epochs: {len(report.epochs)} ({report.cache_hits} from store, "
-        f"{report.cache_misses} computed, {report.n_lost} lost)",
-        file=sys.stderr,
+        ),
     )
-    if args.report_out:
-        path = report.write(args.report_out)
-        print(f"wrote timeline report to {path}", file=sys.stderr)
-    _emit_telemetry(args, telemetry)
-    return 0
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:

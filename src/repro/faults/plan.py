@@ -25,7 +25,9 @@ Injection points are addressed by site name.  The wired sites:
   measurements are lost, surfacing as NaN columns).
 * ``rdns.lookup`` — :func:`repro.rdns.ptr.build_ptr_dataset`; kind
   ``drop`` (the PTR lookup fails, no record is synthesized).
-* ``sweep.cell`` — one sweep-campaign cell; kind ``error``/``crash``.
+* ``sweep.cell`` — one sweep-campaign cell: the ``sweep`` fan-out's
+  alias of ``sweep.shard``, since a sweep shard is exactly one cell;
+  kinds ``error``/``crash``/``hang``.
 * ``timeline.shard`` — one timeline epoch cell (the ``timeline`` fan-out
   label's alias of ``parallel.shard``); kinds ``error``/``crash``/``hang``.
 * ``serve.request`` — one HTTP request into ``repro serve``, indexed by

@@ -165,9 +165,10 @@ class ParallelConfig:
             require(self.shard_timeout_s > 0, "shard_timeout_s must be > 0 (or None)")
 
 
-def _shard_sites(label: str) -> tuple[str, str]:
-    """Site aliases a shard fault can be addressed by."""
-    return ("parallel.shard", f"{label}.shard")
+def _shard_sites(label: str) -> tuple[str, ...]:
+    """Site aliases a shard fault can be addressed by (a sweep shard is one cell)."""
+    sites = ("parallel.shard", f"{label}.shard")
+    return sites + ("sweep.cell",) if label == "sweep" else sites
 
 
 def _trip_shard_fault(

@@ -344,7 +344,6 @@ class Scheduler:
     def _execute(self, cid: str, normalized: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
         """Run one campaign to a result dict + provenance (not in result bytes)."""
         hook = _DrainHook(str(self._flag_path))
-        coverage = CoverageReport()
         if normalized["kind"] == "timeline":
             from repro.store import StageStore
             from repro.timeline import run_timeline
@@ -358,8 +357,6 @@ class Scheduler:
                 max_epochs=max_epochs,
                 epoch_hook=hook,
             )
-            lost = [epoch.epoch for epoch in report.epochs if epoch.status != "ok"]
-            coverage.record("timeline.epochs", len(lost), len(report.epochs))
         else:
             from repro.sensitivity import DEFAULT_METRICS
             from repro.store import StudyStore
@@ -378,8 +375,9 @@ class Scheduler:
                 faults=build_faults(normalized),
                 resilience=build_resilience(normalized),
             )
-            lost = [cell.cell_id for cell in report.cells if cell.status != "ok"]
-            coverage.record("sweep.cells", len(lost), len(report.cells))
+        lost = report.lost
+        coverage = CoverageReport()
+        coverage.record(f"{report.label}.{report.unit}", len(lost), len(report.rows))
         result = {
             "format": RESULT_FORMAT,
             "campaign": cid,

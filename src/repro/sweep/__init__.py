@@ -7,12 +7,12 @@ outage scenarios).  This package turns that pattern into infrastructure:
 * :mod:`repro.sweep.grid` — :class:`ParameterGrid` expands dict-of-axes
   (or a JSON/YAML spec file) into fully-resolved
   :class:`~repro.core.pipeline.StudyConfig` cells, deterministically.
-* :mod:`repro.sweep.campaign` — :func:`run_campaign` dispatches cells
-  through :mod:`repro.parallel`, checkpoints each into a
-  :class:`~repro.store.StudyStore`, and resumes by skipping stored
-  cells; :class:`CampaignReport` aggregates per-cell metrics into
-  sensitivity bands, byte-identically whether or not the campaign was
-  interrupted.
+* :mod:`repro.sweep.campaign` — :func:`run_campaign` runs cells on the
+  checkpoint-before-report loop of :mod:`repro.durable`, each
+  checkpointed into a :class:`~repro.store.StudyStore`, and resumes by
+  skipping stored cells; :class:`CampaignReport` aggregates per-cell
+  metrics into sensitivity bands, byte-identically whether or not the
+  campaign was interrupted.
 * :mod:`repro.sweep.metrics` — :class:`MetricSpec`, the named-observable
   + acceptance-band abstraction shared with :mod:`repro.sensitivity`.
 """

@@ -16,14 +16,14 @@ longitudinal engine:
   differential tests prove incremental == full byte-identically.
 - :mod:`repro.timeline.campaign` — the resume-safe campaign that emits
   the Table-1 / Figure-1 / concentration series over epochs, one cell
-  per quarter through :mod:`repro.parallel`, checkpoint-before-report.
+  per quarter on the checkpoint-before-report loop of
+  :mod:`repro.durable`.
 """
 
 from repro.timeline.campaign import (
     REPORT_FORMAT,
     EpochResult,
     TimelineReport,
-    TimelineStatus,
     run_timeline,
     timeline_status,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "TimelineConfig",
     "TimelineReport",
     "TimelineSpec",
-    "TimelineStatus",
     "TimelineSubstrate",
     "build_substrate",
     "build_timeline",
