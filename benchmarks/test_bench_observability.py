@@ -7,7 +7,8 @@ Two claims, one committed artifact:
   aggregate snapshot (``schema: compact-aggregates-v1``) to
   ``BENCH_observability.json``: per-stage rollups and histogram summaries
   instead of the old multi-thousand-line span dump.  Each PR regenerates
-  the file; ``repro bench check`` compares fresh runs against it.
+  the file; its exact counters are pinned in tier-1
+  (``tests/test_pinned_counts.py``).
 
 * **Disabled-mode overhead** — telemetry off must cost (almost) nothing.
   The PR 5 clustering baseline (``BENCH_clustering.json``,

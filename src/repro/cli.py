@@ -18,8 +18,6 @@ Commands:
 * ``eval``     — score the inference pipeline against ground truth
   (``--scorecard-out`` writes the scorecard JSON, ``--baseline`` regress-
   checks it against committed ``BENCH_accuracy.json`` floors).
-* ``bench``    — benchmark-baseline utilities (``bench check`` compares a
-  fresh run's stage timings against a committed ``BENCH_*.json``).
 * ``info``     — library version and available scenarios/sections.
 
 ``study``, ``cascade``, and ``export`` accept ``--store-dir`` to back the
@@ -628,49 +626,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        DEFAULT_TOLERANCE,
-        TIMELINE_BENCH_NAME,
-        check_bench,
-        check_timeline_bench,
-    )
-
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        try:
-            baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-        except ValueError:
-            baseline = {}
-        if baseline.get("bench") == TIMELINE_BENCH_NAME:
-            # Timeline baselines carry speedup floors and exact stage-cache
-            # counters instead of per-stage wall times.
-            print(f"bench check: fresh timeline run vs {args.baseline}...", file=sys.stderr)
-            try:
-                result = check_timeline_bench(args.baseline)
-            except ValueError as error:
-                print(str(error), file=sys.stderr)
-                return 1
-            print(result.render())
-            return 0 if result.passed else 1
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    print(
-        f"bench check: fresh {args.scenario!r} run vs {args.baseline} "
-        f"(tolerance {tolerance:g}x)...",
-        file=sys.stderr,
-    )
-    try:
-        result = check_bench(args.baseline, tolerance=tolerance, scenario=args.scenario)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    print(result.render())
-    return 0 if result.passed else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer, ServeConfig
 
@@ -943,32 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exit code 1 if any metric falls below its committed floor",
     )
     evaluate.set_defaults(handler=_cmd_eval)
-
-    bench = subparsers.add_parser("bench", help="benchmark-baseline utilities")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_check = bench_sub.add_parser(
-        "check", help="compare a fresh run's stage timings against a committed baseline"
-    )
-    bench_check.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default="benchmarks/BENCH_observability.json",
-        help="committed compact snapshot to compare against (default: %(default)s)",
-    )
-    bench_check.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="max fresh/baseline wall-time ratio per stage (default: repro.bench default)",
-    )
-    bench_check.add_argument(
-        "--scenario",
-        choices=("small", "default", "large"),
-        default="small",
-        help="scenario to run fresh (must match the baseline's workload)",
-    )
-    bench_check.set_defaults(handler=_cmd_bench_check)
 
     serve = subparsers.add_parser(
         "serve", help="run the durable campaign-orchestration service (HTTP/JSON)"

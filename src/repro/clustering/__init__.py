@@ -9,15 +9,9 @@ IMC'13 Google-mapping paper).
 
 from repro.clustering.distance import (
     pairwise_trimmed_manhattan,
-    pairwise_trimmed_manhattan_reference,
     trimmed_manhattan,
 )
-from repro.clustering.optics import (
-    OpticsResult,
-    active_optics_implementation,
-    optics_order,
-    optics_order_reference,
-)
+from repro.clustering.optics import OpticsResult, optics_order
 from repro.clustering.sites import (
     ClusteringConfig,
     ClusteringMemo,
@@ -31,13 +25,10 @@ __all__ = [
     "ClusteringMemo",
     "OpticsResult",
     "SiteClustering",
-    "active_optics_implementation",
     "cluster_isp_offnets",
     "extract_xi_clusters",
     "optics_order",
-    "optics_order_reference",
     "pairwise_trimmed_manhattan",
-    "pairwise_trimmed_manhattan_reference",
     "trimmed_manhattan",
     "xi_labels",
 ]

@@ -8,12 +8,15 @@ a detour to one address but not the other; normalisation (mean rather than
 sum) makes distances comparable across pairs with different numbers of
 usable vantage points.
 
-The matrix builder exploits symmetry (``|a - b|`` is bitwise symmetric, so
-computing the upper triangle and mirroring is exact, halving the work) and
-takes a bookkeeping-free fast path when the columns contain no NaN.  Both
-shortcuts preserve bit-identical output versus the per-pair reference —
-every kept float travels through the same op sequence (abs, sort, cumsum,
-divide) regardless of which pairs share a chunk.
+The matrix builder computes only the upper triangle and mirrors it, and
+takes a bookkeeping-free fast path when the columns contain no NaN.  What
+holds of its output: the matrix is bitwise symmetric (``|a - b|`` is), no
+entry depends on which pairs share a chunk with it
+(``tests/test_clustering.py::test_entry_does_not_depend_on_chunking``),
+and every entry is within 1e-9 of the per-pair loop over
+:func:`trimmed_manhattan`.  It is not bit-identical to that loop: the loop
+sums only each pair's kept prefix, while the builder divides a cumulative
+sum, so the last bits of most entries differ.
 """
 
 from __future__ import annotations
@@ -42,32 +45,6 @@ def trimmed_manhattan(a: np.ndarray, b: np.ndarray, trim_fraction: float = 0.2) 
     return float(differences.mean())
 
 
-def pairwise_trimmed_manhattan_reference(
-    columns: np.ndarray, trim_fraction: float = 0.2
-) -> np.ndarray:
-    """Per-pair loop over :func:`trimmed_manhattan` — the reference matrix.
-
-    Kept for property tests and benchmarks; quadratic in Python and
-    therefore orders of magnitude slower than
-    :func:`pairwise_trimmed_manhattan` at paper scale.
-
-    Note the per-pair mean sums only the *kept* prefix while the vectorised
-    path divides a cumulative sum — mathematically equal but not bitwise, so
-    equivalence tests compare with a tight tolerance rather than ``==``.
-    """
-    require_fraction(trim_fraction, "trim_fraction")
-    columns = np.asarray(columns, dtype=float)
-    require(columns.ndim == 2, "columns must be (n_vps, n_ips)")
-    n_ips = columns.shape[1]
-    matrix = np.zeros((n_ips, n_ips))
-    for i in range(n_ips):
-        for j in range(i + 1, n_ips):
-            matrix[i, j] = matrix[j, i] = trimmed_manhattan(
-                columns[:, i], columns[:, j], trim_fraction
-            )
-    return matrix
-
-
 #: Floats per pair chunk of :func:`pairwise_trimmed_manhattan` (pairs x
 #: vantage points): each temporary stays near 0.5 MB at any ISP size.
 PAIR_CHUNK_FLOATS = 1 << 16
@@ -79,14 +56,12 @@ def pairwise_trimmed_manhattan(columns: np.ndarray, trim_fraction: float = 0.2) 
     Fully vectorised: for each pair, discrepancies at vantage points lacking
     either measurement are dropped before trimming.  The diagonal is 0;
     entries for pairs with fewer than two common vantage points are NaN.
-    Equivalent to calling :func:`trimmed_manhattan` per pair (see
-    :func:`pairwise_trimmed_manhattan_reference`, kept for clarity and
-    property-testing), but ~100x faster at paper scale: only the strict
-    upper triangle is computed (the lower is a bitwise-exact mirror, because
-    every per-pair operation is symmetric in the pair), in chunks of about
-    :data:`PAIR_CHUNK_FLOATS` floats, and each pair's running sum stops at
-    its last kept entry.  NaN-free inputs skip the valid-count bookkeeping
-    entirely.
+    Equal, within 1e-9, to calling :func:`trimmed_manhattan` per pair, but
+    ~100x faster at paper scale: only the strict upper triangle is computed
+    (the lower is a bitwise-exact mirror, because every per-pair operation
+    is symmetric in the pair), in chunks of about :data:`PAIR_CHUNK_FLOATS`
+    floats, and each pair's running sum stops at its last kept entry.
+    NaN-free inputs skip the valid-count bookkeeping entirely.
     """
     require_fraction(trim_fraction, "trim_fraction")
     columns = np.asarray(columns, dtype=float)

@@ -6,47 +6,27 @@ exact setting the colocation study needs: no a-priori number or size of
 clusters.  The output is the cluster-ordering with reachability and core
 distances, consumed by the xi extraction in :mod:`repro.clustering.xi`.
 
-Two interchangeable ordering loops live here:
-
-* the **heap** implementation (default): a lazy-deletion binary heap of
-  ``(reachability, point_id)`` candidates replaces the per-step
-  O(n) ``flatnonzero`` + ``argmin`` scan over unprocessed points, and the
-  reachability-at-selection is recorded directly at pop time, eliminating
-  the O(n²) replay pass entirely;
-* the **reference** implementation: the original per-step scan plus
-  :func:`_reorder_reachability` replay, kept verbatim for differential
-  and property testing (``tests/test_properties.py`` proves the two are
-  bit-equal on adversarial inputs).
-
-Both produce bit-identical :class:`OpticsResult` values: the heap pops in
-``(reachability, id)`` order, which is exactly the reference's
-"smallest reachability, ties by smallest id" selection rule, and every
-float written comes from the same ``np.maximum(core, row)`` expression.
+The ordering loop keeps a lazy-deletion binary heap of
+``(reachability, point_id)`` candidates instead of scanning every
+unprocessed point for the argmin at each step, and records each point's
+reachability at the moment it is popped, so no replay pass is needed.
+The original scan-and-replay loop lives on as the test oracle
+(``tests/oracles.py``); the property tests prove the two bit-equal on
+adversarial inputs: the heap pops in ``(reachability, id)`` order, which
+is exactly the scan's "smallest reachability, ties by smallest id" rule,
+and every float written comes from the same ``np.maximum(core, row)``
+expression.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import require
 from repro.obs import Telemetry, ensure_telemetry
-
-#: Environment kill-switch: set to any non-empty value to force the
-#: reference ordering loop.  Debugging aid only — the CI ``bench-smoke``
-#: job asserts the optimized path is active in the default environment.
-REFERENCE_ENV_VAR = "REPRO_OPTICS_REFERENCE"
-
-#: Valid ``implementation=`` arguments to :func:`optics_order`.
-OPTICS_IMPLEMENTATIONS = ("heap", "reference")
-
-
-def active_optics_implementation() -> str:
-    """The ordering loop :func:`optics_order` dispatches to by default."""
-    return "reference" if os.environ.get(REFERENCE_ENV_VAR) else "heap"
 
 
 @dataclass
@@ -71,7 +51,6 @@ def optics_order(
     distances: np.ndarray,
     min_pts: int = 2,
     telemetry: Telemetry | None = None,
-    implementation: str | None = None,
 ) -> OpticsResult:
     """Compute the OPTICS ordering of points given a distance matrix.
 
@@ -81,10 +60,6 @@ def optics_order(
     ``n_min = 2`` therefore means "a cluster can be as small as two
     addresses", i.e. the core distance is the nearest-neighbour distance.
 
-    ``implementation`` picks the ordering loop (``"heap"`` or
-    ``"reference"``); None uses :func:`active_optics_implementation`.
-    The choice never changes the result — only how fast it arrives.
-
     With ``telemetry``, the finite reachability values of the ordering feed
     the ``cluster.optics_reachability_ms`` histogram (metrics are recorded
     once per call, after the ordering loop — never inside it).
@@ -92,11 +67,6 @@ def optics_order(
     distances = np.asarray(distances, dtype=float)
     require(distances.ndim == 2 and distances.shape[0] == distances.shape[1], "need a square matrix")
     require(min_pts >= 2, "min_pts must be >= 2")
-    implementation = implementation or active_optics_implementation()
-    require(
-        implementation in OPTICS_IMPLEMENTATIONS,
-        f"implementation must be one of {OPTICS_IMPLEMENTATIONS}, got {implementation!r}",
-    )
     n = distances.shape[0]
     working = np.where(np.isnan(distances), np.inf, distances)
 
@@ -107,18 +77,12 @@ def optics_order(
         sorted_rows = np.sort(working, axis=1)  # column 0 is the self-distance 0
         core = sorted_rows[:, min_pts - 1]
 
-    if implementation == "heap":
-        ordering, reachability = _order_heap(working, core)
-    else:
-        ordering = _order_reference(working, core)
-        reachability = _reorder_reachability(working, core, ordering)
+    ordering, reachability = _order_heap(working, core)
 
     obs = ensure_telemetry(telemetry)
     if obs.metrics.enabled:
         obs.count("cluster.optics_runs")
         obs.count("cluster.optics_points_ordered", n)
-        if implementation == "reference":
-            obs.count("cluster.optics_reference_runs")
         for value in reachability[np.isfinite(reachability)]:
             obs.observe("cluster.optics_reachability_ms", float(value))
     return OpticsResult(
@@ -126,13 +90,6 @@ def optics_order(
         reachability=reachability,
         core_distance=core,
     )
-
-
-def optics_order_reference(
-    distances: np.ndarray, min_pts: int = 2, telemetry: Telemetry | None = None
-) -> OpticsResult:
-    """The unoptimized ordering loop, for differential and property tests."""
-    return optics_order(distances, min_pts, telemetry=telemetry, implementation="reference")
 
 
 def _order_heap(working: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,62 +139,3 @@ def _order_heap(working: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.n
             if current < 0:
                 break  # frontier exhausted: restart from the outer loop
     return ordering, reachability
-
-
-def _order_reference(working: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """The original O(n²)-per-restart ordering loop (reference)."""
-    n = working.shape[0]
-    ordering = np.empty(n, dtype=int)
-    reachability_by_point = np.full(n, np.inf)
-    processed = np.zeros(n, dtype=bool)
-    position = 0
-
-    for start in range(n):
-        if processed[start]:
-            continue
-        # Begin a new exploration at the unprocessed point with smallest id
-        # (deterministic), reachability undefined (inf).
-        current = start
-        while current is not None:
-            processed[current] = True
-            ordering[position] = current
-            position += 1
-            if np.isfinite(core[current]):
-                # Update reachabilities of unprocessed points.
-                new_reach = np.maximum(core[current], working[current])
-                mask = ~processed
-                improved = mask & (new_reach < reachability_by_point)
-                reachability_by_point[improved] = new_reach[improved]
-            # Next: unprocessed point with smallest reachability (ties by id);
-            # if all remaining are inf, fall back to the outer loop.
-            remaining = np.flatnonzero(~processed)
-            if remaining.size == 0:
-                current = None
-                break
-            best = remaining[np.argmin(reachability_by_point[remaining])]
-            if not np.isfinite(reachability_by_point[best]):
-                current = None  # disconnected: restart from the outer loop
-            else:
-                current = int(best)
-    return ordering
-
-
-def _reorder_reachability(working: np.ndarray, core: np.ndarray, ordering: np.ndarray) -> np.ndarray:
-    """Replay the ordering to produce reachability per ordering position.
-
-    Replaying (rather than reusing the mutated array from the main loop)
-    guarantees the reported reachability is the value each point had *when it
-    was selected*, which is what the xi extraction consumes.
-    """
-    n = ordering.shape[0]
-    reachability = np.full(n, np.inf)
-    best = np.full(n, np.inf)
-    seen = np.zeros(n, dtype=bool)
-    for position, point in enumerate(ordering):
-        reachability[position] = best[point]
-        seen[point] = True
-        if np.isfinite(core[point]):
-            candidate = np.maximum(core[point], working[point])
-            improved = ~seen & (candidate < best)
-            best[improved] = candidate[improved]
-    return reachability

@@ -234,11 +234,11 @@ def pair_confusion_counts(
     Noise labels (-1) are treated as singleton clusters unique to each point.
     Returns ``(both_together, a_only, b_only, both_apart)`` over all pairs.
 
-    Counting math instead of the O(n²) pair loop (kept as
-    :func:`pair_confusion_counts_reference`): "together in a" pairs are
-    ΣC(size, 2) over a's non-noise clusters, "together in both" the same sum
-    over the joint (a, b) label intersection cells, and the remaining
-    buckets follow by inclusion-exclusion over C(n, 2).
+    Counting math instead of the O(n²) pair loop (kept as the test oracle
+    in ``tests/oracles.py``): "together in a" pairs are ΣC(size, 2) over
+    a's non-noise clusters, "together in both" the same sum over the joint
+    (a, b) label intersection cells, and the remaining buckets follow by
+    inclusion-exclusion over C(n, 2).
     """
     require(labels_a.shape == labels_b.shape, "labelings must align")
     labels_a = np.asarray(labels_a)
@@ -262,28 +262,6 @@ def pair_confusion_counts(
     a_only = together_a - both_together
     b_only = together_b - both_together
     both_apart = total - together_a - together_b + both_together
-    return both_together, a_only, b_only, both_apart
-
-
-def pair_confusion_counts_reference(
-    labels_a: np.ndarray, labels_b: np.ndarray
-) -> tuple[int, int, int, int]:
-    """The O(n²) pair loop, kept as the regression-test oracle."""
-    require(labels_a.shape == labels_b.shape, "labelings must align")
-    n = labels_a.shape[0]
-    both_together = a_only = b_only = both_apart = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            together_a = labels_a[i] >= 0 and labels_a[i] == labels_a[j]
-            together_b = labels_b[i] >= 0 and labels_b[i] == labels_b[j]
-            if together_a and together_b:
-                both_together += 1
-            elif together_a:
-                a_only += 1
-            elif together_b:
-                b_only += 1
-            else:
-                both_apart += 1
     return both_together, a_only, b_only, both_apart
 
 

@@ -1,10 +1,9 @@
 """Accuracy-baseline checking: ``repro eval --baseline``.
 
-Mirrors the :mod:`repro.bench` regress-fail discipline for *accuracy*
-instead of wall time: ``benchmarks/BENCH_accuracy.json`` commits a floor
-per stage metric (derived from a measured scorecard minus a small slack),
-and :func:`check_accuracy` re-scores the scenario fresh and fails if any
-metric fell below its floor.  Accuracy, unlike timing, is deterministic —
+A regress-fail gate on *accuracy*: ``benchmarks/BENCH_accuracy.json``
+commits a floor per stage metric (derived from a measured scorecard minus
+a small slack), and :func:`check_accuracy` re-scores the scenario fresh
+and fails if any metric fell below its floor.  Accuracy, unlike timing, is deterministic —
 a trip here is an inference-quality regression, never machine noise.
 
 Regenerating the baselines is a deliberate act: run the benchmarks suite

@@ -383,39 +383,22 @@ class FilteredCampaign:
         return sorted(self.ips_by_isp)
 
 
-def _implausible_for_single_location(
-    rtts: np.ndarray, vps: list[VantagePoint], floor: np.ndarray, slack_ms: float
-) -> bool:
-    """Speed-of-light check: can one location explain this RTT vector?
-
-    For a single location x, ``rtt_i + rtt_j >= floor(i, j)`` must hold for
-    all vantage pairs (the two probe paths, chained, must cover the
-    inter-vantage distance).  We check the strongest constraints: the
-    closest vantage point against all others.
-
-    Per-IP reference for :func:`_implausible_mask`, which batches the same
-    decision over every column at once; ``tests/test_mlab.py`` proves the
-    two agree column-for-column.
-    """
-    valid = np.flatnonzero(~np.isnan(rtts))
-    if valid.size < 2:
-        return False
-    closest = valid[np.argmin(rtts[valid])]
-    sums = rtts[closest] + rtts[valid]
-    return bool((sums + slack_ms < floor[closest, valid]).any())
-
-
 def _implausible_mask(
     rtt_ms: np.ndarray, valid: np.ndarray, n_valid: np.ndarray, floor: np.ndarray, slack_ms: float
 ) -> np.ndarray:
-    """Batched :func:`_implausible_for_single_location` over every column.
+    """Speed-of-light check per column: can one location explain its RTTs?
+
+    For a single location x, ``rtt_i + rtt_j >= floor(i, j)`` must hold for
+    all vantage pairs (the two probe paths, chained, must cover the
+    inter-vantage distance).  Each column is checked on the strongest
+    constraints: its closest vantage point against all others.
 
     ``valid`` is ``~isnan(rtt_ms)`` and ``n_valid`` its column sums (the
     caller already has both).  Invalid entries are filled with inf so they
     can neither be the closest vantage point nor violate a floor; columns
-    with fewer than two valid entries are never implausible, matching the
-    reference.  ``argmin`` returns the first minimum, the same tie-break as
-    the reference's ``valid[np.argmin(rtts[valid])]``.
+    with fewer than two valid entries are never implausible.  ``argmin``
+    returns the first minimum, the same tie-break as the per-column oracle
+    in ``tests/oracles.py``.
     """
     n_ips = rtt_ms.shape[1]
     if n_ips == 0:

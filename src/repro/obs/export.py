@@ -11,7 +11,7 @@ counts over time.  Two snapshot shapes exist:
 * :func:`compact_snapshot` — the committed-baseline shape
   (:data:`COMPACT_SCHEMA`): spans aggregated per stage name, histograms
   as summaries only.  A few hundred lines instead of thousands, which is
-  what belongs in git and what ``repro bench check`` compares against.
+  what belongs in git (``benchmarks/BENCH_observability.json``).
 
 :func:`write_chrome_trace` exports the span forest in the Chrome
 trace-event format (complete ``"ph": "X"`` events with microsecond

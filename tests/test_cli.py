@@ -269,43 +269,6 @@ class TestTailCommand:
         assert "no such events file" in capsys.readouterr().err
 
 
-class TestBenchCheckCommand:
-    def _baseline(self, tmp_path, stages, counters=None):
-        path = tmp_path / "BENCH_observability.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "bench": "observability-small",
-                    "format": "repro-bench-v1",
-                    "schema": "compact-aggregates-v1",
-                    "stages": {name: {"count": 1, "total_ms": ms} for name, ms in stages.items()},
-                    "counters": counters or {},
-                }
-            ),
-            encoding="utf-8",
-        )
-        return path
-
-    def test_check_passes_against_committed_style_baseline(self, capsys, tmp_path, small_study):
-        # A generous baseline: the fresh small-scenario run must fit well
-        # inside 100x of these stage times on any machine.
-        path = self._baseline(tmp_path, {"study": 50.0, "clustering": 10.0})
-        assert main(["bench", "check", "--baseline", str(path), "--tolerance", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "bench check passed" in out
-
-    def test_check_missing_baseline(self, capsys, tmp_path):
-        assert main(["bench", "check", "--baseline", str(tmp_path / "nope.json")]) == 1
-        assert "no benchmark baseline" in capsys.readouterr().err
-
-    def test_check_counter_drift_fails(self, capsys, tmp_path, small_study):
-        path = self._baseline(
-            tmp_path, {"study": 50.0}, {"filters.ips_considered": -1}
-        )
-        assert main(["bench", "check", "--baseline", str(path), "--tolerance", "100"]) == 1
-        assert "COUNTER DRIFT" in capsys.readouterr().out
-
-
 class TestTimelineGcCommand:
     def test_gc_evicts_and_reports(self, capsys, tmp_path):
         import os

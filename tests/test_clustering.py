@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.clustering.distance import (
     PAIR_CHUNK_FLOATS,
     pairwise_trimmed_manhattan,
-    pairwise_trimmed_manhattan_reference,
     trimmed_manhattan,
 )
 from repro.clustering.optics import optics_order
@@ -16,11 +15,12 @@ from repro.clustering.sites import (
     ClusteringMemo,
     cluster_isp_offnets,
     pair_confusion_counts,
-    pair_confusion_counts_reference,
     rand_index,
 )
 from repro.obs import Telemetry
 from repro.clustering.xi import XiCluster, extract_xi_clusters, xi_labels
+
+from tests.oracles import pair_confusion_counts_reference
 
 
 def two_blob_columns(n_a=6, n_b=6, separation=10.0, noise=0.05, n_vps=30, seed=0):

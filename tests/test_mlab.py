@@ -16,7 +16,6 @@ from repro.mlab.latency import (
 from repro.mlab.matrix import (
     LatencyCampaignConfig,
     _CampaignShardInputs,
-    _implausible_for_single_location,
     _implausible_mask,
     _measure_shard,
     apply_quality_filters,
@@ -26,6 +25,8 @@ from repro.obs import Telemetry
 from repro.mlab.pings import PingConfig, ping_rtts
 from repro.mlab.vantage import build_vantage_points
 from repro.parallel import Shard, SharedArray
+
+from tests.oracles import implausible_for_single_location
 
 
 def _ping_row_reference(base_rtts_ms, config, rng, drop_mask=None):
@@ -368,7 +369,7 @@ class TestBatchedPlausibility:
         valid = ~np.isnan(matrix.rtt_ms)
         mask = _implausible_mask(matrix.rtt_ms, valid, valid.sum(axis=0), floor, slack)
         for column_index, ip in enumerate(matrix.ips):
-            expected = _implausible_for_single_location(matrix.column(ip), vps, floor, slack)
+            expected = implausible_for_single_location(matrix.column(ip), vps, floor, slack)
             assert mask[column_index] == expected
 
     def test_mask_flags_a_synthetic_violation(self, vps):
@@ -382,7 +383,7 @@ class TestBatchedPlausibility:
         valid = ~np.isnan(rtts)
         mask = _implausible_mask(rtts, valid, valid.sum(axis=0), floor, slack_ms=0.5)
         assert mask[0]
-        reference = _implausible_for_single_location(rtts[:, 0], vps, floor, 0.5)
+        reference = implausible_for_single_location(rtts[:, 0], vps, floor, 0.5)
         assert reference
 
     def test_single_valid_entry_is_never_implausible(self, vps):

@@ -372,7 +372,6 @@ class TestPipelineInstrumentation:
         assert computed > 0
         assert metrics.counter("cluster.distance_matrices_reused") == computed
         assert metrics.counter("cluster.optics_reused") == metrics.counter("cluster.optics_runs")
-        assert metrics.counter("cluster.optics_reference_runs") == 0
         assert metrics.histogram("cluster.distance_ms").count == computed
         assert metrics.histogram("filters.plausibility_ms").count == 1
 

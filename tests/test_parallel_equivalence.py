@@ -20,7 +20,6 @@ Equivalence *under injected transient faults* lives in
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,8 @@ from repro.core.pipeline import Study, StudyConfig, run_study
 from repro.io.archive import save_archive
 from repro.parallel import ParallelConfig
 from repro.topology.generator import InternetConfig
+
+from tests.conftest import _require_golden_numpy
 
 
 def _study_config(parallel: ParallelConfig) -> StudyConfig:
@@ -162,20 +163,6 @@ class TestProcessEquivalence:
 #: claim the harness can make.  Float bit-patterns depend on the BLAS/SIMD
 #: build, so the pin is guarded to the numpy line it was captured under.
 GOLDEN_EXPORT_SHA256 = "41da77a76b4ce02bac6074e4ab3f9f7bcd59ac64ec8c727a5f4e4517e095cd51"
-GOLDEN_NUMPY_PREFIX = "2.4"
-
-
-def _require_golden_numpy() -> None:
-    """Skip off the pinned numpy line, or fail where CI sets ``REPRO_REQUIRE_GOLDEN=1``."""
-    if np.__version__.startswith(GOLDEN_NUMPY_PREFIX):
-        return
-    reason = (
-        f"golden digest captured under numpy {GOLDEN_NUMPY_PREFIX}.x "
-        f"(running {np.__version__}); float bit-patterns may differ"
-    )
-    if os.environ.get("REPRO_REQUIRE_GOLDEN") == "1":
-        pytest.fail(reason + "; REPRO_REQUIRE_GOLDEN=1 forbids skipping")
-    pytest.skip(reason)
 
 
 def _composite_digest(directory: Path) -> str:
@@ -213,9 +200,10 @@ class TestGoldenExport:
     def test_reference_implementations_reproduce_golden_digest(self, tmp_path, monkeypatch):
         """The kept reference OPTICS loop exports the same bytes — the
         heap/reference choice is provably presentation-free end to end."""
-        from repro.clustering.optics import REFERENCE_ENV_VAR
+        from repro.clustering import optics
+        from tests.oracles import order_reference
 
-        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
+        monkeypatch.setattr(optics, "_order_heap", order_reference)
         study = run_study(_study_config(ParallelConfig()))
         save_archive(study, tmp_path / "ref")
         assert _composite_digest(tmp_path / "ref") == GOLDEN_EXPORT_SHA256

@@ -10,20 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.clustering.distance import (
-    pairwise_trimmed_manhattan,
-    pairwise_trimmed_manhattan_reference,
-    trimmed_manhattan,
-)
+from repro.clustering.distance import pairwise_trimmed_manhattan, trimmed_manhattan
 from repro.clustering.optics import optics_order
 from repro.clustering.sites import (
     ClusteringConfig,
     cluster_isp_offnets,
     pair_confusion_counts,
-    pair_confusion_counts_reference,
     rand_index,
 )
 from repro.clustering.xi import XiCluster, extract_xi_clusters, split_clusters_on_spikes, xi_labels
+
+from tests.oracles import (
+    optics_order_reference,
+    pair_confusion_counts_reference,
+    pairwise_trimmed_manhattan_reference,
+)
 
 
 @st.composite
@@ -90,8 +91,8 @@ class TestOpticsImplementationEquivalence:
     @given(symmetric_distances(), st.integers(2, 4))
     @settings(max_examples=80, deadline=None)
     def test_heap_is_bit_equal_to_reference(self, distances, min_pts):
-        heap = optics_order(distances, min_pts, implementation="heap")
-        reference = optics_order(distances, min_pts, implementation="reference")
+        heap = optics_order(distances, min_pts)
+        reference = optics_order_reference(distances, min_pts)
         assert np.array_equal(heap.ordering, reference.ordering)
         # Exact float equality, including the inf exploration starts.
         assert np.array_equal(heap.reachability, reference.reachability)
@@ -101,17 +102,10 @@ class TestOpticsImplementationEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_heap_is_bit_equal_on_real_distance_matrices(self, columns, trim):
         distances = pairwise_trimmed_manhattan(columns, trim)
-        heap = optics_order(distances, implementation="heap")
-        reference = optics_order(distances, implementation="reference")
+        heap = optics_order(distances)
+        reference = optics_order_reference(distances)
         assert np.array_equal(heap.ordering, reference.ordering)
         assert np.array_equal(heap.reachability, reference.reachability)
-
-    def test_env_kill_switch_selects_reference(self, monkeypatch):
-        from repro.clustering.optics import REFERENCE_ENV_VAR, active_optics_implementation
-
-        assert active_optics_implementation() == "heap"
-        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
-        assert active_optics_implementation() == "reference"
 
 
 class TestPairConfusionEquivalence:
