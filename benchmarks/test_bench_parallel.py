@@ -95,7 +95,7 @@ def _time_run(backend: str, workers: int, export_dir: Path) -> dict:
         "clustering_s": round(clustering.duration_s, 3),
         "parallel_stages_s": round(campaign.duration_s + clustering.duration_s, 3),
         "archive_sha256": digest.hexdigest(),
-        # Flight-recorder forensics: per-worker utilization, queue-wait
+        # Flight-view forensics: per-worker utilization, queue-wait
         # share, payload bytes + shm markers, pool identity, stragglers.
         "flight": telemetry.flight.to_json(),
     }

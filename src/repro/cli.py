@@ -266,7 +266,7 @@ def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
     if args.profile:
         print("\nresource profile\n----------------", file=sys.stderr)
         print(render_profile(telemetry), file=sys.stderr)
-        if telemetry.flight.enabled and telemetry.flight.records:
+        if telemetry.flight.records:
             print("\nexecutor flights\n----------------", file=sys.stderr)
             print(telemetry.flight.render(), file=sys.stderr)
     if args.metrics_out:

@@ -39,7 +39,7 @@ from repro.mlab.matrix import (
     measure_offnets,
 )
 from repro.mlab.vantage import VantagePoint, build_vantage_points
-from repro.obs import Telemetry, ensure_telemetry, record_throughput_gauges
+from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import (
     ParallelConfig,
     Shard,
@@ -492,9 +492,6 @@ def run_study(
                 shards_lost=coverage.shards_lost,
                 sites={site: lost for site, (lost, _) in coverage.entries.items() if lost},
             )
-
-    if obs.tracer.enabled and obs.tracer.profiler is not None:
-        record_throughput_gauges(obs)
 
     return Study(
         config=config,

@@ -5,8 +5,8 @@ The subsystem's pieces:
 * :mod:`repro.obs.trace` — nested stage spans with wall-clock durations
   and absolute start offsets (:class:`Tracer`); disabled mode is a shared
   no-op span with zero clock calls.
-* :mod:`repro.obs.prof` — per-stage resource profiling
-  (:class:`StageProfiler`): CPU vs wall time, peak RSS, rows/sec.
+* :mod:`repro.obs.prof` — per-span resource profiling
+  (:class:`StageProfiler`): CPU time and peak RSS.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, and histograms named ``<stage>.<name>``.
 * :mod:`repro.obs.stream` — the live JSONL event stream
@@ -18,10 +18,12 @@ The subsystem's pieces:
   ``BENCH_*.json`` trajectory format, Chrome trace-event export, and
   aligned-text renderings (stage tree, metrics table, filter funnel,
   resource profile).
+* :mod:`repro.obs.flight` — the executor flight view
+  (:class:`FlightView`, ``Telemetry.flight``): per-worker utilization,
+  queue-wait, payloads and stragglers, read off the shard spans.
 
-The executor flight recorder (per-worker utilization, queue-wait,
-stragglers) lives with the backends in :mod:`repro.parallel.flight` and
-rides on the same :class:`Telemetry` bundle.
+The span tree is the one run record: the profile, the flight view, the
+compact snapshot and the Chrome trace all render from it.
 
 Instrumented pipeline functions accept ``telemetry: Telemetry | None``;
 ``None`` (the default) means the shared :data:`NULL_TELEMETRY` bundle, so
@@ -39,6 +41,7 @@ from repro.obs.export import (
     compact_snapshot,
     render_filter_funnel,
     render_metrics_table,
+    render_profile,
     render_span_tree,
     telemetry_from_json,
     telemetry_to_json,
@@ -46,6 +49,7 @@ from repro.obs.export import (
     write_compact_snapshot,
     write_metrics_json,
 )
+from repro.obs.flight import FlightView, ShardFlight
 from repro.obs.logging import (
     DEBUG,
     ERROR,
@@ -66,14 +70,7 @@ from repro.obs.metrics import (
     global_metrics,
     summarize,
 )
-from repro.obs.prof import (
-    StageProfile,
-    StageProfiler,
-    peak_rss_kb,
-    profile_stages,
-    record_throughput_gauges,
-    render_profile,
-)
+from repro.obs.prof import StageProfiler, peak_rss_kb
 from repro.obs.stream import (
     NULL_STREAM,
     STREAM_FORMAT,
@@ -97,6 +94,7 @@ __all__ = [
     "ERROR",
     "EventStream",
     "FUNNEL_COUNTERS",
+    "FlightView",
     "GLOBAL_METRICS",
     "HistogramSummary",
     "INFO",
@@ -109,8 +107,8 @@ __all__ = [
     "NullTracer",
     "RingBufferSink",
     "STREAM_FORMAT",
+    "ShardFlight",
     "Span",
-    "StageProfile",
     "StageProfiler",
     "StructuredLogger",
     "Telemetry",
@@ -128,9 +126,7 @@ __all__ = [
     "latest_progress",
     "logging_config",
     "peak_rss_kb",
-    "profile_stages",
     "read_events",
-    "record_throughput_gauges",
     "render_filter_funnel",
     "render_metrics_table",
     "render_profile",

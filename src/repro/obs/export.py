@@ -82,30 +82,34 @@ def telemetry_from_json(data: dict[str, Any]) -> Telemetry:
 
 
 def aggregate_stages(telemetry: Telemetry) -> dict[str, dict[str, Any]]:
-    """Per-stage-name wall-time aggregates over the whole span forest.
+    """The per-stage rollup of the whole span forest.
 
-    Every recorded span participates (profiled or not), keyed by span name
-    in recording order: count, total/mean/max wall ms, plus summed CPU ms
-    and max peak RSS when the spans were profiled.
+    Every recorded span participates, keyed by span name in recording
+    order: count, total/mean/max wall ms and summed ``n_items``; stages
+    whose spans ran under a profiler also get summed CPU ms and max peak
+    RSS (worker-process spans are not profiled).
     """
     stages: dict[str, dict[str, Any]] = {}
     for root in telemetry.tracer.roots:
         for span in root.walk():
             entry = stages.setdefault(
-                span.name, {"count": 0, "total_ms": 0.0, "max_ms": 0.0, "cpu_ms": 0.0, "rss_peak_kb": 0.0}
+                span.name, {"count": 0, "total_ms": 0.0, "max_ms": 0.0, "n_items": 0}
             )
             entry["count"] += 1
             entry["total_ms"] += span.duration_ms
             entry["max_ms"] = max(entry["max_ms"], span.duration_ms)
-            entry["cpu_ms"] += float(span.attributes.get("cpu_ms", 0.0))
-            entry["rss_peak_kb"] = max(
-                entry["rss_peak_kb"], float(span.attributes.get("rss_peak_kb", 0.0))
-            )
+            entry["n_items"] += int(span.attributes.get("n_items", 0))
+            if "cpu_ms" in span.attributes:
+                entry["cpu_ms"] = entry.get("cpu_ms", 0.0) + float(span.attributes["cpu_ms"])
+                entry["rss_peak_kb"] = max(
+                    entry.get("rss_peak_kb", 0.0), float(span.attributes["rss_peak_kb"])
+                )
     for entry in stages.values():
         entry["total_ms"] = round(entry["total_ms"], 3)
         entry["mean_ms"] = round(entry["total_ms"] / entry["count"], 3)
         entry["max_ms"] = round(entry["max_ms"], 3)
-        entry["cpu_ms"] = round(entry["cpu_ms"], 3)
+        if "cpu_ms" in entry:
+            entry["cpu_ms"] = round(entry["cpu_ms"], 3)
     return stages
 
 
@@ -126,7 +130,7 @@ def compact_snapshot(
         "stages": aggregate_stages(telemetry),
         **telemetry.metrics.to_json(include_values=False),
     }
-    if telemetry.flight.enabled and telemetry.flight.records:
+    if telemetry.flight.records:
         snapshot["flight"] = telemetry.flight.to_json()
     if extra:
         snapshot.update(extra)
@@ -219,6 +223,32 @@ def render_span_tree(tracer: Tracer | NullTracer, max_children: int = 10) -> str
     for root in tracer.roots:
         visit(root, 0)
     return "\n".join(lines)
+
+
+def render_profile(telemetry: Telemetry) -> str:
+    """The resource table (wall/CPU/utilization/RSS/throughput) of the
+    profiled stages in :func:`aggregate_stages`."""
+    rows = []
+    for name, stage in aggregate_stages(telemetry).items():
+        if "cpu_ms" not in stage:
+            continue
+        wall_ms, cpu_ms, n_items = stage["total_ms"], stage["cpu_ms"], stage["n_items"]
+        rows.append(
+            [
+                name,
+                stage["count"],
+                f"{wall_ms:.1f}",
+                f"{cpu_ms:.1f}",
+                f"{cpu_ms / wall_ms if wall_ms > 0 else 0.0:.2f}",
+                f"{stage['rss_peak_kb']:.0f}",
+                f"{1000.0 * n_items / wall_ms:.1f}" if n_items and wall_ms > 0 else "-",
+            ]
+        )
+    if not rows:
+        return "no resource profile recorded (run with profile=True / --profile)"
+    return format_table(
+        ["stage", "spans", "wall ms", "cpu ms", "cpu util", "peak rss KiB", "rows/s"], rows
+    )
 
 
 def render_metrics_table(metrics: MetricsRegistry | NullMetrics) -> str:

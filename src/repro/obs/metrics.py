@@ -116,8 +116,9 @@ class MetricsRegistry:
         This is how worker-process telemetry re-enters the parent registry
         (see :mod:`repro.parallel.executor`): each worker records into a
         private registry, so merging its snapshot once counts each
-        observation exactly once.  Snapshots whose histograms lack raw
-        values degrade the same way :meth:`from_json` does.
+        observation exactly once.  Histograms exported without raw values
+        come back as their summaries' supports only (count preserved via
+        the mean): exact round-trips require ``include_values=True``.
         """
         for name, value in data.get("counters", {}).items():
             self.count(name, value)
@@ -152,20 +153,9 @@ class MetricsRegistry:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry exported with ``to_json(include_values=True)``.
-
-        Histograms exported without raw values come back as their summaries'
-        supports only (count preserved via the mean): exact round-trips
-        require ``include_values=True`` on export.
-        """
+        """Rebuild a registry exported with :meth:`to_json` (see :meth:`merge_json`)."""
         registry = cls()
-        registry.counters.update(data.get("counters", {}))
-        registry.gauges.update(data.get("gauges", {}))
-        for name, entry in data.get("histograms", {}).items():
-            if "values" in entry:
-                registry._histograms[name] = [float(v) for v in entry["values"]]
-            else:
-                registry._histograms[name] = [float(entry["mean"])] * int(entry["count"])
+        registry.merge_json(data)
         return registry
 
 

@@ -1,4 +1,4 @@
-"""Per-stage resource profiling: CPU time, peak RSS, and throughput.
+"""Per-stage resource profiling: CPU time and peak RSS on every span.
 
 A :class:`StageProfiler` attaches to a :class:`~repro.obs.trace.Tracer`;
 every span then records, alongside its wall-clock duration:
@@ -8,17 +8,13 @@ every span then records, alongside its wall-clock duration:
 * ``rss_peak_kb`` — the process peak RSS high-water mark at span exit
   (``resource.getrusage``; monotone, so a *rise* across a span means the
   span set a new peak);
-* ``rss_delta_kb`` — how much the high-water mark rose during the span;
-* with ``trace_python_alloc=True``, ``py_delta_kb`` / ``py_peak_kb`` —
-  :mod:`tracemalloc` deltas attributing Python-heap allocation to stages
-  (substantially slower; off by default).
+* ``rss_delta_kb`` — how much the high-water mark rose during the span.
 
-:func:`profile_stages` aggregates the profiled span forest per stage name
-(wall vs CPU, CPU utilization, peak RSS, summed ``n_items``, rows/sec) —
-the per-stage peak-RSS / rows-per-second substrate the planetary-scale
-``BENCH_scale.json`` trajectory needs — and
-:func:`record_throughput_gauges` lands the same numbers as ``prof.*``
-gauges on the run's metrics registry.
+The per-stage rollup of those attributes (summed CPU ms and max peak
+RSS, beside wall time and summed ``n_items``) is
+:func:`repro.obs.export.aggregate_stages`;
+:func:`repro.obs.export.render_profile` adds CPU utilization and
+rows/sec.
 
 Profiling is opt-in (``Telemetry.capture(profile=True)``); a tracer with
 no profiler makes exactly one ``is None`` check per span, and disabled
@@ -30,14 +26,9 @@ from __future__ import annotations
 
 import sys
 import time
-import tracemalloc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
-
-from repro._util import format_table
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports nothing from here)
-    from repro.obs.telemetry import Telemetry
     from repro.obs.trace import Span
 
 try:  # pragma: no cover - resource is POSIX-only
@@ -59,164 +50,29 @@ def peak_rss_kb() -> float:
     return peak
 
 
-@dataclass(frozen=True)
-class _ProfStart:
-    """Baseline readings captured when a profiled span opens."""
-
-    cpu_s: float
-    rss_kb: float
-    py_current_kb: float | None
-
-
 class StageProfiler:
     """Samples CPU time and memory around spans; attaches span attributes.
 
     The CPU clock and RSS reader are injectable for deterministic tests.
-    One profiler serves one tracer; it owns no state beyond the optional
-    tracemalloc session it started.
+    One profiler serves one tracer and holds no state between spans.
     """
 
     def __init__(
         self,
         cpu_clock: Callable[[], float] = time.process_time,
         rss_reader: Callable[[], float] = peak_rss_kb,
-        trace_python_alloc: bool = False,
     ) -> None:
         self._cpu_clock = cpu_clock
         self._rss_reader = rss_reader
-        self._owns_tracemalloc = False
-        if trace_python_alloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-        self.trace_python_alloc = trace_python_alloc
 
-    def begin(self) -> _ProfStart:
-        """Baseline readings for a span that just opened."""
-        py_current = None
-        if self.trace_python_alloc:
-            py_current = tracemalloc.get_traced_memory()[0] / 1024.0
-        return _ProfStart(
-            cpu_s=self._cpu_clock(), rss_kb=self._rss_reader(), py_current_kb=py_current
-        )
+    def begin(self) -> tuple[float, float]:
+        """Baseline ``(cpu_s, rss_kb)`` readings for a span that just opened."""
+        return self._cpu_clock(), self._rss_reader()
 
-    def end(self, start: _ProfStart, span: "Span") -> None:
+    def end(self, start: tuple[float, float], span: "Span") -> None:
         """Attach the span's resource profile to its attributes."""
+        cpu_s, start_rss_kb = start
         rss_kb = self._rss_reader()
-        span.attributes["cpu_ms"] = round(1000.0 * (self._cpu_clock() - start.cpu_s), 3)
+        span.attributes["cpu_ms"] = round(1000.0 * (self._cpu_clock() - cpu_s), 3)
         span.attributes["rss_peak_kb"] = rss_kb
-        span.attributes["rss_delta_kb"] = round(rss_kb - start.rss_kb, 1)
-        if start.py_current_kb is not None:
-            current, peak = tracemalloc.get_traced_memory()
-            span.attributes["py_delta_kb"] = round(current / 1024.0 - start.py_current_kb, 1)
-            span.attributes["py_peak_kb"] = round(peak / 1024.0, 1)
-
-    def close(self) -> None:
-        """Stop the tracemalloc session if this profiler started it."""
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._owns_tracemalloc = False
-
-
-@dataclass(frozen=True)
-class StageProfile:
-    """One stage name's aggregated resource profile across its spans."""
-
-    name: str
-    count: int
-    wall_ms: float
-    cpu_ms: float
-    rss_peak_kb: float
-    n_items: int
-
-    @property
-    def cpu_utilization(self) -> float:
-        """CPU time over wall time (can exceed 1.0 with worker processes)."""
-        return self.cpu_ms / self.wall_ms if self.wall_ms > 0 else 0.0
-
-    @property
-    def rows_per_s(self) -> float:
-        """Work units per wall second (0 when the stage recorded no items)."""
-        return 1000.0 * self.n_items / self.wall_ms if self.wall_ms > 0 and self.n_items else 0.0
-
-    def to_json(self) -> dict[str, Any]:
-        """JSON-serialisable form."""
-        return {
-            "count": self.count,
-            "wall_ms": round(self.wall_ms, 3),
-            "cpu_ms": round(self.cpu_ms, 3),
-            "cpu_utilization": round(self.cpu_utilization, 3),
-            "rss_peak_kb": self.rss_peak_kb,
-            "n_items": self.n_items,
-            "rows_per_s": round(self.rows_per_s, 1),
-        }
-
-
-def profile_stages(telemetry: "Telemetry") -> list[StageProfile]:
-    """Aggregate the profiled span forest per stage name (recording order).
-
-    Only spans that carry a ``cpu_ms`` attribute (i.e. ran under a
-    profiler) participate; an unprofiled trace yields an empty list.
-    """
-    order: list[str] = []
-    grouped: dict[str, list["Span"]] = {}
-    for root in telemetry.tracer.roots:
-        for span in root.walk():
-            if "cpu_ms" not in span.attributes:
-                continue
-            if span.name not in grouped:
-                grouped[span.name] = []
-                order.append(span.name)
-            grouped[span.name].append(span)
-    profiles = []
-    for name in order:
-        spans = grouped[name]
-        profiles.append(
-            StageProfile(
-                name=name,
-                count=len(spans),
-                wall_ms=sum(s.duration_ms for s in spans),
-                cpu_ms=sum(float(s.attributes["cpu_ms"]) for s in spans),
-                rss_peak_kb=max(float(s.attributes.get("rss_peak_kb", 0.0)) for s in spans),
-                n_items=sum(int(s.attributes.get("n_items", 0)) for s in spans),
-            )
-        )
-    return profiles
-
-
-def render_profile(telemetry: "Telemetry") -> str:
-    """The per-stage resource table (wall/CPU/utilization/RSS/throughput)."""
-    profiles = profile_stages(telemetry)
-    if not profiles:
-        return "no resource profile recorded (run with profile=True / --profile)"
-    rows = [
-        [
-            profile.name,
-            profile.count,
-            f"{profile.wall_ms:.1f}",
-            f"{profile.cpu_ms:.1f}",
-            f"{profile.cpu_utilization:.2f}",
-            f"{profile.rss_peak_kb:.0f}",
-            f"{profile.rows_per_s:.1f}" if profile.n_items else "-",
-        ]
-        for profile in profiles
-    ]
-    return format_table(
-        ["stage", "spans", "wall ms", "cpu ms", "cpu util", "peak rss KiB", "rows/s"], rows
-    )
-
-
-def record_throughput_gauges(telemetry: "Telemetry") -> None:
-    """Land per-stage throughput and utilization as ``prof.*`` gauges.
-
-    Called by the pipeline after a profiled run; gauges follow the
-    ``prof.<stage>.rows_per_s`` / ``prof.<stage>.cpu_utilization`` /
-    ``prof.<stage>.rss_peak_kb`` convention so exported snapshots carry
-    the per-stage scaling substrate without re-walking the span forest.
-    """
-    for profile in profile_stages(telemetry):
-        if profile.n_items:
-            telemetry.gauge(f"prof.{profile.name}.rows_per_s", round(profile.rows_per_s, 1))
-        telemetry.gauge(
-            f"prof.{profile.name}.cpu_utilization", round(profile.cpu_utilization, 3)
-        )
-        telemetry.gauge(f"prof.{profile.name}.rss_peak_kb", profile.rss_peak_kb)
+        span.attributes["rss_delta_kb"] = round(rss_kb - start_rss_kb, 1)

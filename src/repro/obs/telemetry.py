@@ -1,12 +1,14 @@
 """The telemetry bundle threaded through the pipeline.
 
-A :class:`Telemetry` groups one tracer, one metrics registry, one logger,
-one event stream, and one executor flight recorder, and exposes their
-recording surface directly (``span`` / ``count`` / ``gauge`` / ``observe``
-/ ``log`` / ``emit`` / ``progress``) so instrumented code deals with a
-single object.  :meth:`Telemetry.disabled` returns a process-wide no-op
-singleton: every call on it bottoms out immediately with no clock reads,
-no allocation, and no RNG interaction — the zero-cost default.
+A :class:`Telemetry` groups one tracer, one metrics registry, one logger
+and one event stream, and exposes their recording surface directly
+(``span`` / ``count`` / ``gauge`` / ``observe`` / ``log`` / ``emit`` /
+``progress``) so instrumented code deals with a single object.
+:meth:`Telemetry.disabled` returns a process-wide no-op singleton: every
+call on it bottoms out immediately with no clock reads, no allocation,
+and no RNG interaction — the zero-cost default.  The executor flight
+view (:attr:`Telemetry.flight`) reads the tracer's span tree; it records
+nothing of its own.
 
 :meth:`Telemetry.capture` flips the process-global shared-logger
 configuration; the bundle remembers what it displaced and is a context
@@ -14,7 +16,7 @@ manager, so the polite form is::
 
     with Telemetry.capture(log_level="debug") as telemetry:
         run_study(config, telemetry=telemetry)
-    # shared loggers restored, stream closed, profiler torn down
+    # shared loggers restored, stream closed
 
 Callers that keep the bundle open (the CLI does, to render reports after
 the run) can call :meth:`Telemetry.restore` explicitly instead.
@@ -23,8 +25,9 @@ the run) can call :meth:`Telemetry.restore` explicitly instead.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, TextIO
+from typing import Any, TextIO
 
+from repro.obs.flight import FlightView
 from repro.obs.logging import (
     INFO,
     NULL_LOGGER,
@@ -38,17 +41,11 @@ from repro.obs.prof import StageProfiler
 from repro.obs.stream import NULL_STREAM, EventStream, NullEventStream
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.flight import FlightRecorder, NullFlightRecorder
-
 
 class Telemetry:
-    """One study run's tracer + metrics + logger + stream + flight recorder."""
+    """One study run's tracer + metrics + logger + stream."""
 
-    # ``repro.parallel.flight`` imports back into the pipeline packages, so
-    # the flight recorder is bound lazily (slot ``_flight`` + property
-    # ``flight``) to keep ``repro.obs`` importable on its own.
-    __slots__ = ("tracer", "metrics", "logger", "stream", "_flight", "_prior_logging")
+    __slots__ = ("tracer", "metrics", "logger", "stream", "_prior_logging")
 
     def __init__(
         self,
@@ -56,23 +53,17 @@ class Telemetry:
         metrics: MetricsRegistry | NullMetrics | None = None,
         logger: StructuredLogger | None = None,
         stream: EventStream | NullEventStream | None = None,
-        flight: "FlightRecorder | NullFlightRecorder | None" = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.logger = logger if logger is not None else NULL_LOGGER
         self.stream = stream if stream is not None else NULL_STREAM
-        self._flight = flight
         self._prior_logging: dict | None = None
 
     @property
-    def flight(self) -> "FlightRecorder | NullFlightRecorder":
-        """The executor flight recorder (the shared null one by default)."""
-        if self._flight is None:
-            from repro.parallel.flight import NULL_FLIGHT
-
-            self._flight = NULL_FLIGHT
-        return self._flight
+    def flight(self) -> FlightView:
+        """The executor flight view over this bundle's span tree."""
+        return FlightView(self.tracer)
 
     @property
     def enabled(self) -> bool:
@@ -92,17 +83,13 @@ class Telemetry:
         stream: TextIO | None = None,
         profile: bool = False,
         events: str | Path | EventStream | None = None,
-        trace_python_alloc: bool = False,
     ) -> "Telemetry":
         """A live bundle: real tracer, real registry, stderr logger.
 
         ``profile=True`` attaches a :class:`~repro.obs.prof.StageProfiler`
-        so every span also records CPU time and peak RSS
-        (``trace_python_alloc=True`` adds tracemalloc deltas, slower).
+        so every span also records CPU time and peak RSS.
         ``events`` (a path or an open :class:`EventStream`) attaches a live
         JSONL event stream fed by stage transitions and executor progress.
-        A live bundle always carries a real flight recorder — recording is
-        one list append per completed shard.
 
         Also flips the shared :func:`repro.obs.logging.get_logger` loggers
         to the requested level/mode so library-level components (scenario
@@ -112,13 +99,11 @@ class Telemetry:
         only redirects this bundle's own logger; shared loggers keep
         writing to the process stderr.
         """
-        from repro.parallel.flight import FlightRecorder
-
         prior = configure_logging(level=log_level, json_mode=json_logs)
         logger = StructuredLogger(
             "repro.study", level=level_from_name(log_level), json_mode=json_logs, stream=stream
         )
-        profiler = StageProfiler(trace_python_alloc=trace_python_alloc) if profile else None
+        profiler = StageProfiler() if profile else None
         if events is None:
             event_stream: EventStream | NullEventStream = NULL_STREAM
         elif isinstance(events, (str, Path)):
@@ -133,7 +118,6 @@ class Telemetry:
             metrics=MetricsRegistry(),
             logger=logger,
             stream=event_stream,
-            flight=FlightRecorder(),
         )
         telemetry._prior_logging = prior
         return telemetry
@@ -142,16 +126,12 @@ class Telemetry:
         """Undo :meth:`capture`'s process-global effects (idempotent).
 
         Puts the shared-logger configuration back to what ``capture``
-        displaced, closes the event stream (emitting ``stream_end``), and
-        tears down the profiler's tracemalloc session if it owns one.
+        displaced and closes the event stream (emitting ``stream_end``).
         """
         if self._prior_logging is not None:
             restore_logging(self._prior_logging)
             self._prior_logging = None
         self.stream.close()
-        profiler = self.tracer.profiler
-        if profiler is not None:
-            profiler.close()
 
     def __enter__(self) -> "Telemetry":
         return self

@@ -41,13 +41,6 @@ from repro.parallel.executor import (
     run_sharded,
     usable_cpu_count,
 )
-from repro.parallel.flight import (
-    NULL_FLIGHT,
-    STRAGGLER_FACTOR,
-    FlightRecorder,
-    NullFlightRecorder,
-    ShardFlight,
-)
 from repro.parallel.plan import Shard, ShardPlan, steal_order
 from repro.parallel.pool import (
     WorkerPool,
@@ -68,16 +61,11 @@ __all__ = [
     "DEFAULT_CAMPAIGN_CHUNK",
     "DEFAULT_CLUSTERING_CHUNK",
     "Executor",
-    "FlightRecorder",
-    "NULL_FLIGHT",
-    "NullFlightRecorder",
     "ParallelConfig",
     "PoolExecutor",
     "SHARD_DURATION_METRIC",
-    "STRAGGLER_FACTOR",
     "SerialExecutor",
     "Shard",
-    "ShardFlight",
     "ShardPlan",
     "SharedArray",
     "ShmRegistry",

@@ -24,10 +24,12 @@ the parent merges snapshots back — counters add, histogram observations
 extend, and the worker's span forest is adopted under the stage's fan-out
 span, in shard order.  Nothing is recorded twice: on the pool the parent
 records only the fan-out span and the merge, never the per-shard work the
-workers already accounted for.  When telemetry is captured the parent also
-measures each submission's pickled size (and whether it rode shared
-memory, :mod:`repro.parallel.shm`) into the flight recorder, making
-serialization cost a first-class observable.
+workers already accounted for.  The span tree is the one record of each
+dispatch: a completed attempt's ``<label>.shard`` span carries its
+``attempt``, an adopted worker span also its ``worker``, queue wait and
+submission size (pickled bytes, and whether it rode shared memory,
+:mod:`repro.parallel.shm`), and a pool fan-out's span carries the pool's
+identity.  :class:`repro.obs.flight.FlightView` reads them back.
 
 Both backends are *supervised* when given a
 :class:`~repro.resilience.ResilienceConfig` and/or a
@@ -213,21 +215,23 @@ def _run_in_process(
     telemetry: Telemetry | None,
     label: str,
     attempt: int,
-    worker: str,
     faults: FaultPlan | None,
     shard_timeout_s: float | None,
+    fallback: bool = False,
 ) -> Any:
-    """One in-process shard attempt: trip its fault, run it, record it.
+    """One in-process shard attempt: trip its fault, run it, trace it.
 
-    ``worker`` names the attempt in the flight recorder: ``"serial"`` on
-    the serial backend, ``"fallback"`` when the pool gave up on a shard.
+    The pool's ``fallback`` span carries ``worker="fallback"``; serial
+    spans carry no worker, so Chrome traces keep them on the main row.
+    Only a completed attempt's span gets its ``attempt``.
     """
     obs = ensure_telemetry(telemetry)
     _trip_shard_fault(faults, label, shard.index, attempt, shard_timeout_s)
-    with obs.span(f"{label}.shard", shard=shard.index, n_items=len(shard)) as span:
+    worker = {"worker": "fallback"} if fallback else {}
+    with obs.span(f"{label}.shard", shard=shard.index, n_items=len(shard), **worker) as span:
         value = task(shard, telemetry)
+        span.set(attempt=attempt)
     obs.observe(SHARD_DURATION_METRIC, span.duration_ms)
-    _record_flight(obs, label, shard.index, worker, 0.0, span.duration_s, attempt, span.start_s)
     return value
 
 
@@ -239,6 +243,9 @@ class SerialExecutor:
     """
 
     name = "serial"
+
+    #: No pool serves a serial fan-out.
+    pool_info: dict[str, Any] = {}
 
     def __init__(
         self,
@@ -269,8 +276,7 @@ class SerialExecutor:
         while True:
             try:
                 return _run_in_process(
-                    task, shard, telemetry, label, attempt, "serial",
-                    self.faults, self.shard_timeout_s,
+                    task, shard, telemetry, label, attempt, self.faults, self.shard_timeout_s
                 )
             except Exception as error:  # noqa: BLE001 — classified below
                 if policy is not None and is_retryable(error) and policy.retries_left(attempt):
@@ -299,9 +305,10 @@ class PoolExecutor:
     Supervision is a polling loop over in-flight futures: completed shards
     are harvested in completion order (results re-ordered by shard index
     at the end); a broken pool or a shard past its deadline rebuilds the
-    pool **in place** — its identity and restart count persist in the
-    flight recorder — and re-dispatches the survivors; exhausted shards
-    fall back to in-process execution before quarantine.
+    pool **in place** — its identity and restart count persist — and
+    re-dispatches the survivors; exhausted shards fall back to in-process
+    execution before quarantine.  After a fan-out, :attr:`pool_info`
+    holds the pool's identity plus this stage's ``stage_restarts``.
     """
 
     name = "pool"
@@ -324,6 +331,7 @@ class PoolExecutor:
         self.faults = faults
         self.resilience = resilience
         self.shard_timeout_s = shard_timeout_s
+        self.pool_info: dict[str, Any] = {}
 
     def map_shards(
         self, task: ShardTask, shards: list[Shard], telemetry: Telemetry | None, label: str
@@ -372,8 +380,8 @@ class PoolExecutor:
                     payload = (task_payload[0] + shard_bytes, task_payload[1] or shard_shm)
                 else:
                     payload = (0, False)
-                # Submission wall time feeds the flight recorder's
-                # queue-wait (worker start wall − submit wall).
+                # Submission wall time gives the shard span's queue wait
+                # (worker start wall − submit wall).
                 active[future] = (
                     shard,
                     attempt,
@@ -429,22 +437,10 @@ class PoolExecutor:
                     else:
                         error = WorkerCrashError("worker pool torn down mid-shard")
                     self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
-        if capture and telemetry is not None:
-            # Handle-cumulative ``restarts`` plus this stage's own share.
-            telemetry.flight.set_pool(label, dict(pool.info(), stage_restarts=restarts))
-            for shard in shards:
-                entry = snapshots.get(shard.index)
-                if entry is not None:
-                    snapshot, submit_wall, attempt, payload = entry
-                    _merge_worker_snapshot(
-                        telemetry,
-                        snapshot,
-                        label=label,
-                        shard_index=shard.index,
-                        submit_wall=submit_wall,
-                        attempt=attempt,
-                        payload=payload,
-                    )
+        # Handle-cumulative ``restarts`` plus this stage's own share.
+        self.pool_info = dict(pool.info(), stage_restarts=restarts)
+        for index in sorted(snapshots):  # captured runs only, merged in shard order
+            _merge_worker_snapshot(obs, *snapshots[index])
         return [results[shard.index] for shard in shards]
 
     def _dispose(
@@ -479,8 +475,8 @@ class PoolExecutor:
             attempts += 1
             try:
                 results[shard.index] = _run_in_process(
-                    task, shard, telemetry, label, attempt + 1, "fallback",
-                    self.faults, self.shard_timeout_s,
+                    task, shard, telemetry, label, attempt + 1,
+                    self.faults, self.shard_timeout_s, fallback=True,
                 )
                 return
             except Exception as fallback_error:  # noqa: BLE001 — quarantined below
@@ -528,8 +524,9 @@ def run_sharded(
     """Execute ``task`` over every shard of ``plan``; ordered results.
 
     The fan-out is traced as ``<label>.fanout`` (attributes: backend,
-    workers, shard/item counts) and every shard lands one observation in
-    :data:`SHARD_DURATION_METRIC`, whichever backend ran it.
+    workers, shard/item counts, and on the pool its identity) and every
+    shard lands one observation in :data:`SHARD_DURATION_METRIC`,
+    whichever backend ran it.
 
     ``payloads`` (optional, one per shard) attaches per-shard data — a
     compact RNG seed, typically — as ``shard.payload``, so a stage can
@@ -565,8 +562,9 @@ def run_sharded(
         workers=effective_workers,
         n_shards=len(shards),
         n_items=plan.n_items,
-    ):
+    ) as fanout:
         results = executor.map_shards(task, shards, telemetry, label)
+        fanout.set(**executor.pool_info)
     losses = [result for result in results if isinstance(result, ShardLoss)]
     if losses:
         budget = resilience.budget if resilience is not None else ErrorBudget()
@@ -581,37 +579,7 @@ def run_sharded(
     return results
 
 
-# -- flight recording and worker-side machinery ------------------------------------
-
-
-def _record_flight(
-    obs: Telemetry,
-    label: str,
-    shard_index: int,
-    worker: str,
-    queue_wait_s: float,
-    execute_s: float,
-    attempt: int,
-    started_s: float,
-    payload: tuple[int, bool] = (0, False),
-) -> None:
-    """Log one completed shard with the flight recorder (plus histograms)."""
-    flight = obs.flight
-    if not flight.enabled:
-        return
-    flight.record(
-        label,
-        shard_index,
-        worker,
-        queue_wait_s=queue_wait_s,
-        execute_s=execute_s,
-        attempt=attempt,
-        started_s=started_s,
-        payload_bytes=payload[0],
-        shm=payload[1],
-    )
-    obs.observe("flight.queue_wait_ms", 1000.0 * queue_wait_s)
-    obs.observe("flight.execute_ms", 1000.0 * execute_s)
+# -- worker-side machinery --------------------------------------------------------
 
 
 def _invoke_shard(
@@ -625,8 +593,8 @@ def _invoke_shard(
     """Run one shard in a worker process; optionally capture its telemetry.
 
     The captured snapshot carries a ``worker`` entry (pid, wall-clock span
-    start, execute seconds) so the parent can rebase the worker's spans
-    onto its own timeline and feed the flight recorder.
+    start) so the parent can rebase the worker's spans onto its own
+    timeline and tag them.
     """
     _trip_shard_fault(faults, label, shard.index, attempt, in_worker=True)
     if not capture:
@@ -636,22 +604,16 @@ def _invoke_shard(
         value = task(shard, worker)
     worker.observe(SHARD_DURATION_METRIC, span.duration_ms)
     snapshot = telemetry_to_json(worker, name=f"{label}.shard", include_values=True)
-    snapshot["worker"] = {
-        "pid": os.getpid(),
-        "wall_origin": worker.tracer.wall_origin,
-        "execute_s": span.duration_s,
-    }
+    snapshot["worker"] = {"pid": os.getpid(), "wall_origin": worker.tracer.wall_origin}
     return value, snapshot
 
 
 def _merge_worker_snapshot(
     telemetry: Telemetry,
     snapshot: dict[str, Any],
-    label: str = "parallel",
-    shard_index: int = -1,
-    submit_wall: float | None = None,
-    attempt: int = 0,
-    payload: tuple[int, bool] = (0, False),
+    submit_wall: float,
+    attempt: int,
+    payload: tuple[int, bool],
 ) -> None:
     """Fold one worker's snapshot into the parent bundle.
 
@@ -660,46 +622,31 @@ def _merge_worker_snapshot(
     fan-out span), preserving recorded durations.  Worker spans were
     recorded against the worker tracer's own origin, so they are rebased
     onto the parent timeline first (wall-clock origin delta,
-    :func:`~repro.obs.trace.shift_spans`) and tagged with the worker id.
-    The same wall-clock bookkeeping feeds the flight recorder: queue wait
-    is worker start minus submission, both in parent wall time.
+    :func:`~repro.obs.trace.shift_spans`) and tagged with the worker id,
+    the completed ``attempt``, the submission's ``payload_bytes`` and
+    ``shm`` marker, and ``queue_wait_ms``: worker start minus submission,
+    both in parent wall time.
     """
     if telemetry.metrics.enabled:
         telemetry.metrics.merge_json(snapshot)
+    if not telemetry.tracer.enabled:
+        return
     worker_info = snapshot.get("worker") or {}
-    worker_name = f"pid-{worker_info['pid']}" if "pid" in worker_info else "worker"
     parent_wall = telemetry.tracer.wall_origin
     worker_wall = worker_info.get("wall_origin")
-    if telemetry.tracer.enabled:
-        spans = [Span.from_json(entry) for entry in snapshot.get("spans", ())]
-        if parent_wall is not None and worker_wall is not None:
-            shift_spans(spans, worker_wall - parent_wall)
-        for span in spans:
-            span.attributes.setdefault("worker", worker_name)
-        telemetry.tracer.adopt(spans)
-    execute_s = worker_info.get("execute_s")
-    if execute_s is not None:
-        queue_wait_s = (
-            max(0.0, worker_wall - submit_wall)
-            if submit_wall is not None and worker_wall is not None
-            else 0.0
+    spans = [Span.from_json(entry) for entry in snapshot.get("spans", ())]
+    if parent_wall is not None and worker_wall is not None:
+        shift_spans(spans, worker_wall - parent_wall)
+    queue_wait_s = max(0.0, worker_wall - submit_wall) if worker_wall is not None else 0.0
+    for span in spans:
+        span.set(
+            worker=f"pid-{worker_info['pid']}" if "pid" in worker_info else "worker",
+            attempt=attempt,
+            queue_wait_ms=round(1000.0 * queue_wait_s, 3),
+            payload_bytes=payload[0],
+            shm=payload[1],
         )
-        started_s = (
-            worker_wall - parent_wall
-            if parent_wall is not None and worker_wall is not None
-            else 0.0
-        )
-        _record_flight(
-            telemetry,
-            label,
-            shard_index,
-            worker_name,
-            queue_wait_s,
-            float(execute_s),
-            attempt,
-            started_s,
-            payload=payload,
-        )
+    telemetry.tracer.adopt(spans)
 
 
 def _probe_worker() -> int:

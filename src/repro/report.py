@@ -187,7 +187,7 @@ def _cov(study: Study) -> str:
 @_register("obs", "Telemetry: stage timings, resources, flights, metrics")
 def _obs(study: Study) -> str:
     from repro.obs import (
-        profile_stages,
+        aggregate_stages,
         render_filter_funnel,
         render_metrics_table,
         render_profile,
@@ -204,9 +204,9 @@ def _obs(study: Study) -> str:
         "filter funnel:\n" + render_filter_funnel(study.telemetry.metrics),
         "metrics:\n" + render_metrics_table(study.telemetry.metrics),
     ]
-    if profile_stages(study.telemetry):
+    if any("cpu_ms" in stage for stage in aggregate_stages(study.telemetry).values()):
         blocks.insert(1, "resource profile:\n" + render_profile(study.telemetry))
-    if study.telemetry.flight.enabled and study.telemetry.flight.records:
+    if study.telemetry.flight.records:
         blocks.append("executor flights:\n" + study.telemetry.flight.render())
     return "\n\n".join(blocks)
 

@@ -557,10 +557,10 @@ class TestCompactSnapshot:
 
     def test_flight_summary_included_when_recorded(self):
         from repro.obs import compact_snapshot
-        from repro.parallel.flight import FlightRecorder
 
-        telemetry = Telemetry(flight=FlightRecorder())
-        telemetry.flight.record("x", 0, "w", 0.0, 0.1)
+        telemetry = Telemetry()
+        with telemetry.span("x.shard", shard=0) as span:
+            span.set(attempt=0)
         snapshot = compact_snapshot(telemetry)
         assert snapshot["flight"]["shards"] == 1
         assert "flight" not in compact_snapshot(self._telemetry())

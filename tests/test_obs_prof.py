@@ -1,16 +1,9 @@
-"""Tests for per-stage resource profiling (repro.obs.prof)."""
+"""Tests for per-stage resource profiling (repro.obs.prof) and its rollup."""
 
 import pytest
 
-from repro.obs import Telemetry
-from repro.obs.prof import (
-    StageProfile,
-    StageProfiler,
-    peak_rss_kb,
-    profile_stages,
-    record_throughput_gauges,
-    render_profile,
-)
+from repro.obs import Telemetry, aggregate_stages, render_profile
+from repro.obs.prof import StageProfiler, peak_rss_kb
 from repro.obs.trace import Tracer
 
 
@@ -58,7 +51,6 @@ class TestStageProfiler:
         assert span.attributes["cpu_ms"] == pytest.approx(1500.0)
         assert span.attributes["rss_peak_kb"] == pytest.approx(1512.0)
         assert span.attributes["rss_delta_kb"] == pytest.approx(512.0)
-        assert "py_delta_kb" not in span.attributes  # tracemalloc off by default
 
     def test_nested_spans_each_profiled(self):
         telemetry, wall, cpu, rss = _profiled_telemetry()
@@ -68,24 +60,6 @@ class TestStageProfiler:
                 cpu.advance(0.25)
         assert telemetry.tracer.find("inner").attributes["cpu_ms"] == pytest.approx(250.0)
         assert telemetry.tracer.find("outer").attributes["cpu_ms"] == pytest.approx(1250.0)
-
-    def test_tracemalloc_session_owned_and_closed(self):
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        profiler = StageProfiler(trace_python_alloc=True)
-        try:
-            assert tracemalloc.is_tracing()
-            tracer = Tracer(profiler=profiler)
-            with tracer.span("alloc"):
-                _ = [0] * 50_000
-            attrs = tracer.find("alloc").attributes
-            assert "py_delta_kb" in attrs and "py_peak_kb" in attrs
-            assert attrs["py_peak_kb"] > 0
-        finally:
-            profiler.close()
-        assert not tracemalloc.is_tracing()
-        profiler.close()  # idempotent
 
     def test_peak_rss_positive_on_posix(self):
         assert peak_rss_kb() > 0
@@ -103,41 +77,36 @@ class TestProfileAggregation:
         return telemetry
 
     def test_grouped_by_name_in_recording_order(self):
-        profiles = profile_stages(self._telemetry())
-        assert [p.name for p in profiles] == ["study", "shard"]
-        shard = profiles[1]
-        assert shard.count == 3
-        assert shard.wall_ms == pytest.approx(3000.0)
-        assert shard.cpu_ms == pytest.approx(1500.0)
-        assert shard.n_items == 300
+        stages = aggregate_stages(self._telemetry())
+        assert list(stages) == ["study", "shard"]
+        shard = stages["shard"]
+        assert shard["count"] == 3
+        assert shard["total_ms"] == pytest.approx(3000.0)
+        assert shard["cpu_ms"] == pytest.approx(1500.0)
+        assert shard["rss_peak_kb"] == pytest.approx(1000.0)
+        assert shard["n_items"] == 300
 
     def test_derived_rates(self):
-        profile = StageProfile(
-            name="x", count=1, wall_ms=2000.0, cpu_ms=1000.0, rss_peak_kb=1.0, n_items=500
-        )
-        assert profile.cpu_utilization == pytest.approx(0.5)
-        assert profile.rows_per_s == pytest.approx(250.0)
-        empty = StageProfile(name="y", count=0, wall_ms=0.0, cpu_ms=0.0, rss_peak_kb=0.0, n_items=0)
-        assert empty.cpu_utilization == 0.0 and empty.rows_per_s == 0.0
+        telemetry = self._telemetry()
+        with telemetry.span("instant", n_items=5):  # no wall time on the fake clock
+            pass
+        table = render_profile(telemetry).splitlines()[2:]  # past the header rows
+        rows = {line.split()[0]: line.split() for line in table}
+        # 3 shard spans: 3000 ms wall, 1500 ms CPU, 300 items.
+        assert rows["shard"] == ["shard", "3", "3000.0", "1500.0", "0.50", "1000", "100.0"]
+        # The study span recorded no n_items: utilization shows, throughput doesn't.
+        assert rows["study"][4:] == ["0.50", "1000", "-"]
+        # No wall time: neither rate is defined.
+        assert rows["instant"][4:] == ["0.00", "1000", "-"]
 
     def test_unprofiled_trace_yields_nothing(self):
         telemetry = Telemetry(tracer=Tracer())
-        with telemetry.span("bare"):
+        with telemetry.span("bare", n_items=5):
             pass
-        assert profile_stages(telemetry) == []
+        assert "cpu_ms" not in aggregate_stages(telemetry)["bare"]
         assert "no resource profile" in render_profile(telemetry)
 
     def test_render_profile_table(self):
         text = render_profile(self._telemetry())
         assert "stage" in text and "cpu util" in text and "rows/s" in text
         assert "shard" in text
-
-    def test_record_throughput_gauges(self):
-        telemetry = self._telemetry()
-        record_throughput_gauges(telemetry)
-        gauges = telemetry.metrics.gauges
-        assert gauges["prof.shard.rows_per_s"] == pytest.approx(100.0)
-        assert gauges["prof.shard.cpu_utilization"] == pytest.approx(0.5)
-        assert "prof.study.cpu_utilization" in gauges
-        # The study span recorded no n_items: utilization lands, throughput doesn't.
-        assert "prof.study.rows_per_s" not in gauges

@@ -470,15 +470,11 @@ class TestPoolBackend:
             shutdown_pools()
 
     def test_pool_persists_across_stages(self):
-        from repro.parallel.flight import FlightRecorder
-
         config = ParallelConfig(backend="pool", workers=2)
         try:
             infos = []
             for stage in ("alpha", "beta"):
-                telemetry = Telemetry(
-                    tracer=Tracer(), metrics=MetricsRegistry(), flight=FlightRecorder()
-                )
+                telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
                 run_sharded(
                     _sum_shard,
                     ShardPlan.of(range(12), chunk_size=3),
@@ -509,9 +505,7 @@ class TestPoolBackend:
             shutdown_pools()
 
     def test_payload_bytes_recorded(self):
-        from repro.parallel.flight import FlightRecorder
-
-        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry(), flight=FlightRecorder())
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         config = ParallelConfig(backend="pool", workers=2)
         try:
             run_sharded(
