@@ -5,7 +5,8 @@ Layout of an archive directory::
     manifest.json          version, epoch list, xi list, counts
     inventory_<epoch>.csv  detected offnets: ip, hypergiant, isp_asn
     isps.csv               ASN, name, country, users (estimates)
-    latency.npz            rtt matrix + target ips + vantage coordinates
+    latency.npz            rtt matrix + target ips + vantage coordinates,
+                           stored uncompressed (``np.savez``)
     clusterings.json       per xi: {asn: {"ips": [...], "labels": [...]}}
     ptr.csv                ip, hostname
     results.json           headline metrics (paper-shape numbers)
@@ -15,10 +16,18 @@ Everything round-trips: :func:`load_archive` returns a
 without the generator (see ``tests/test_io.py``), which is exactly how a
 third party would reanalyse a released dataset.
 
+``latency.npz`` is not deflated: the RTT matrix is full-precision
+measurement noise, so deflate spent about a second of a paper-scale
+study to shrink it by about a quarter.  :func:`numpy.load` reads stored
+and deflated members alike, so archives written deflated by earlier
+versions load through the same reader to the same values.
+
 The manifest carries a sha256 digest per data file; :func:`load_archive`
 verifies them before parsing anything, so a truncated or bit-flipped file
 raises :class:`ArchiveCorruptError` up front instead of surfacing as a
-confusing parse error deep in reanalysis code.
+confusing parse error deep in reanalysis code.  The CSVs are parsed by
+position, after checking that each one's first row is the header
+:func:`save_archive` writes.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ from repro.clustering.sites import ClusteringConfig, SiteClustering
 from repro.core.pipeline import Study
 
 _MANIFEST_NAME = "manifest.json"
+_INVENTORY_HEADER = ["ip", "hypergiant", "isp_asn"]
+_ISPS_HEADER = ["asn", "name", "country", "users"]
+_PTR_HEADER = ["ip", "hostname"]
 
 
 class ArchiveCorruptError(RuntimeError):
@@ -130,6 +142,15 @@ def verify_archive(directory: str | Path, manifest: ArchiveManifest | None = Non
             )
 
 
+def _read_csv(path: Path, header: list[str]) -> list[list[str]]:
+    """The data rows of ``path``, once its first row is checked to be ``header``."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        require(first == header, f"unexpected header in {path}: {first} (expected {header})")
+        return list(reader)
+
+
 def save_archive(study: Study, directory: str | Path) -> Path:
     """Write ``study``'s artifacts into ``directory`` (created if needed)."""
     directory = Path(directory)
@@ -139,21 +160,22 @@ def save_archive(study: Study, directory: str | Path) -> Path:
     for epoch, inventory in sorted(study.inventories.items()):
         with open(directory / f"inventory_{epoch}.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["ip", "hypergiant", "isp_asn"])
+            writer.writerow(_INVENTORY_HEADER)
             for detection in inventory.detections:
                 writer.writerow([detection.ip, detection.hypergiant, detection.isp_asn])
 
     # ISP table with population estimates.
     with open(directory / "isps.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["asn", "name", "country", "users"])
+        writer.writerow(_ISPS_HEADER)
         for isp in study.internet.isps:
             writer.writerow(
                 [isp.asn, isp.name, isp.country_code, study.population.users_of(isp.asn)]
             )
 
-    # The latency matrix plus measurement geometry.
-    np.savez_compressed(
+    # The latency matrix plus measurement geometry, stored: deflate costs
+    # far more time than it saves bytes on full-precision noise.
+    np.savez(
         directory / "latency.npz",
         rtt_ms=study.matrix.rtt_ms,
         ips=np.array(study.matrix.ips, dtype=np.int64),
@@ -174,7 +196,7 @@ def save_archive(study: Study, directory: str | Path) -> Path:
     # PTR records.
     with open(directory / "ptr.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["ip", "hostname"])
+        writer.writerow(_PTR_HEADER)
         for ip in sorted(study.ptr.records):
             writer.writerow([ip, study.ptr.records[ip]])
 
@@ -257,18 +279,19 @@ def load_archive(directory: str | Path, verify: bool = True) -> LoadedArchive:
     if verify:
         verify_archive(directory, manifest)
 
-    inventories: dict[str, list[tuple[int, str, int]]] = {}
-    for epoch in manifest.epochs:
-        rows: list[tuple[int, str, int]] = []
-        with open(directory / f"inventory_{epoch}.csv", newline="") as handle:
-            for record in csv.DictReader(handle):
-                rows.append((int(record["ip"]), record["hypergiant"], int(record["isp_asn"])))
-        inventories[epoch] = rows
-
-    isps: dict[int, tuple[str, str, int]] = {}
-    with open(directory / "isps.csv", newline="") as handle:
-        for record in csv.DictReader(handle):
-            isps[int(record["asn"])] = (record["name"], record["country"], int(record["users"]))
+    inventories = {
+        epoch: [
+            (int(ip), hypergiant, int(isp_asn))
+            for ip, hypergiant, isp_asn in _read_csv(
+                directory / f"inventory_{epoch}.csv", _INVENTORY_HEADER
+            )
+        ]
+        for epoch in manifest.epochs
+    }
+    isps = {
+        int(asn): (name, country, int(users))
+        for asn, name, country, users in _read_csv(directory / "isps.csv", _ISPS_HEADER)
+    }
 
     with np.load(directory / "latency.npz", allow_pickle=False) as data:
         rtt_ms = data["rtt_ms"]
@@ -286,10 +309,7 @@ def load_archive(directory: str | Path, verify: bool = True) -> LoadedArchive:
                 config=ClusteringConfig(xi=xi),
             )
 
-    ptr: dict[int, str] = {}
-    with open(directory / "ptr.csv", newline="") as handle:
-        for record in csv.DictReader(handle):
-            ptr[int(record["ip"])] = record["hostname"]
+    ptr = {int(ip): hostname for ip, hostname in _read_csv(directory / "ptr.csv", _PTR_HEADER)}
 
     results = json.loads((directory / "results.json").read_text())
     return LoadedArchive(

@@ -7,7 +7,9 @@ against the same rich artifact.
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.core.pipeline import Study
 from repro.deployment.growth import DeploymentHistory, build_deployment_history
 from repro.deployment.placement import DeploymentState
 from repro.experiments.scenarios import cached_study
+from repro.io.archive import file_sha256
 from repro.topology.generator import Internet, InternetConfig, generate_internet
 
 
@@ -36,6 +39,19 @@ def _require_golden_numpy() -> None:
     if os.environ.get("REPRO_REQUIRE_GOLDEN") == "1":
         pytest.fail(reason + "; REPRO_REQUIRE_GOLDEN=1 forbids skipping")
     pytest.skip(reason)
+
+
+def deflate_latency_npz(directory: Path) -> None:
+    """Rewrite an archive's ``latency.npz`` deflated, as versions before the
+    stored container wrote it, and re-record its digest in the manifest."""
+    npz = directory / "latency.npz"
+    with np.load(npz, allow_pickle=False) as data:
+        members = {name: data[name] for name in data.files}
+    np.savez_compressed(npz, **members)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["digests"]["latency.npz"] = file_sha256(npz)
+    manifest_path.write_text(json.dumps(manifest, indent=2))
 
 
 @pytest.fixture(scope="session")

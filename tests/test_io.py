@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.io.archive import (
     verify_archive,
 )
 
+from tests.conftest import deflate_latency_npz
+
 
 @pytest.fixture(scope="module")
 def archive_dir(small_study, tmp_path_factory):
@@ -26,6 +29,13 @@ def archive_dir(small_study, tmp_path_factory):
 @pytest.fixture(scope="module")
 def loaded(archive_dir):
     return load_archive(archive_dir)
+
+
+@pytest.fixture()
+def copy_dir(archive_dir, tmp_path):
+    destination = tmp_path / "copy"
+    shutil.copytree(archive_dir, destination)
+    return destination
 
 
 class TestRoundTrip:
@@ -95,12 +105,6 @@ class TestThirdPartyReanalysis:
 
 
 class TestIntegrity:
-    @pytest.fixture()
-    def copy_dir(self, archive_dir, tmp_path):
-        destination = tmp_path / "copy"
-        shutil.copytree(archive_dir, destination)
-        return destination
-
     def test_manifest_digests_every_data_file(self, archive_dir, loaded):
         recorded = dict(loaded.manifest.digests)
         data_files = {p.name for p in archive_dir.iterdir() if p.name != "manifest.json"}
@@ -175,3 +179,49 @@ class TestIntegrity:
         manifest_path.write_text(json.dumps(data))
         loaded = load_archive(copy_dir)
         assert loaded.manifest.digests == ()
+
+
+class TestContainer:
+    def test_latency_members_are_stored_uncompressed(self, archive_dir):
+        with zipfile.ZipFile(archive_dir / "latency.npz") as container:
+            members = container.infolist()
+        assert {member.filename for member in members} == {
+            "rtt_ms.npy",
+            "ips.npy",
+            "vp_lat.npy",
+            "vp_lon.npy",
+            "vp_site.npy",
+        }
+        assert all(member.compress_type == zipfile.ZIP_STORED for member in members)
+
+    def test_deflated_archive_loads_to_the_same_values(self, copy_dir, loaded):
+        """Archives released before the stored container load unchanged."""
+        deflate_latency_npz(copy_dir)
+        with zipfile.ZipFile(copy_dir / "latency.npz") as container:
+            assert all(
+                member.compress_type == zipfile.ZIP_DEFLATED for member in container.infolist()
+            )
+        old = load_archive(copy_dir, verify=True)
+        assert old.rtt_ms.dtype == loaded.rtt_ms.dtype
+        assert old.rtt_ms.shape == loaded.rtt_ms.shape
+        assert old.rtt_ms.tobytes() == loaded.rtt_ms.tobytes()
+        assert old.target_ips == loaded.target_ips
+        assert old.inventories == loaded.inventories
+        assert old.isps == loaded.isps
+        assert old.ptr == loaded.ptr
+        assert old.results == loaded.results
+        assert old.clusterings.keys() == loaded.clusterings.keys()
+        for xi, per_isp in loaded.clusterings.items():
+            assert old.clusterings[xi].keys() == per_isp.keys()
+            for asn, clustering in per_isp.items():
+                assert old.clusterings[xi][asn].ips == clustering.ips
+                np.testing.assert_array_equal(old.clusterings[xi][asn].labels, clustering.labels)
+
+    def test_swapped_header_columns_raise_naming_the_file(self, copy_dir, loaded):
+        """The positional parse checks each CSV's header, digests or not."""
+        victim = copy_dir / f"inventory_{loaded.manifest.epochs[-1]}.csv"
+        header, _, body = victim.read_bytes().partition(b"\r\n")
+        assert header == b"ip,hypergiant,isp_asn"
+        victim.write_bytes(b"hypergiant,ip,isp_asn\r\n" + body)
+        with pytest.raises(ValueError, match=victim.name):
+            load_archive(copy_dir, verify=False)

@@ -13,6 +13,9 @@ from repro.parallel import ParallelConfig
 from repro.store import StudyStore, config_fingerprint, study_key
 from repro.topology.generator import InternetConfig
 
+from tests.conftest import deflate_latency_npz
+from tests.test_parallel_equivalence import _content_digest
+
 pytestmark = pytest.mark.store
 
 
@@ -110,6 +113,19 @@ class TestStoreRoundTrip:
     def test_different_config_misses(self, store, tiny_study):
         store.put(tiny_study)
         assert store.get(_tiny_config(seed=4)) is None
+
+    def test_entry_with_deflated_latency_is_a_hit(self, store, tiny_study, tmp_path):
+        """Entries written while ``latency.npz`` was deflated still verify
+        and hit, and rehydrate to what a cold run exports."""
+        key = store.put(tiny_study)
+        deflate_latency_npz(store.entry_path(key))
+        rehydrated = store.get(_tiny_config())
+        assert rehydrated is not None
+        assert store.metrics.counter("store.hits") == 1
+        assert store.metrics.counter("store.corruptions") == 0
+        save_archive(tiny_study, tmp_path / "cold")
+        save_archive(rehydrated, tmp_path / "warm")
+        assert _content_digest(tmp_path / "warm") == _content_digest(tmp_path / "cold")
 
 
 class TestCorruption:
