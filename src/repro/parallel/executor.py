@@ -74,7 +74,7 @@ from repro.faults import (
     WorkerCrashError,
     raise_injected,
 )
-from repro.obs import MetricsRegistry, Telemetry, ensure_telemetry
+from repro.obs import MetricsRegistry, StageProfiler, Telemetry, ensure_telemetry
 from repro.obs.export import telemetry_to_json
 from repro.obs.logging import NULL_LOGGER
 from repro.obs.trace import Span, Tracer, shift_spans
@@ -337,6 +337,9 @@ class PoolExecutor:
         self, task: ShardTask, shards: list[Shard], telemetry: Telemetry | None, label: str
     ) -> list[Any]:
         capture = telemetry is not None and telemetry.enabled
+        # CPU time and peak RSS are per-process readings: a profiled parent
+        # has each worker profile its own shard spans.
+        profile = capture and telemetry.tracer.profiler is not None
         obs = ensure_telemetry(telemetry)
         # Backstop for SIGKILLed predecessors: reap shared-memory segments
         # whose creating process is gone before exporting our own.
@@ -360,7 +363,7 @@ class PoolExecutor:
                 shard, attempt = queue.popleft()
                 try:
                     future = pool.submit(
-                        _invoke_shard, task, shard, label, capture, self.faults, attempt
+                        _invoke_shard, task, shard, label, capture, self.faults, attempt, profile
                     )
                 except BrokenProcessPool:
                     # A worker died after the last harvest.  This shard
@@ -589,17 +592,20 @@ def _invoke_shard(
     capture: bool,
     faults: FaultPlan | None = None,
     attempt: int = 0,
+    profile: bool = False,
 ) -> tuple[Any, dict[str, Any] | None]:
     """Run one shard in a worker process; optionally capture its telemetry.
 
     The captured snapshot carries a ``worker`` entry (pid, wall-clock span
     start) so the parent can rebase the worker's spans onto its own
-    timeline and tag them.
+    timeline and tag them.  With ``profile`` the worker's spans also carry
+    the worker's own ``cpu_ms`` and ``rss_peak_kb``.
     """
     _trip_shard_fault(faults, label, shard.index, attempt, in_worker=True)
     if not capture:
         return task(shard, None), None
-    worker = Telemetry(tracer=Tracer(), metrics=MetricsRegistry(), logger=NULL_LOGGER)
+    tracer = Tracer(profiler=StageProfiler() if profile else None)
+    worker = Telemetry(tracer=tracer, metrics=MetricsRegistry(), logger=NULL_LOGGER)
     with worker.span(f"{label}.shard", shard=shard.index, n_items=len(shard)) as span:
         value = task(shard, worker)
     worker.observe(SHARD_DURATION_METRIC, span.duration_ms)
