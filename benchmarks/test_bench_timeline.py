@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro._util import format_table
+from repro.parallel import usable_cpu_count
 from repro.store import StageStore
 from repro.timeline import (
     TimelineConfig,
@@ -95,6 +96,7 @@ def fresh_timeline_snapshot() -> dict:
     return {
         "bench": "timeline-incremental",
         "format": "repro-bench-v1",
+        "cpu_count": usable_cpu_count(),
         "n_quarters": len(quarters),
         "identical_rows": identical,
         "target_incremental_speedup": TARGET_SPEEDUP,

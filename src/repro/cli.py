@@ -244,9 +244,8 @@ def _load_study(name: str, telemetry=None, parallel=None, store=None, faults=Non
 def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
     """Print / write the recorded telemetry as the flags request.
 
-    Also undoes ``Telemetry.capture``'s process-global effects (restores
-    the shared-logger config, closes the event stream) — the CLI's runs
-    are over by the time this is called.
+    Also closes the bundle's event stream (``Telemetry.restore``) — the
+    CLI's runs are over by the time this is called.
     """
     if telemetry is None:
         return
@@ -524,21 +523,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         edition=args.edition,
         seed=args.seed,
     )
-    base = scenario_by_name(args.scenario).config
-    parallel = _parallel_from_args(args)
-    config = TimelineConfig(
-        internet=base.internet,
-        placement=base.placement,
-        scan=base.scan,
-        campaign=base.campaign,
-        spec=spec,
-        n_vantage_points=base.n_vantage_points,
-        xis=base.xis,
-        population_noise_sigma=base.population_noise_sigma,
-        parallel=parallel if parallel is not None else base.parallel,
+    config = TimelineConfig.from_study(
+        scenario_by_name(args.scenario).config,
+        spec,
+        parallel=_parallel_from_args(args),
         faults=_faults_from_args(args),
         resilience=_resilience_from_args(args),
-        seed=base.seed,
     )
     store = None
     if args.store_dir is not None:

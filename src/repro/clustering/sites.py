@@ -16,7 +16,6 @@ settings pays for them once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +76,8 @@ class ClusteringMemo:
         if cached is not None:
             obs.count("cluster.distance_matrices_reused")
             return cached
-        timing = obs.metrics.enabled
-        started = time.perf_counter() if timing else 0.0
-        matrix = pairwise_trimmed_manhattan(columns, trim_fraction)
-        if timing:
-            obs.observe("cluster.distance_ms", 1000.0 * (time.perf_counter() - started))
+        with obs.span("cluster.distance"):
+            matrix = pairwise_trimmed_manhattan(columns, trim_fraction)
         obs.count("cluster.distance_matrices_computed")
         self._distances[cache_key] = matrix
         return matrix
@@ -101,11 +97,8 @@ class ClusteringMemo:
         if cached is not None:
             obs.count("cluster.optics_reused")
             return cached
-        timing = obs.metrics.enabled
-        started = time.perf_counter() if timing else 0.0
-        result = optics_order(distances, min_pts, telemetry=telemetry)
-        if timing:
-            obs.observe("cluster.optics_ms", 1000.0 * (time.perf_counter() - started))
+        with obs.span("cluster.optics"):
+            result = optics_order(distances, min_pts, telemetry=telemetry)
         self._optics[cache_key] = result
         return result
 
@@ -202,17 +195,14 @@ def cluster_isp_offnets(
         memo, memo_key = ClusteringMemo(), "unshared"
     distances = memo.distances(memo_key, columns, config.trim_fraction, telemetry=telemetry)
     result = memo.optics(memo_key, distances, config.trim_fraction, config.min_pts, telemetry=telemetry)
-    timing = obs.metrics.enabled
-    started = time.perf_counter() if timing else 0.0
-    clusters = extract_xi_clusters(result.reachability, config.xi, config.min_pts)
-    clusters = split_clusters_on_spikes(
-        result.reachability, clusters, config.spike_factor, config.min_pts
-    )
-    position_labels = xi_labels(n, clusters)
-    labels = np.full(n, -1, dtype=int)
-    labels[result.ordering] = position_labels
-    if timing:
-        obs.observe("cluster.xi_extract_ms", 1000.0 * (time.perf_counter() - started))
+    with obs.span("cluster.xi"):
+        clusters = extract_xi_clusters(result.reachability, config.xi, config.min_pts)
+        clusters = split_clusters_on_spikes(
+            result.reachability, clusters, config.spike_factor, config.min_pts
+        )
+        position_labels = xi_labels(n, clusters)
+        labels = np.full(n, -1, dtype=int)
+        labels[result.ordering] = position_labels
     clustering = SiteClustering(ips=list(ips), labels=labels, config=config)
     obs.count("cluster.clusters_found", len(clustering.clusters))
     obs.count("cluster.noise_ips", len(clustering.noise_ips))

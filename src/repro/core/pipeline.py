@@ -230,8 +230,8 @@ def _cluster_shard(
     identical fancy-indexing, identical bytes.
 
     OPTICS draws no randomness, so shard placement cannot affect labels;
-    per-ISP spans and timings are recorded here so the serial and pool
-    backends produce the same telemetry shape.
+    per-ISP spans are recorded here so the serial and pool backends
+    produce the same telemetry shape.
 
     Each shard carries its own :class:`ClusteringMemo`: the pair list is
     ISP-major, so an ISP's xi settings land in the same shard (whenever the
@@ -245,11 +245,10 @@ def _cluster_shard(
     results: list[tuple[float, int, SiteClustering]] = []
     for clustering_config, asn, ips, column_indices in shard.items:
         columns = rtt[:, column_indices]
-        with obs.span("cluster.isp", asn=asn, xi=clustering_config.xi, n_ips=len(ips)) as isp_span:
+        with obs.span("cluster.isp", asn=asn, xi=clustering_config.xi, n_ips=len(ips)):
             clustering = cluster_isp_offnets(
                 columns, list(ips), clustering_config, telemetry=telemetry, memo=memo, memo_key=asn
             )
-        obs.observe("cluster.isp_duration_ms", isp_span.duration_ms)
         results.append((clustering_config.xi, asn, clustering))
     return results
 
@@ -262,7 +261,7 @@ def run_study(
     """Run the full pipeline; deterministic given ``config.seed``.
 
     ``telemetry`` (optional) records a span per stage, the filter-attrition
-    funnel, and per-ISP clustering timings.  Instrumentation never touches
+    funnel, and a span per ISP clustering.  Instrumentation never touches
     the RNG streams, so traced and untraced runs produce identical
     artifacts; without ``telemetry`` every recording call is a no-op.
 

@@ -48,8 +48,12 @@ class CellKind(Protocol):
     :meth:`open` opens its store inside the worker.
     """
 
-    def open(self) -> Any | None:
-        """The store the cells checkpoint into, or ``None`` for none."""
+    def open(self, telemetry: Telemetry | None) -> Any | None:
+        """The store the cells checkpoint into, or ``None`` for none.
+
+        The store counts its hits and misses into ``telemetry``'s
+        registry, the cell's own (a pool worker's merges back).
+        """
 
     def lookup(self, store: Any, cell: Any, telemetry: Telemetry | None) -> Any | None:
         """The cell's stored artifact, or ``None`` on a miss."""
@@ -112,7 +116,7 @@ def _run_cell(
     """Lookup, compute on a miss, checkpoint; only then the row and the hook."""
     obs = ensure_telemetry(telemetry)
     (cell,) = shard.items
-    store = kind.open()
+    store = kind.open(telemetry)
     with obs.span(f"{label}.cell") as span:
         artifact = kind.lookup(store, cell, telemetry) if store is not None else None
         from_store = artifact is not None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.pipeline import Study, StudyConfig, run_study
 from repro.faults import FaultPlan
-from repro.obs import Telemetry, get_logger, global_metrics
+from repro.obs import Telemetry
 from repro.resilience import ResilienceConfig
 from repro.parallel import ParallelConfig
 from repro.scan.evasion import EvasionConfig
@@ -149,22 +149,12 @@ def cached_study(scenario: str | StudyScenario, store: StudyStore | None = None)
     :class:`~repro.store.StudyStore` consulted on memory misses and
     warmed after fresh runs, so a new process pays only the (cheap)
     rehydration cost instead of the full pipeline.
-
-    Hits and misses are accounted on the process-wide metrics registry
-    (``scenarios.cache_hits`` / ``scenarios.cache_misses``) and logged
-    through :func:`repro.obs.get_logger` (visible once logging is
-    configured below the default WARNING threshold).
     """
     if isinstance(scenario, str):
         scenario = scenario_by_name(scenario)
-    log = get_logger("repro.scenarios")
     key = config_fingerprint(scenario.config)
     if key in _STUDY_CACHE:
-        global_metrics().count("scenarios.cache_hits")
-        log.info("scenario cache hit", scenario=scenario.name)
         return _STUDY_CACHE[key]
-    global_metrics().count("scenarios.cache_misses")
-    log.info("scenario cache miss", scenario=scenario.name)
     study = store.get(scenario.config) if store is not None else None
     if study is None:
         study = scenario.run()

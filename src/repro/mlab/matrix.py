@@ -12,7 +12,6 @@ ISP's offnets).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -422,48 +421,43 @@ def apply_quality_filters(
 
     With ``telemetry``, records the full attrition funnel
     (``filters.ips_considered`` → ``filters.ips_analyzable``; see
-    :data:`repro.obs.FUNNEL_COUNTERS`) plus ``filters.*_ms`` stage timings.
+    :data:`repro.obs.FUNNEL_COUNTERS`) plus one span per filter step
+    (``filters.floor_matrix``, ``filters.plausibility``,
+    ``filters.coverage``).
     """
     config = config or LatencyCampaignConfig()
     obs = ensure_telemetry(telemetry)
-    timing = obs.metrics.enabled
-    started = time.perf_counter() if timing else 0.0
-    floor = vp_pair_floor_matrix(matrix.vps, telemetry=telemetry)
-    if timing:
-        obs.observe("filters.floor_matrix_ms", 1000.0 * (time.perf_counter() - started))
+    with obs.span("filters.floor_matrix"):
+        floor = vp_pair_floor_matrix(matrix.vps, telemetry=telemetry)
 
-    started = time.perf_counter() if timing else 0.0
-    valid = ~np.isnan(matrix.rtt_ms)
-    n_valid = valid.sum(axis=0)
-    unresponsive_mask = n_valid == 0
-    implausible_mask = _implausible_mask(
-        matrix.rtt_ms, valid, n_valid, floor, config.plausibility_slack_ms
-    )
-    kept_mask = ~unresponsive_mask & ~implausible_mask
-    unresponsive = [ip for ip, flag in zip(matrix.ips, unresponsive_mask) if flag]
-    implausible = [ip for ip, flag in zip(matrix.ips, implausible_mask) if flag]
-    kept = [ip for ip, flag in zip(matrix.ips, kept_mask) if flag]
-    if timing:
-        obs.observe("filters.plausibility_ms", 1000.0 * (time.perf_counter() - started))
+    with obs.span("filters.plausibility"):
+        valid = ~np.isnan(matrix.rtt_ms)
+        n_valid = valid.sum(axis=0)
+        unresponsive_mask = n_valid == 0
+        implausible_mask = _implausible_mask(
+            matrix.rtt_ms, valid, n_valid, floor, config.plausibility_slack_ms
+        )
+        kept_mask = ~unresponsive_mask & ~implausible_mask
+        unresponsive = [ip for ip, flag in zip(matrix.ips, unresponsive_mask) if flag]
+        implausible = [ip for ip, flag in zip(matrix.ips, implausible_mask) if flag]
+        kept = [ip for ip, flag in zip(matrix.ips, kept_mask) if flag]
 
     # Per-ISP coverage: vantage points with successful measurements to ALL
     # of the ISP's kept offnet IPs.
-    started = time.perf_counter() if timing else 0.0
-    by_isp: dict[int, list[int]] = {}
-    columns_by_isp: dict[int, list[int]] = {}
-    for column, ip in zip(np.flatnonzero(kept_mask), kept):
-        by_isp.setdefault(ip_to_isp[ip], []).append(ip)
-        columns_by_isp.setdefault(ip_to_isp[ip], []).append(int(column))
-    ips_by_isp: dict[int, list[int]] = {}
-    discarded: list[int] = []
-    for asn in sorted(by_isp):
-        fully_successful_vps = int(valid[:, columns_by_isp[asn]].all(axis=1).sum())
-        if fully_successful_vps >= config.min_vps_per_isp:
-            ips_by_isp[asn] = sorted(by_isp[asn])
-        else:
-            discarded.append(asn)
-    if timing:
-        obs.observe("filters.coverage_ms", 1000.0 * (time.perf_counter() - started))
+    with obs.span("filters.coverage"):
+        by_isp: dict[int, list[int]] = {}
+        columns_by_isp: dict[int, list[int]] = {}
+        for column, ip in zip(np.flatnonzero(kept_mask), kept):
+            by_isp.setdefault(ip_to_isp[ip], []).append(ip)
+            columns_by_isp.setdefault(ip_to_isp[ip], []).append(int(column))
+        ips_by_isp: dict[int, list[int]] = {}
+        discarded: list[int] = []
+        for asn in sorted(by_isp):
+            fully_successful_vps = int(valid[:, columns_by_isp[asn]].all(axis=1).sum())
+            if fully_successful_vps >= config.min_vps_per_isp:
+                ips_by_isp[asn] = sorted(by_isp[asn])
+            else:
+                discarded.append(asn)
 
     n_analyzable_ips = sum(len(ips) for ips in ips_by_isp.values())
     obs.count("filters.ips_considered", len(matrix.ips))

@@ -12,8 +12,8 @@ The subsystem's pieces:
 * :mod:`repro.obs.stream` — the live JSONL event stream
   (:class:`EventStream`): stage transitions, progress with ETA,
   heartbeats; ``repro tail`` renders it.
-* :mod:`repro.obs.logging` — :func:`get_logger`, the repo's single
-  structured-logging entry point (text or JSON lines).
+* :mod:`repro.obs.logging` — :class:`StructuredLogger` (text or JSON
+  lines); components log through their bundle's logger.
 * :mod:`repro.obs.export` — full and compact JSON snapshots in the
   ``BENCH_*.json`` trajectory format, Chrome trace-event export, and
   aligned-text renderings (stage tree, metrics table, filter funnel,
@@ -29,7 +29,10 @@ Instrumented pipeline functions accept ``telemetry: Telemetry | None``;
 ``None`` (the default) means the shared :data:`NULL_TELEMETRY` bundle, so
 uninstrumented callers pay one attribute lookup per stage and nothing per
 inner-loop element.  Recording never draws randomness: a traced, profiled,
-or streamed run's artifacts are byte-identical to an untraced one.
+or streamed run's artifacts are byte-identical to an untraced one.  There
+is no process-global sink: every span, counter and log line lands in the
+bundle the caller handed in (stores included, see
+:class:`repro.store.objects.ObjectStore`).
 """
 
 from repro.obs.export import (
@@ -57,19 +60,8 @@ from repro.obs.logging import (
     WARNING,
     NullLogger,
     StructuredLogger,
-    configure_logging,
-    get_logger,
-    logging_config,
-    restore_logging,
 )
-from repro.obs.metrics import (
-    GLOBAL_METRICS,
-    HistogramSummary,
-    MetricsRegistry,
-    NullMetrics,
-    global_metrics,
-    summarize,
-)
+from repro.obs.metrics import HistogramSummary, MetricsRegistry, NullMetrics, summarize
 from repro.obs.prof import StageProfiler, peak_rss_kb
 from repro.obs.stream import (
     NULL_STREAM,
@@ -95,7 +87,6 @@ __all__ = [
     "EventStream",
     "FUNNEL_COUNTERS",
     "FlightView",
-    "GLOBAL_METRICS",
     "HistogramSummary",
     "INFO",
     "MetricsRegistry",
@@ -117,14 +108,10 @@ __all__ = [
     "aggregate_stages",
     "chrome_trace_json",
     "compact_snapshot",
-    "configure_logging",
     "ensure_telemetry",
     "follow_events",
     "format_event",
-    "get_logger",
-    "global_metrics",
     "latest_progress",
-    "logging_config",
     "peak_rss_kb",
     "read_events",
     "render_filter_funnel",
@@ -133,7 +120,6 @@ __all__ = [
     "render_progress",
     "render_span_tree",
     "resolve_events_path",
-    "restore_logging",
     "shift_spans",
     "summarize",
     "telemetry_from_json",

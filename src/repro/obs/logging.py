@@ -1,16 +1,18 @@
-"""Structured logging: the repo's single logging entry point.
+"""Structured logging: text or JSON lines with fields.
 
-Every component that wants to log obtains a logger via :func:`get_logger`
-and emits *events with fields*::
+A :class:`StructuredLogger` emits *events with fields*; components log
+through the logger of the telemetry bundle they were handed::
 
-    log = get_logger("repro.traceroute")
-    log.debug("unroutable destination", ip=ip, source_asn=source.asn)
+    obs = ensure_telemetry(telemetry)
+    obs.logger.debug("unroutable destination", ip=ip, source_asn=source.asn)
 
 Two render modes: human-readable text lines and JSON lines (one object per
 line, machine-parseable).  Log lines carry no timestamps, so captured
 streams are deterministic and diffable across runs.  The default level is
-WARNING — library internals stay silent unless the caller (e.g. the CLI's
-``--trace`` / ``--log-json`` flags) opts in via :func:`configure_logging`.
+WARNING; the disabled bundle's :data:`NULL_LOGGER` drops everything, and
+the CLI's ``--trace`` / ``--log-json`` flags build a live one
+(:meth:`repro.obs.Telemetry.capture`).  There is no process-global
+logger state.
 """
 
 from __future__ import annotations
@@ -97,56 +99,3 @@ class NullLogger(StructuredLogger):
 
 
 NULL_LOGGER = NullLogger()
-
-_LOGGERS: dict[str, StructuredLogger] = {}
-_DEFAULTS = {"level": WARNING, "json_mode": False, "stream": None}
-
-
-def get_logger(name: str = "repro") -> StructuredLogger:
-    """The shared logger for ``name`` (created on first use)."""
-    if name not in _LOGGERS:
-        _LOGGERS[name] = StructuredLogger(name, **_DEFAULTS)  # type: ignore[arg-type]
-    return _LOGGERS[name]
-
-
-def configure_logging(
-    level: int | str | None = None,
-    json_mode: bool | None = None,
-    stream: TextIO | None = None,
-) -> dict:
-    """Reconfigure all shared loggers (existing and future).
-
-    Only the arguments given change; the rest keep their current defaults.
-    Returns the configuration in force *before* the call, suitable for
-    :func:`restore_logging` — callers that flip the process-global config
-    (``Telemetry.capture``) can hand the state back when they are done.
-    """
-    previous = logging_config()
-    if level is not None:
-        _DEFAULTS["level"] = level_from_name(level)
-    if json_mode is not None:
-        _DEFAULTS["json_mode"] = json_mode
-    if stream is not None:
-        _DEFAULTS["stream"] = stream
-    for logger in _LOGGERS.values():
-        logger.level = _DEFAULTS["level"]  # type: ignore[assignment]
-        logger.json_mode = _DEFAULTS["json_mode"]  # type: ignore[assignment]
-        logger.stream = _DEFAULTS["stream"]  # type: ignore[assignment]
-    return previous
-
-
-def logging_config() -> dict:
-    """A snapshot of the current shared-logger configuration."""
-    return dict(_DEFAULTS)
-
-
-def restore_logging(snapshot: dict) -> None:
-    """Restore a configuration captured by :func:`logging_config` (or
-    returned by :func:`configure_logging`), including ``stream=None``
-    ("emit-time ``sys.stderr``"), which :func:`configure_logging` alone
-    cannot set back."""
-    _DEFAULTS.update(snapshot)
-    for logger in _LOGGERS.values():
-        logger.level = _DEFAULTS["level"]  # type: ignore[assignment]
-        logger.json_mode = _DEFAULTS["json_mode"]  # type: ignore[assignment]
-        logger.stream = _DEFAULTS["stream"]  # type: ignore[assignment]

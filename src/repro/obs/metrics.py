@@ -198,12 +198,3 @@ class NullMetrics:
 
 
 NULL_METRICS = NullMetrics()
-
-#: Library-wide registry for process-level counters (e.g. the scenario
-#: cache's hit/miss accounting) that exist outside any one study run.
-GLOBAL_METRICS = MetricsRegistry()
-
-
-def global_metrics() -> MetricsRegistry:
-    """The process-wide registry shared by library-level components."""
-    return GLOBAL_METRICS

@@ -10,13 +10,13 @@ and no RNG interaction — the zero-cost default.  The executor flight
 view (:attr:`Telemetry.flight`) reads the tracer's span tree; it records
 nothing of its own.
 
-:meth:`Telemetry.capture` flips the process-global shared-logger
-configuration; the bundle remembers what it displaced and is a context
-manager, so the polite form is::
+:meth:`Telemetry.capture` builds a live bundle and touches no
+process-global state.  The bundle is a context manager that closes its
+event stream on exit::
 
     with Telemetry.capture(log_level="debug") as telemetry:
         run_study(config, telemetry=telemetry)
-    # shared loggers restored, stream closed
+    # stream closed (``stream_end`` written)
 
 Callers that keep the bundle open (the CLI does, to render reports after
 the run) can call :meth:`Telemetry.restore` explicitly instead.
@@ -28,14 +28,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from repro.obs.flight import FlightView
-from repro.obs.logging import (
-    INFO,
-    NULL_LOGGER,
-    StructuredLogger,
-    configure_logging,
-    level_from_name,
-    restore_logging,
-)
+from repro.obs.logging import INFO, NULL_LOGGER, StructuredLogger, level_from_name
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.prof import StageProfiler
 from repro.obs.stream import NULL_STREAM, EventStream, NullEventStream
@@ -45,7 +38,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 class Telemetry:
     """One study run's tracer + metrics + logger + stream."""
 
-    __slots__ = ("tracer", "metrics", "logger", "stream", "_prior_logging")
+    __slots__ = ("tracer", "metrics", "logger", "stream")
 
     def __init__(
         self,
@@ -58,7 +51,6 @@ class Telemetry:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.logger = logger if logger is not None else NULL_LOGGER
         self.stream = stream if stream is not None else NULL_STREAM
-        self._prior_logging: dict | None = None
 
     @property
     def flight(self) -> FlightView:
@@ -86,20 +78,15 @@ class Telemetry:
     ) -> "Telemetry":
         """A live bundle: real tracer, real registry, stderr logger.
 
-        ``profile=True`` attaches a :class:`~repro.obs.prof.StageProfiler`
-        so every span also records CPU time and peak RSS.
-        ``events`` (a path or an open :class:`EventStream`) attaches a live
-        JSONL event stream fed by stage transitions and executor progress.
-
-        Also flips the shared :func:`repro.obs.logging.get_logger` loggers
-        to the requested level/mode so library-level components (scenario
-        cache, traceroute engine) log consistently with the run; the
-        displaced configuration is remembered, and :meth:`restore` (or
-        exiting the bundle's ``with`` block) puts it back.  ``stream``
-        only redirects this bundle's own logger; shared loggers keep
-        writing to the process stderr.
+        The logger writes at ``log_level`` (text, or JSON lines with
+        ``json_logs``) to ``stream``, or to the process stderr when
+        ``stream`` is ``None``; every component handed the bundle logs
+        through it.  ``profile=True`` attaches a
+        :class:`~repro.obs.prof.StageProfiler` so every span also records
+        CPU time and peak RSS.  ``events`` (a path or an open
+        :class:`EventStream`) attaches a live JSONL event stream fed by
+        stage transitions and executor progress.
         """
-        prior = configure_logging(level=log_level, json_mode=json_logs)
         logger = StructuredLogger(
             "repro.study", level=level_from_name(log_level), json_mode=json_logs, stream=stream
         )
@@ -110,7 +97,7 @@ class Telemetry:
             event_stream = EventStream(events)
         else:
             event_stream = events
-        telemetry = cls(
+        return cls(
             tracer=Tracer(
                 profiler=profiler,
                 stream=event_stream if event_stream.enabled else None,
@@ -119,18 +106,9 @@ class Telemetry:
             logger=logger,
             stream=event_stream,
         )
-        telemetry._prior_logging = prior
-        return telemetry
 
     def restore(self) -> None:
-        """Undo :meth:`capture`'s process-global effects (idempotent).
-
-        Puts the shared-logger configuration back to what ``capture``
-        displaced and closes the event stream (emitting ``stream_end``).
-        """
-        if self._prior_logging is not None:
-            restore_logging(self._prior_logging)
-            self._prior_logging = None
+        """Close the event stream, emitting ``stream_end`` once (idempotent)."""
         self.stream.close()
 
     def __enter__(self) -> "Telemetry":

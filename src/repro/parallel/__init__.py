@@ -29,7 +29,6 @@ from repro.parallel.executor import (
     BACKENDS,
     DEFAULT_CAMPAIGN_CHUNK,
     DEFAULT_CLUSTERING_CHUNK,
-    SHARD_DURATION_METRIC,
     Executor,
     ParallelConfig,
     PoolExecutor,
@@ -63,7 +62,6 @@ __all__ = [
     "Executor",
     "ParallelConfig",
     "PoolExecutor",
-    "SHARD_DURATION_METRIC",
     "SerialExecutor",
     "Shard",
     "ShardPlan",

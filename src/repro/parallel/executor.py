@@ -95,9 +95,6 @@ from repro.parallel.shm import measure_payload, sweep_orphan_segments
 #: Recognised backend names, in preference order.
 BACKENDS = ("serial", "pool")
 
-#: Shard-duration histogram shared by every sharded stage.
-SHARD_DURATION_METRIC = "parallel.shard_duration_ms"
-
 #: Default work units per shard for the latency campaign (offnet IPs).
 DEFAULT_CAMPAIGN_CHUNK = 64
 
@@ -231,7 +228,6 @@ def _run_in_process(
     with obs.span(f"{label}.shard", shard=shard.index, n_items=len(shard), **worker) as span:
         value = task(shard, telemetry)
         span.set(attempt=attempt)
-    obs.observe(SHARD_DURATION_METRIC, span.duration_ms)
     return value
 
 
@@ -528,8 +524,8 @@ def run_sharded(
 
     The fan-out is traced as ``<label>.fanout`` (attributes: backend,
     workers, shard/item counts, and on the pool its identity) and every
-    shard lands one observation in :data:`SHARD_DURATION_METRIC`,
-    whichever backend ran it.
+    completed shard as one ``<label>.shard`` span, whichever backend ran
+    it.
 
     ``payloads`` (optional, one per shard) attaches per-shard data — a
     compact RNG seed, typically — as ``shard.payload``, so a stage can
@@ -606,9 +602,8 @@ def _invoke_shard(
         return task(shard, None), None
     tracer = Tracer(profiler=StageProfiler() if profile else None)
     worker = Telemetry(tracer=tracer, metrics=MetricsRegistry(), logger=NULL_LOGGER)
-    with worker.span(f"{label}.shard", shard=shard.index, n_items=len(shard)) as span:
+    with worker.span(f"{label}.shard", shard=shard.index, n_items=len(shard)):
         value = task(shard, worker)
-    worker.observe(SHARD_DURATION_METRIC, span.duration_ms)
     snapshot = telemetry_to_json(worker, name=f"{label}.shard", include_values=True)
     snapshot["worker"] = {"pid": os.getpid(), "wall_origin": worker.tracer.wall_origin}
     return value, snapshot

@@ -220,9 +220,8 @@ class ReproServer:
     Binds immediately on construction (``port=0`` picks a free port —
     the resolved address lands in ``<state_dir>/endpoint.json`` so
     clients and tests can find it); :meth:`start` begins serving,
-    :meth:`shutdown` drains gracefully.  The telemetry stack is built
-    plainly (no process-global logging capture) so multiple servers can
-    coexist in one test process.
+    :meth:`shutdown` drains gracefully.  Each server builds its own
+    telemetry stack, so multiple servers can coexist in one test process.
     """
 
     def __init__(self, config: ServeConfig, host: str = "127.0.0.1", port: int = 0) -> None:

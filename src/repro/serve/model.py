@@ -173,9 +173,10 @@ def build_grid(normalized: dict[str, Any]):
 def build_timeline_config(normalized: dict[str, Any], parallel=None):
     """The (config, max_epochs) a timeline campaign runs.
 
-    Built the same way ``repro timeline`` builds its config: scenario
-    base fields, a :class:`~repro.timeline.TimelineSpec` from the
-    ``timeline`` object, then dotted-path ``overrides`` applied to the
+    Built the same way ``repro timeline`` builds its config
+    (:meth:`~repro.timeline.TimelineConfig.from_study` over the scenario's
+    study config and a :class:`~repro.timeline.TimelineSpec` from the
+    ``timeline`` object), then dotted-path ``overrides`` applied to the
     assembled :class:`~repro.timeline.TimelineConfig`.  ``parallel`` is
     the server's executor config — execution-only, never part of the
     campaign id.
@@ -190,21 +191,12 @@ def build_timeline_config(normalized: dict[str, Any], parallel=None):
     require(isinstance(timeline_fields, dict), "timeline must be a JSON object of TimelineSpec fields")
     unknown = set(timeline_fields) - set(_TIMELINE_SPEC_FIELDS)
     require(not unknown, f"unknown timeline fields: {sorted(unknown)}")
-    tspec = TimelineSpec(**timeline_fields)
-    base = _scenario_config(spec.get("scenario", "small"))
-    config = TimelineConfig(
-        internet=base.internet,
-        placement=base.placement,
-        scan=base.scan,
-        campaign=base.campaign,
-        spec=tspec,
-        n_vantage_points=base.n_vantage_points,
-        xis=base.xis,
-        population_noise_sigma=base.population_noise_sigma,
-        parallel=parallel if parallel is not None else base.parallel,
+    config = TimelineConfig.from_study(
+        _scenario_config(spec.get("scenario", "small")),
+        TimelineSpec(**timeline_fields),
+        parallel=parallel,
         faults=build_faults(normalized),
         resilience=build_resilience(normalized),
-        seed=base.seed,
     )
     overrides = spec.get("overrides") or {}
     require(isinstance(overrides, dict), "overrides must be a JSON object of dotted paths")

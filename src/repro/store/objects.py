@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs import MetricsRegistry, global_metrics
+from repro.obs import MetricsRegistry, NullMetrics
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,17 @@ class ObjectStore:
 
     Subclasses are codecs: they choose what an entry holds (:attr:`suffix`),
     how it is written and verified, and where gc events are counted
-    (:meth:`_count_gc`).  ``metrics`` defaults to the process-wide registry.
+    (:meth:`_count_gc`).  ``metrics`` is the run's registry (a campaign
+    passes its telemetry's); a store built without one counts into a
+    private registry of its own.
     """
 
     #: Appended to the key to name an entry; ``""`` means a directory entry.
     suffix = ""
 
-    def __init__(self, root: str | Path, metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self, root: str | Path, metrics: MetricsRegistry | NullMetrics | None = None) -> None:
         self.root = Path(root)
-        self.metrics = metrics if metrics is not None else global_metrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # -- paths -----------------------------------------------------------------
 

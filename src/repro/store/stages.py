@@ -2,9 +2,10 @@
 
 :class:`~repro.store.store.StudyStore` persists whole studies; the
 longitudinal engine (:mod:`repro.timeline`) needs something finer — one
-entry per *stage invocation* (a scan of one deployment, a latency
-campaign for one ISP, a clustering of one offnet set), so that epoch
-N+1 can reuse every stage whose inputs did not change between epochs.
+entry per *stage invocation* (a scan of one deployment, the filter and
+clustering outcome of one ISP's offnet set, one quarter's series row),
+so that epoch N+1 can reuse every stage whose inputs did not change
+between epochs.
 
 Entries are small JSON payloads addressed by :func:`stage_key`, a
 canonical hash over ``(schema, version, kind, payload-fingerprint)``.
@@ -20,9 +21,9 @@ digest recorded at write time and degrade corrupt entries to misses (the
 bad file is moved to ``quarantine/`` for post-mortems, so the slot heals
 on rewrite).  Reads do not re-stamp entries, so :meth:`StageStore.gc`
 evicts in write order — for timeline campaigns also epoch order, the
-natural staleness axis.  Hit/miss/write counts land both on a
-:class:`~repro.obs.metrics.MetricsRegistry` under ``stage.<kind>.hits``
-etc. and on the instance-local :attr:`StageStore.counters` dict
+natural staleness axis.  Hit/miss/write counts land once, on the
+store's :class:`~repro.obs.metrics.MetricsRegistry` under
+``stage.<kind>.hits`` etc.; :attr:`StageStore.counters` reads them back
 (benchmarks assert on exact per-stage hit counts).
 """
 
@@ -30,11 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import Any
 
 from repro import __version__
-from repro.obs import MetricsRegistry
 from repro.store.keys import STORE_SCHEMA
 from repro.store.objects import ObjectStore
 
@@ -71,32 +70,33 @@ class StageStore(ObjectStore):
 
     A plain directory of small JSON files — no archive format — because
     stage entries are tiny and a whole timeline's worth fits comfortably
-    on disk.  ``metrics`` receives ``stage.*`` counters (defaults to the
-    process-wide registry); :attr:`counters` mirrors them per instance so
-    tests and benchmarks can assert exact reuse.  Bound the store with
-    :meth:`gc`.
+    on disk.  ``metrics`` receives the ``stage.*`` counters, and
+    :attr:`counters` reads them back so tests and benchmarks can assert
+    exact reuse.  Bound the store with :meth:`gc`.
     """
 
     suffix = ".json"
 
-    def __init__(self, root: str | Path, metrics: MetricsRegistry | None = None) -> None:
-        super().__init__(root, metrics)
-        #: Instance-local ``{"<kind>.hits": n, ...}`` counters.
-        self.counters: dict[str, int] = {}
-
     # -- counters --------------------------------------------------------------
 
     def _count(self, kind: str, event: str) -> None:
-        name = f"{kind}.{event}"
-        self.counters[name] = self.counters.get(name, 0) + 1
-        self.metrics.count(f"stage.{name}")
+        self.metrics.count(f"stage.{kind}.{event}")
 
     def _count_gc(self, event: str) -> None:
         self._count("gc", event)
 
+    @property
+    def counters(self) -> dict[str, int]:
+        """``{"<kind>.<event>": n, ...}``: the registry's ``stage.*`` counters."""
+        return {
+            name.removeprefix("stage."): int(value)
+            for name, value in self.metrics.counters.items()
+            if name.startswith("stage.")
+        }
+
     def counter(self, kind: str, event: str) -> int:
-        """The instance-local count of ``event`` (hits/misses/writes) for ``kind``."""
-        return self.counters.get(f"{kind}.{event}", 0)
+        """The count of ``event`` (hits/misses/writes) for ``kind``."""
+        return int(self.metrics.counter(f"stage.{kind}.{event}"))
 
     # -- reads -----------------------------------------------------------------
 

@@ -16,9 +16,8 @@ misses, so a bad disk degrades to recomputation rather than bad science.
 Hits and repeat puts re-stamp the entry's mtime, so :meth:`StudyStore.gc`
 evicts least-recently-used first.
 
-Hit/miss/write/evict/corruption counts land on a
-:class:`~repro.obs.metrics.MetricsRegistry` (the process-wide registry by
-default) under ``store.*``.
+Hit/miss/write/evict/corruption counts land on the store's
+:class:`~repro.obs.metrics.MetricsRegistry` under ``store.*``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro import __version__
 from repro.core.pipeline import PrecomputedArtifacts, Study, StudyConfig, run_study
 from repro.faults import FaultPlan, InjectedFault, raise_injected, stable_index
 from repro.io.archive import ArchiveCorruptError, load_archive, save_archive
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import MetricsRegistry, NullMetrics, Telemetry
 from repro.resilience import RetryPolicy, call_with_retry
 from repro.store.keys import STORE_SCHEMA, canonical_config_json, study_key
 from repro.store.objects import ObjectStore
@@ -58,8 +57,8 @@ def _poison_entry(path: Path) -> None:
 class StudyStore(ObjectStore):
     """Content-addressed persistence for pipeline studies.
 
-    ``metrics`` receives the ``store.*`` counters (defaults to the
-    process-wide registry).  Bound the store with :meth:`gc`.
+    ``metrics`` receives the ``store.*`` counters (a private registry
+    when none is given).  Bound the store with :meth:`gc`.
 
     ``retry`` (a :class:`~repro.resilience.RetryPolicy`) makes
     :meth:`get` re-attempt loads that fail with retryable errors;
@@ -71,7 +70,7 @@ class StudyStore(ObjectStore):
     def __init__(
         self,
         root: str | Path,
-        metrics: MetricsRegistry | None = None,
+        metrics: MetricsRegistry | NullMetrics | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:

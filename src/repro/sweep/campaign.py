@@ -24,7 +24,7 @@ from repro._util import format_table, require
 from repro.core.pipeline import Study, run_study
 from repro.durable import CampaignStatus, CellReport, CellRow, run_cells
 from repro.faults import FaultPlan
-from repro.obs import Telemetry
+from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import ParallelConfig
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.store import StudyStore
@@ -160,10 +160,11 @@ class _SweepCells:
     faults: FaultPlan | None
     retry: RetryPolicy | None
 
-    def open(self) -> StudyStore | None:
+    def open(self, telemetry: Telemetry | None) -> StudyStore | None:
         if self.store_root is None:
             return None
-        return StudyStore(self.store_root, faults=self.faults, retry=self.retry)
+        metrics = ensure_telemetry(telemetry).metrics
+        return StudyStore(self.store_root, metrics, faults=self.faults, retry=self.retry)
 
     def lookup(self, store: StudyStore, cell: SweepCell, telemetry: Telemetry | None) -> Study | None:
         return store.get(cell.config, telemetry=telemetry)

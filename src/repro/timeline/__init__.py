@@ -12,7 +12,7 @@ longitudinal engine:
   table in :mod:`repro.deployment.growth`.
 - :mod:`repro.timeline.engine` — per-stage content-addressed caching on
   top of :class:`repro.store.StageStore`: epoch N+1 reuses every
-  detect/measure/cluster artifact whose inputs did not change, and the
+  detect/cluster artifact whose inputs did not change, and the
   differential tests prove incremental == full byte-identically.
 - :mod:`repro.timeline.campaign` — the resume-safe campaign that emits
   the Table-1 / Figure-1 / concentration series over epochs, one cell

@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from repro._util import format_table, require
 from repro.durable import CampaignStatus, CellReport, CellRow, run_cells
-from repro.obs import Telemetry
+from repro.obs import Telemetry, ensure_telemetry
 from repro.store import StageStore
 from repro.timeline.engine import (
     TimelineConfig,
@@ -133,8 +133,10 @@ class _EpochCells:
     config: TimelineConfig
     store_root: str | None
 
-    def open(self) -> StageStore | None:
-        return StageStore(self.store_root) if self.store_root is not None else None
+    def open(self, telemetry: Telemetry | None) -> StageStore | None:
+        if self.store_root is None:
+            return None
+        return StageStore(self.store_root, ensure_telemetry(telemetry).metrics)
 
     def lookup(self, store: StageStore, quarter: str, telemetry: Telemetry | None) -> dict[str, Any] | None:
         return store.get("epoch", epoch_stage_key(self.config, quarter))
@@ -163,8 +165,8 @@ def run_timeline(
 
     ``store`` makes the campaign durable *and* incremental: epoch rows
     already present are loaded instead of recomputed, and the per-stage
-    caches let a fresh epoch reuse every unchanged detect/measure/
-    cluster artifact from its predecessors.  ``max_epochs`` truncates to
+    caches let a fresh epoch reuse every unchanged detect and cluster
+    artifact from its predecessors.  ``max_epochs`` truncates to
     the first N quarters (a deterministic partial campaign — the resume
     tests' tool).  ``config.parallel`` dispatches one quarter per shard;
     ``config.faults`` wires the ``timeline.shard`` injection site, and

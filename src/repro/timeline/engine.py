@@ -7,12 +7,11 @@ Per-quarter analysis decomposes into content-addressed stages layered on
   offnet IPs answer the scan and present a matching certificate.  Keyed
   by the deployment's exact IP set, so a deployment unchanged between
   quarters (the common case under monotone growth) is scanned once.
-* ``measure`` — one entry per ISP: the (vantage point × IP) RTT matrix
-  for the ISP's detected offnets.  Keyed by the detected IP set and the
-  campaign knobs; only ISPs whose offnet set changed are re-measured.
 * ``cluster`` — one entry per ISP: the Appendix-A filter outcome and the
-  per-xi site labels.  Keyed by the measure key plus the clustering
-  knobs, checked *first* so a fully-unchanged ISP costs one file read.
+  per-xi site labels.  Keyed by the ISP's detected IP set, the campaign
+  and clustering knobs and the substrate, so a fully-unchanged ISP costs
+  one file read; on a miss the ISP is measured (the vantage point × IP
+  RTT matrix), filtered and clustered, and only the outcome is stored.
 * ``epoch`` — one entry per quarter: the aggregated series row (Table 1
   counts, cohosting, Figure-1 panels, concentration, coverage).  This is
   the campaign cell and resume token.
@@ -47,6 +46,7 @@ import numpy as np
 from repro._util import make_rng, require, spawn_rng
 from repro.clustering.sites import ClusteringConfig, ClusteringMemo, SiteClustering, cluster_isp_offnets
 from repro.core.concentration import coverage_statistics, single_facility_concentration
+from repro.core.pipeline import StudyConfig
 from repro.deployment.hypergiants import DEFAULT_HYPERGIANT_PROFILES
 from repro.deployment.placement import PlacementConfig
 from repro.experiments.figure1 import figure1_panels
@@ -102,6 +102,36 @@ class TimelineConfig:
         require(bool(self.xis), "need at least one xi value")
         for xi in self.xis:
             require(0.0 < xi < 1.0, f"xi must be in (0, 1), got {xi}")
+
+    @classmethod
+    def from_study(
+        cls,
+        base: StudyConfig,
+        spec: TimelineSpec,
+        parallel: ParallelConfig | None = None,
+        faults: FaultPlan | None = None,
+        resilience: ResilienceConfig | None = None,
+    ) -> "TimelineConfig":
+        """The timeline over ``spec`` of ``base``'s substrate and knobs.
+
+        Copies the fields a study and a timeline share (``repro timeline``
+        and ``repro serve`` both start from a scenario's study config);
+        ``parallel`` defaults to the study's.
+        """
+        return cls(
+            internet=base.internet,
+            placement=base.placement,
+            scan=base.scan,
+            campaign=base.campaign,
+            spec=spec,
+            n_vantage_points=base.n_vantage_points,
+            xis=base.xis,
+            population_noise_sigma=base.population_noise_sigma,
+            parallel=parallel if parallel is not None else base.parallel,
+            faults=faults,
+            resilience=resilience,
+            seed=base.seed,
+        )
 
     @property
     def effective_min_vps(self) -> int:
@@ -261,11 +291,15 @@ def run_detect_stage(
     return detections
 
 
-# -- measure stage --------------------------------------------------------------
+# -- cluster stage --------------------------------------------------------------
 
 
 def measure_stage_key(substrate: TimelineSubstrate, isp_asn: int, ips: list[int]) -> str:
-    """Content key of one ISP's latency campaign."""
+    """Content key of one ISP's latency campaign.
+
+    Nothing is stored under it: it seeds the campaign and is the
+    material of :func:`cluster_stage_key`.
+    """
     return stage_key(
         "measure",
         {
@@ -277,42 +311,22 @@ def measure_stage_key(substrate: TimelineSubstrate, isp_asn: int, ips: list[int]
     )
 
 
-def _matrix_to_payload(matrix: LatencyMatrix) -> dict:
-    """JSON form of an RTT matrix (NaN → null)."""
-    rtt = [[None if math.isnan(v) else float(v) for v in row] for row in matrix.rtt_ms]
-    return {"ips": [int(ip) for ip in matrix.ips], "rtt_ms": rtt}
-
-
-def _matrix_from_payload(payload: dict, vps: list[VantagePoint]) -> LatencyMatrix:
-    """Rebuild an RTT matrix from its cached JSON form."""
-    rtt = np.array(
-        [[np.nan if v is None else v for v in row] for row in payload["rtt_ms"]], dtype=float
-    )
-    if rtt.size == 0:
-        rtt = rtt.reshape(len(vps), 0)
-    return LatencyMatrix(vps=vps, ips=[int(ip) for ip in payload["ips"]], rtt_ms=rtt)
-
-
 def run_measure_stage(
     substrate: TimelineSubstrate,
     isp_asn: int,
     ips: list[int],
-    store: StageStore | None,
     telemetry: Telemetry | None = None,
 ) -> LatencyMatrix:
     """Measure one ISP's detected offnets from every vantage point.
 
-    The campaign seed is derived from the stage key, so the matrix is a
-    pure function of (substrate, ISP, IP set) — re-measuring the same
-    set in a later quarter reproduces it bit-for-bit, which is why the
-    cache hit is sound.  Ground truth comes from the *final* placement
-    (every quarter's servers are a subset of it).
+    The campaign seed is derived from the content key, so the matrix is
+    a pure function of (substrate, ISP, IP set) — re-measuring the same
+    set in a later quarter reproduces it bit-for-bit.  Ground truth
+    comes from the *final* placement (every quarter's servers are a
+    subset of it).
     """
     key = measure_stage_key(substrate, isp_asn, ips)
-    cached = store.get("measure", key) if store is not None else None
-    if cached is not None:
-        return _matrix_from_payload(cached, substrate.vantage_points)
-    matrix = measure_offnets(
+    return measure_offnets(
         substrate.internet,
         substrate.timeline.final_state,
         list(ips),
@@ -322,12 +336,6 @@ def run_measure_stage(
         telemetry=telemetry,
         parallel=ParallelConfig(),
     )
-    if store is not None:
-        store.put("measure", key, _matrix_to_payload(matrix))
-    return matrix
-
-
-# -- cluster stage --------------------------------------------------------------
 
 
 def cluster_stage_key(substrate: TimelineSubstrate, measure_key: str) -> str:
@@ -350,20 +358,19 @@ def run_cluster_stage(
     store: StageStore | None,
     telemetry: Telemetry | None = None,
 ) -> dict:
-    """Filter and cluster one ISP's offnets; returns the stage payload.
+    """Measure, filter and cluster one ISP's offnets; returns the stage payload.
 
     Payload: ``{"analyzable": bool, "ips": kept IPs, "labels":
-    {str(xi): [label, ...]}}``.  Checked before the measure stage so a
-    fully-unchanged ISP costs a single cache read; on a miss the measure
-    stage is consulted (and possibly computed) first.
+    {str(xi): [label, ...]}}``.  A hit costs a single cache read; a miss
+    measures the ISP (:func:`run_measure_stage`) and stores only the
+    payload.
     """
     config = substrate.config
-    measure_key = measure_stage_key(substrate, isp_asn, ips)
-    key = cluster_stage_key(substrate, measure_key)
+    key = cluster_stage_key(substrate, measure_stage_key(substrate, isp_asn, ips))
     cached = store.get("cluster", key) if store is not None else None
     if cached is not None:
         return cached
-    matrix = run_measure_stage(substrate, isp_asn, ips, store, telemetry=telemetry)
+    matrix = run_measure_stage(substrate, isp_asn, ips, telemetry=telemetry)
     filter_config = replace(config.campaign, min_vps_per_isp=config.effective_min_vps)
     filtered = apply_quality_filters(
         matrix, {ip: isp_asn for ip in matrix.ips}, filter_config, telemetry=telemetry

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import make_rng, require, require_fraction
-from repro.obs import Telemetry, ensure_telemetry, get_logger
+from repro.obs import Telemetry, ensure_telemetry
 from repro.topology.asn import AS
 from repro.topology.generator import Internet
 from repro.topology.ixp import IXP
@@ -92,9 +92,7 @@ class TracerouteEngine:
     ) -> None:
         self.internet = internet
         self.config = config or TracerouteConfig()
-        #: Diagnostics go through the repo-wide structured logger (see
-        #: :mod:`repro.obs.logging`), not an engine-local mechanism.
-        self._log = get_logger("repro.traceroute")
+        #: Counters and DEBUG diagnostics go to the caller's telemetry.
         self._obs = ensure_telemetry(telemetry)
         rng = make_rng(seed)
         # Stable per-AS ICMP filtering decisions (hypergiants respond: their
@@ -148,14 +146,14 @@ class TracerouteEngine:
         destination_as = self.internet.plan.owner_of(destination_ip)
         if destination_as is None:
             self._obs.count("traceroute.unattributable")
-            self._log.debug(
+            self._obs.logger.debug(
                 "destination unattributable", ip=destination_ip, source_asn=source.asn
             )
             return TraceroutePath(source, region, destination_ip, None, [], routable=False)
         as_path = self.internet.graph.as_path(source, destination_as)
         if as_path is None:
             self._obs.count("traceroute.unroutable")
-            self._log.debug(
+            self._obs.logger.debug(
                 "no valley-free route",
                 source_asn=source.asn,
                 destination_asn=destination_as.asn,

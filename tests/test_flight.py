@@ -272,7 +272,7 @@ class TestExecutorIntegration:
     def test_serial_executor_records_flights(self):
         import io
 
-        from repro.parallel import SHARD_DURATION_METRIC, SerialExecutor, Shard
+        from repro.parallel import SerialExecutor, Shard
 
         telemetry = Telemetry.capture(stream=io.StringIO())
         shards = [Shard(index=i, items=(i,)) for i in range(5)]
@@ -282,9 +282,6 @@ class TestExecutorIntegration:
         assert len(records) == 5
         assert all(r.worker == "serial" and r.attempt == 0 for r in records)
         assert telemetry.flight.labels() == ["double"]
-        assert [1000.0 * r.execute_s for r in records] == telemetry.metrics.histogram_values(
-            SHARD_DURATION_METRIC
-        )
 
     def test_disabled_telemetry_records_nothing(self):
         from repro.obs import NULL_TELEMETRY

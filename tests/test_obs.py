@@ -17,8 +17,7 @@ from repro.obs import (
     StructuredLogger,
     Telemetry,
     Tracer,
-    get_logger,
-    global_metrics,
+    aggregate_stages,
     render_filter_funnel,
     render_metrics_table,
     render_span_tree,
@@ -27,7 +26,7 @@ from repro.obs import (
     telemetry_to_json,
     write_metrics_json,
 )
-from repro.obs.logging import DEBUG, INFO, WARNING
+from repro.obs.logging import INFO, WARNING
 
 
 class FakeClock:
@@ -162,9 +161,6 @@ class TestMetrics:
         assert metrics.histogram_names() == []
         assert metrics.to_json() == {"counters": {}, "gauges": {}, "histograms": {}}
 
-    def test_global_registry_is_shared(self):
-        assert global_metrics() is global_metrics()
-
 
 class TestLogging:
     def test_text_mode(self):
@@ -194,10 +190,6 @@ class TestLogging:
         log.warning("kept")
         assert stream.getvalue().count("\n") == 1
         assert "kept" in stream.getvalue()
-
-    def test_get_logger_is_shared(self):
-        assert get_logger("repro.x") is get_logger("repro.x")
-        assert get_logger("repro.x") is not get_logger("repro.y")
 
     def test_default_level_is_quiet(self):
         assert StructuredLogger("fresh").level == WARNING
@@ -352,12 +344,12 @@ class TestPipelineInstrumentation:
         assert summary.minimum >= 0.0
 
     def test_per_isp_timings(self, traced_pair):
-        """Every (isp, xi) cell lands one duration sample; OPTICS runs once
-        per ISP (the memo serves the other xi settings from cache)."""
+        """Every (isp, xi) cell lands one ``cluster.isp`` span; OPTICS runs
+        once per ISP (the memo serves the other xi settings from cache)."""
         _, _, telemetry = traced_pair
         metrics = telemetry.metrics
-        durations = metrics.histogram("cluster.isp_duration_ms")
-        assert durations.count == (
+        stages = aggregate_stages(telemetry)
+        assert stages["cluster.isp"]["count"] == (
             metrics.counter("cluster.optics_runs")
             + metrics.counter("cluster.optics_reused")
             + int(metrics.counter("cluster.singleton_isps"))
@@ -372,33 +364,10 @@ class TestPipelineInstrumentation:
         assert computed > 0
         assert metrics.counter("cluster.distance_matrices_reused") == computed
         assert metrics.counter("cluster.optics_reused") == metrics.counter("cluster.optics_runs")
-        assert metrics.histogram("cluster.distance_ms").count == computed
-        assert metrics.histogram("filters.plausibility_ms").count == 1
-
-
-class TestCachedStudyMetrics:
-    def test_cache_hit_and_miss_counters(self, small_study):
-        from repro.experiments.scenarios import cached_study
-
-        registry = global_metrics()
-        hits_before = registry.counter("scenarios.cache_hits")
-        # The small study is already cached (fixture): both calls are hits.
-        assert cached_study("small") is cached_study("small")
-        assert registry.counter("scenarios.cache_hits") == hits_before + 2
-        # The session saw at least the fixture's initial miss.
-        assert registry.counter("scenarios.cache_misses") >= 1
-
-    def test_cache_logs_scenario(self, small_study, capsys):
-        from repro.experiments.scenarios import cached_study
-        from repro.obs import configure_logging
-
-        configure_logging(level="info", json_mode=False)
-        try:
-            cached_study("small")
-            err = capsys.readouterr().err
-            assert "scenario cache hit" in err and "scenario=small" in err
-        finally:
-            configure_logging(level="warning", json_mode=False)
+        stages = aggregate_stages(telemetry)
+        assert stages["cluster.distance"]["count"] == computed
+        assert stages["cluster.optics"]["count"] == metrics.counter("cluster.optics_runs")
+        assert stages["filters.plausibility"]["count"] == 1
 
 
 class TestCascadeInstrumentation:
@@ -449,66 +418,40 @@ class TestTracerouteLogging:
         assert path.routable
         assert telemetry.metrics.counter("traceroute.traces") == 1
 
-    def test_engine_logs_unattributable(self, small_internet, capsys):
-        from repro.obs import configure_logging
+    def test_engine_logs_unattributable(self, small_internet):
         from repro.traceroute.engine import TracerouteEngine
 
-        configure_logging(level="debug")
-        try:
-            engine = TracerouteEngine(small_internet, seed=1)
-            google = small_internet.hypergiant_as("Google")
-            path = engine.trace(google, 1)  # address owned by nobody
-            assert not path.routable
-            assert "destination unattributable" in capsys.readouterr().err
-        finally:
-            configure_logging(level="warning")
+        buffer = io.StringIO()
+        telemetry = Telemetry.capture(log_level="debug", stream=buffer)
+        engine = TracerouteEngine(small_internet, seed=1, telemetry=telemetry)
+        google = small_internet.hypergiant_as("Google")
+        path = engine.trace(google, 1)  # address owned by nobody
+        assert not path.routable
+        assert "destination unattributable" in buffer.getvalue()
 
 
 class TestTelemetryCaptureRestore:
-    """Regression tests: ``capture`` flips process-global logging config and
-    ``restore`` (or the context manager) must put back exactly what it
-    displaced — including for loggers created *after* the capture."""
-
-    def test_restore_puts_shared_logging_back(self):
-        from repro.obs import logging_config
-
-        before = logging_config()
-        existing = get_logger("repro.restore_test.existing")
-        telemetry = Telemetry.capture(log_level="debug", json_logs=True, stream=io.StringIO())
-        try:
-            assert existing.level == DEBUG and existing.json_mode
-            late = get_logger("repro.restore_test.late")
-            assert late.level == DEBUG and late.json_mode
-        finally:
-            telemetry.restore()
-        assert logging_config() == before
-        assert existing.level == before["level"] and not existing.json_mode
-        assert get_logger("repro.restore_test.late").level == before["level"]
+    """``restore`` (or leaving the ``with`` block) closes the bundle's
+    event stream, exactly once."""
 
     def test_context_manager_restores_and_closes_stream(self):
-        from repro.obs import logging_config
         from repro.obs.stream import EventStream
 
-        before = logging_config()
         buffer = io.StringIO()
         with Telemetry.capture(log_level="debug", events=EventStream(buffer)) as telemetry:
             telemetry.emit("inside")
-        assert logging_config() == before
         lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
         assert lines[-1]["event"] == "stream_end"
 
     def test_restore_is_idempotent(self):
-        from repro.obs import configure_logging, logging_config
+        from repro.obs.stream import EventStream
 
-        telemetry = Telemetry.capture(log_level="debug", stream=io.StringIO())
+        buffer = io.StringIO()
+        telemetry = Telemetry.capture(log_level="debug", events=EventStream(buffer))
         telemetry.restore()
-        # A second restore must not clobber config applied in between.
-        configure_logging(level="error")
-        try:
-            telemetry.restore()
-            assert logging_config()["level"] == 40
-        finally:
-            configure_logging(level="warning")
+        telemetry.restore()
+        events = [json.loads(line)["event"] for line in buffer.getvalue().splitlines()]
+        assert events.count("stream_end") == 1
 
     def test_capture_carries_flight_recorder(self):
         telemetry = Telemetry.capture(stream=io.StringIO())

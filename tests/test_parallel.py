@@ -16,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import make_rng
-from repro.obs import MetricsRegistry, Telemetry, Tracer
+from repro.obs import MetricsRegistry, Telemetry, Tracer, aggregate_stages
 from repro.parallel import (
     ParallelConfig,
     PoolExecutor,
-    SHARD_DURATION_METRIC,
     SerialExecutor,
     Shard,
     ShardPlan,
@@ -41,6 +40,7 @@ from repro.parallel import (
 def _sum_shard(shard: Shard, telemetry) -> int:
     if telemetry is not None:
         telemetry.count("test.items_seen", len(shard.items))
+        telemetry.observe("test.shard_items", len(shard.items))
     return sum(shard.items)
 
 
@@ -222,8 +222,8 @@ class TestSerialExecution:
         plan = ShardPlan.of(range(10), chunk_size=3)
         run_sharded(_sum_shard, plan, telemetry=telemetry, label="stage")
         assert "stage.fanout" in telemetry.tracer.span_names()
-        assert "stage.shard" in telemetry.tracer.span_names()
-        assert telemetry.metrics.histogram(SHARD_DURATION_METRIC).count == plan.n_shards
+        assert aggregate_stages(telemetry)["stage.shard"]["count"] == plan.n_shards
+        assert telemetry.metrics.histogram("test.shard_items").count == plan.n_shards
         assert telemetry.metrics.counter("test.items_seen") == 10
         assert telemetry.metrics.counter("stage.shards_executed") == plan.n_shards
 
@@ -260,10 +260,11 @@ class TestProcessExecution:
             )
         finally:
             shutdown_pools()
-        # Worker-side counters and histograms arrive exactly once.
-        for metrics in (serial_telemetry.metrics, process_telemetry.metrics):
-            assert metrics.counter("test.items_seen") == 22
-            assert metrics.histogram(SHARD_DURATION_METRIC).count == plan.n_shards
+        # Worker-side counters, histograms and shard spans arrive exactly once.
+        for telemetry in (serial_telemetry, process_telemetry):
+            assert telemetry.metrics.counter("test.items_seen") == 22
+            assert telemetry.metrics.histogram("test.shard_items").count == plan.n_shards
+            assert aggregate_stages(telemetry)["stage.shard"]["count"] == plan.n_shards
         # Worker spans appear under the fan-out span, in shard order.
         fanout = process_telemetry.tracer.find("stage.fanout")
         shard_spans = [span for span in fanout.children if span.name == "stage.shard"]

@@ -77,8 +77,6 @@ TIMELINE_STAGE_COUNTERS = {
     "detect.misses": 367,
     "detect.writes": 367,
     "epoch.writes": 5,
-    "measure.misses": 149,
-    "measure.writes": 149,
 }
 
 

@@ -100,6 +100,31 @@ class TestNormalizeSpec:
         )
         assert normalized["kind"] == "sweep"
 
+    def test_timeline_config_matches_the_cli(self, tmp_path, monkeypatch):
+        """``repro timeline`` and a serve timeline spec over the same
+        scenario and window build the same config."""
+        import repro.timeline
+        from repro.cli import main
+        from repro.durable import CampaignStatus
+        from repro.serve.model import build_timeline_config
+        from repro.timeline import timeline_fingerprint
+
+        built = []
+
+        def capture_status(config, store):
+            built.append(config)
+            return CampaignStatus.of("epochs", {})
+
+        monkeypatch.setattr(repro.timeline, "timeline_status", capture_status)
+        argv = ["timeline", "--scenario", "small", "--start", "2022Q1", "--end", "2022Q2"]
+        assert main([*argv, "--status", "--store-dir", str(tmp_path)]) == 0
+        served, _ = build_timeline_config(
+            normalize_spec(
+                {"kind": "timeline", "spec": {"scenario": "small", "timeline": {"start": "2022Q1", "end": "2022Q2"}}}
+            )
+        )
+        assert timeline_fingerprint(built[0]) == timeline_fingerprint(served)
+
 
 class TestAdmission:
     def _scheduler(self, tmp_path, **kw):

@@ -33,6 +33,10 @@ def tiny_study():
     return run_study(_tiny_config())
 
 
+def _n_detections(study) -> float:
+    return float(len(study.latest_inventory))
+
+
 @pytest.fixture()
 def store(tmp_path):
     return StudyStore(tmp_path / "store", metrics=MetricsRegistry())
@@ -461,3 +465,62 @@ class TestCachedStudyKeying:
         second = scenarios.cached_study(scenario, store=store)
         assert registry.counter("store.hits") == 1
         np.testing.assert_array_equal(first.matrix.rtt_ms, second.matrix.rtt_ms)
+
+
+class TestCountsReachTheRun:
+    """Stores a campaign opens count into the run's telemetry bundle, on
+    every backend (a pool worker's counts merge back with its shard)."""
+
+    @pytest.fixture(
+        params=["serial", pytest.param("pool", marks=pytest.mark.parallel)]
+    )
+    def parallel(self, request):
+        if request.param == "serial":
+            yield ParallelConfig()
+            return
+        from repro.parallel import process_backend_available, shutdown_pools
+
+        if not process_backend_available():
+            pytest.skip("worker-pool backend unavailable")
+        try:
+            yield ParallelConfig(backend="pool", workers=2)
+        finally:
+            shutdown_pools()
+
+    def test_timeline_stage_hits(self, parallel, tmp_path):
+        from dataclasses import replace
+
+        from repro.obs import Telemetry, Tracer
+        from repro.store import StageStore
+        from repro.timeline import run_timeline
+
+        from tests.test_timeline import _tiny_config as _tiny_timeline
+
+        config = replace(_tiny_timeline(start="2022Q1", end="2022Q3"), parallel=parallel)
+        store = StageStore(tmp_path / "stages")
+        run_timeline(config, store=store, max_epochs=1)
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        report = run_timeline(config, store=store, telemetry=telemetry)
+        assert report.cache_hits == 1
+        metrics = telemetry.metrics
+        # The second quarter reuses the first's unchanged ISPs whatever
+        # order the cells run in.
+        assert metrics.counter("stage.cluster.hits") > 0
+        assert metrics.counter("stage.epoch.hits") == 1
+        assert metrics.counter("stage.epoch.writes") == 2
+
+    def test_sweep_store_hits(self, parallel, tmp_path):
+        from repro.obs import Telemetry, Tracer
+        from repro.sweep import MetricSpec, ParameterGrid, run_campaign
+
+        grid = ParameterGrid.of(_tiny_config(), {"seed,internet.seed": [3, 4]})
+        metrics = (MetricSpec("detections", _n_detections, 1.0, 1e9, "n/a"),)
+        store = StudyStore(tmp_path / "store")
+        cold = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        run_campaign(grid, metrics, store=store, parallel=parallel, telemetry=cold)
+        replay = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        run_campaign(grid, metrics, store=store, parallel=parallel, telemetry=replay)
+        assert cold.metrics.counter("store.misses") == 2
+        assert cold.metrics.counter("store.writes") == 2
+        assert replay.metrics.counter("store.hits") == 2
+        assert replay.metrics.counter("store.misses") == 0

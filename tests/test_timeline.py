@@ -391,6 +391,50 @@ class TestDifferentialHarness:
         assert google == sorted(google)
 
 
+class TestClusterStage:
+    """The cluster stage measures on a miss and stores only its outcome."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return _tiny_config(start="2022Q1", end="2022Q3")
+
+    @staticmethod
+    def _kinds(store):
+        return {key: json.loads(store.entry_path(key).read_text())["kind"] for key in store.keys()}
+
+    def test_cold_walk_publishes_only_detect_cluster_epoch(self, config, tmp_path):
+        store = StageStore(tmp_path / "stages")
+        run_timeline(config, store=store)
+        kinds = self._kinds(store)
+        assert set(kinds.values()) == {"detect", "cluster", "epoch"}
+        assert sum(kind == "epoch" for kind in kinds.values()) == len(config.spec.quarters)
+
+    def test_corrupt_cluster_entries_are_remeasured(self, config, tmp_path):
+        from repro.obs import MetricsRegistry, Telemetry, Tracer, aggregate_stages
+
+        substrate = build_substrate(config)
+        quarters = config.spec.quarters
+        for quarter in quarters:
+            compute_epoch(substrate, quarter, StageStore(tmp_path / "stages"))
+        warm = StageStore(tmp_path / "stages")
+        clusters = [key for key, kind in self._kinds(warm).items() if kind == "cluster"]
+        assert clusters
+        for key in clusters:
+            path = warm.entry_path(key)
+            path.write_text(path.read_text().replace(":", ";", 1))
+
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        store = StageStore(tmp_path / "stages", telemetry.metrics)
+        rows = [compute_epoch(substrate, quarter, store, telemetry=telemetry) for quarter in quarters]
+        full = [compute_epoch(substrate, quarter, None) for quarter in quarters]
+        assert json.dumps(rows, sort_keys=True) == json.dumps(full, sort_keys=True)
+        assert store.counter("cluster", "corruptions") == len(clusters)
+        # Every cluster miss runs a latency campaign: no stored matrix
+        # stands in for the quarantined outcome.
+        campaigns = aggregate_stages(telemetry)["campaign.fanout"]["count"]
+        assert campaigns == store.counter("cluster", "misses")
+
+
 class TestEventsInRows:
     def test_epoch_rows_report_event_counts(self, tmp_path):
         config = _tiny_config(start="2022Q1", end="2022Q2")
