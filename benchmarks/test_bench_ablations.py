@@ -40,7 +40,7 @@ def _clustering_inputs(study, max_isps=40):
 
 def _mean_rand(study, config: ClusteringConfig, max_isps=40) -> float:
     scores = [
-        rand_index(cluster_isp_offnets(columns, ips, config).labels, truth)
+        rand_index(cluster_isp_offnets(columns, ips, [config])[0].labels, truth)
         for _asn, ips, columns, truth in _clustering_inputs(study, max_isps)
     ]
     return float(np.mean(scores))
@@ -123,7 +123,7 @@ def test_ablation_fingerprint_editions(benchmark, default_study):
 def test_ablation_colocation_vs_xi(benchmark, default_study):
     def table_for(xi):
         clusterings = {
-            asn: cluster_isp_offnets(columns, ips, ClusteringConfig(xi=xi))
+            asn: cluster_isp_offnets(columns, ips, [ClusteringConfig(xi=xi)])[0]
             for asn, ips, columns, _ in _clustering_inputs(default_study, max_isps=60)
         }
         return build_colocation_table(
@@ -208,7 +208,7 @@ def test_ablation_ping_aggregation(benchmark, default_study):
                 lossy_isp_fraction=0.0,
             )
             matrix = measure_offnets(default_study.internet, state, ips, vps, config, seed=4)
-            clustering = cluster_isp_offnets(matrix.submatrix(ips), ips, ClusteringConfig(xi=0.9))
+            (clustering,) = cluster_isp_offnets(matrix.submatrix(ips), ips, [ClusteringConfig(xi=0.9)])
             truth_map = {}
             truth = np.array(
                 [

@@ -1,4 +1,4 @@
-"""Clustering hot-path bench: memoized distances, heap OPTICS, same bytes.
+"""Clustering hot-path bench: one call per ISP, heap OPTICS, same bytes.
 
 One large synthetic ISP (scaled past paper scale: 500+ offnet IPs measured
 from 163 vantage points) clustered at both xi settings, three ways:
@@ -8,16 +8,19 @@ from 163 vantage points) clustered at both xi settings, three ways:
   OPTICS scan, recomputed for every xi.  This is the differential-harness
   baseline the acceptance criterion's >= 3x speedup is measured against.
 * **unshared** — the optimized kernels (triangle-mirrored distance matrix,
-  heap-frontier OPTICS) but no memoization: every xi recomputes both.
-* **optimized** — the shipped pipeline path: one :class:`ClusteringMemo`
-  serving all xi settings of the ISP.
+  heap-frontier OPTICS), one ``cluster_isp_offnets`` call per xi: every xi
+  recomputes both.
+* **optimized** — the shipped pipeline path: one ``cluster_isp_offnets``
+  call at every xi, which computes the distance matrix and the OPTICS
+  ordering once.
 
 All three must produce identical labels; the snapshot lands in
 ``BENCH_clustering.json``.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by the CI ``bench-smoke`` job)
 shrinks the workload, skips the snapshot write, and — the point of the job —
-fails if the three variants' labels diverge or the memo stops reusing.
+fails if the three variants' labels diverge or the shipped call computes
+the ISP's distance matrix or OPTICS ordering more than once.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_clustering.py -s``.
 """
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._util import format_table
-from repro.clustering.sites import ClusteringConfig, ClusteringMemo, cluster_isp_offnets
+from repro.clustering.sites import ClusteringConfig, cluster_isp_offnets
 from repro.clustering.xi import extract_xi_clusters, split_clusters_on_spikes, xi_labels
 from repro.obs import Telemetry
 
@@ -96,43 +99,36 @@ def test_bench_clustering_snapshot():
     def reference_pass():
         return [_reference_labels(columns, ClusteringConfig(xi=xi)) for xi in XIS]
 
-    def unshared_pass():
-        return [
-            cluster_isp_offnets(columns, ips, ClusteringConfig(xi=xi)).labels for xi in XIS
-        ]
+    configs = [ClusteringConfig(xi=xi) for xi in XIS]
 
-    telemetry = Telemetry.capture()
+    def unshared_pass():
+        return [cluster_isp_offnets(columns, ips, [config])[0].labels for config in configs]
 
     def optimized_pass():
-        memo = ClusteringMemo()
-        return [
-            cluster_isp_offnets(
-                columns, ips, ClusteringConfig(xi=xi), telemetry=telemetry,
-                memo=memo, memo_key="isp",
-            ).labels
-            for xi in XIS
-        ]
+        return [clustering.labels for clustering in cluster_isp_offnets(columns, ips, configs)]
 
     optimized_s, optimized = _time(optimized_pass, repeats)
     unshared_s, unshared = _time(unshared_pass, repeats)
     reference_s, reference = _time(reference_pass, 1)
 
     # Identical artifacts: every variant assigns every IP the same site.
-    for xi, ref, fast, memoized in zip(XIS, reference, unshared, optimized):
+    for xi, ref, fast, shipped in zip(XIS, reference, unshared, optimized):
         assert np.array_equal(ref, fast), f"unshared labels diverged at xi={xi}"
-        assert np.array_equal(ref, memoized), f"memoized labels diverged at xi={xi}"
+        assert np.array_equal(ref, shipped), f"shipped labels diverged at xi={xi}"
 
-    # Smoke guard: the memo must have reused.
-    metrics = telemetry.metrics
-    assert metrics.counter("cluster.distance_matrices_reused") >= len(XIS) - 1
-    assert metrics.counter("cluster.optics_reused") >= len(XIS) - 1
+    # Smoke guard: one call computes the ISP's distance matrix and OPTICS
+    # ordering once, whatever the number of xi settings.
+    telemetry = Telemetry.capture()
+    cluster_isp_offnets(columns, ips, configs, telemetry=telemetry)
+    assert telemetry.metrics.counter("cluster.distance_matrices_computed") == 1
+    assert telemetry.metrics.counter("cluster.optics_runs") == 1
 
     speedup_vs_reference = reference_s / optimized_s
     speedup_vs_unshared = unshared_s / optimized_s
     rows = [
         ["reference (per-pair loop + scan OPTICS)", round(reference_s, 3), "baseline"],
-        ["unshared (fast kernels, no memo)", round(unshared_s, 3), f"{reference_s / unshared_s:.1f}x"],
-        ["optimized (memoized, shipped path)", round(optimized_s, 3), f"{speedup_vs_reference:.1f}x"],
+        ["unshared (fast kernels, one call per xi)", round(unshared_s, 3), f"{reference_s / unshared_s:.1f}x"],
+        ["optimized (one call at every xi, shipped path)", round(optimized_s, 3), f"{speedup_vs_reference:.1f}x"],
     ]
     emit(
         f"clustering hot path ({n_ips} IPs x 163 VPs, xis={XIS}, best of {repeats})",

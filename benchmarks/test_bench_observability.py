@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.clustering.distance import pairwise_trimmed_manhattan
 from repro.clustering.optics import optics_order
-from repro.clustering.sites import ClusteringConfig, ClusteringMemo, cluster_isp_offnets
+from repro.clustering.sites import ClusteringConfig, cluster_isp_offnets
 from repro.clustering.xi import extract_xi_clusters, split_clusters_on_spikes, xi_labels
 from repro.experiments.scenarios import scenario_by_name
 from repro.obs import (
@@ -93,15 +93,10 @@ def _clustering_passes(n_ips: int):
 
     columns, ips = _large_isp_columns(n_ips)
     config = ClusteringConfig()
+    configs = [ClusteringConfig(xi=xi) for xi in XIS]
 
     def shipped_pass():
-        memo = ClusteringMemo()
-        return [
-            cluster_isp_offnets(
-                columns, ips, ClusteringConfig(xi=xi), memo=memo, memo_key="isp"
-            ).labels
-            for xi in XIS
-        ]
+        return [clustering.labels for clustering in cluster_isp_offnets(columns, ips, configs)]
 
     def bare_pass():
         distances = pairwise_trimmed_manhattan(columns, config.trim_fraction)

@@ -67,7 +67,7 @@ def test_bench_cluster_one_isp(benchmark, net, state):
     isp = max(state.hosting_isps(), key=lambda i: len(state.servers_in(i)))
     ips = [server.ip for server in state.servers_in(isp)]
     matrix = measure_offnets(net, state, ips, vps, seed=4)
-    result = benchmark(cluster_isp_offnets, matrix.submatrix(ips), ips, ClusteringConfig(xi=0.9))
+    (result,) = benchmark(cluster_isp_offnets, matrix.submatrix(ips), ips, [ClusteringConfig(xi=0.9)])
     assert result.site_count >= 1
 
 

@@ -20,3 +20,6 @@ def test_table2_colocation(benchmark, default_study):
             table = result.tables[xi]
             assert table.percentage(hypergiant, ColocationBucket.NONE) < 0.3
         assert result.majority_colocation(hypergiant, 0.9) > 0.5
+        assert result.tables[0.9].percentage(hypergiant, ColocationBucket.FULL) >= result.tables[
+            0.1
+        ].percentage(hypergiant, ColocationBucket.FULL)

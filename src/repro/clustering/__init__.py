@@ -14,7 +14,6 @@ from repro.clustering.distance import (
 from repro.clustering.optics import OpticsResult, optics_order
 from repro.clustering.sites import (
     ClusteringConfig,
-    ClusteringMemo,
     SiteClustering,
     cluster_isp_offnets,
 )
@@ -22,7 +21,6 @@ from repro.clustering.xi import extract_xi_clusters, xi_labels
 
 __all__ = [
     "ClusteringConfig",
-    "ClusteringMemo",
     "OpticsResult",
     "SiteClustering",
     "cluster_isp_offnets",

@@ -9,20 +9,20 @@ the offnet as not colocated").
 
 The study clusters every ISP at *several* xi settings, but neither the
 distance matrix (a function of the columns and ``trim_fraction``) nor the
-OPTICS ordering (additionally of ``min_pts``) depends on xi —
-:class:`ClusteringMemo` caches both so a caller holding all of an ISP's xi
-settings pays for them once.
+OPTICS ordering (additionally of ``min_pts``) depends on xi, so one
+:func:`cluster_isp_offnets` call takes all of them and computes both once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro._util import require, require_fraction
 from repro.clustering.distance import pairwise_trimmed_manhattan
-from repro.clustering.optics import OpticsResult, optics_order
+from repro.clustering.optics import optics_order
 from repro.clustering.xi import extract_xi_clusters, split_clusters_on_spikes, xi_labels
 from repro.obs import Telemetry, ensure_telemetry
 
@@ -44,63 +44,6 @@ class ClusteringConfig:
         require(self.min_pts >= 2, "min_pts must be >= 2")
         require_fraction(self.trim_fraction, "trim_fraction")
         require(self.spike_factor > 1.0, "spike_factor must be > 1")
-
-
-class ClusteringMemo:
-    """Intra-run cache of the xi-independent clustering intermediates.
-
-    Keys are caller-chosen (the pipeline uses the ISP ASN); the memo trusts
-    the caller to pass the same columns for the same key, which is why
-    :func:`cluster_isp_offnets` refuses a memo without an explicit
-    ``memo_key``.  Scope the memo to one run (the pipeline creates one per
-    clustering shard) — it holds strong references to the cached matrices.
-    """
-
-    __slots__ = ("_distances", "_optics")
-
-    def __init__(self) -> None:
-        self._distances: dict[tuple, np.ndarray] = {}
-        self._optics: dict[tuple, OpticsResult] = {}
-
-    def distances(
-        self,
-        key: object,
-        columns: np.ndarray,
-        trim_fraction: float,
-        telemetry: Telemetry | None = None,
-    ) -> np.ndarray:
-        """The trimmed-Manhattan matrix for ``columns``, cached per (key, trim)."""
-        obs = ensure_telemetry(telemetry)
-        cache_key = (key, trim_fraction)
-        cached = self._distances.get(cache_key)
-        if cached is not None:
-            obs.count("cluster.distance_matrices_reused")
-            return cached
-        with obs.span("cluster.distance"):
-            matrix = pairwise_trimmed_manhattan(columns, trim_fraction)
-        obs.count("cluster.distance_matrices_computed")
-        self._distances[cache_key] = matrix
-        return matrix
-
-    def optics(
-        self,
-        key: object,
-        distances: np.ndarray,
-        trim_fraction: float,
-        min_pts: int,
-        telemetry: Telemetry | None = None,
-    ) -> OpticsResult:
-        """The OPTICS ordering for ``distances``, cached per (key, trim, min_pts)."""
-        obs = ensure_telemetry(telemetry)
-        cache_key = (key, trim_fraction, min_pts)
-        cached = self._optics.get(cache_key)
-        if cached is not None:
-            obs.count("cluster.optics_reused")
-            return cached
-        with obs.span("cluster.optics"):
-            result = optics_order(distances, min_pts, telemetry=telemetry)
-        self._optics[cache_key] = result
-        return result
 
 
 @dataclass
@@ -162,52 +105,64 @@ class SiteClustering:
 def cluster_isp_offnets(
     columns: np.ndarray,
     ips: list[int],
-    config: ClusteringConfig | None = None,
+    configs: Sequence[ClusteringConfig],
     telemetry: Telemetry | None = None,
-    memo: ClusteringMemo | None = None,
-    memo_key: object | None = None,
-) -> SiteClustering:
-    """Cluster one ISP's offnet IPs from their latency columns.
+) -> list[SiteClustering]:
+    """Cluster one ISP's offnet IPs from their latency columns, per config.
 
-    ``columns`` has shape ``(n_vps, len(ips))``.  Handles the degenerate
-    single-IP case (one cluster of one? no — one *unclustered* IP, matching
-    OPTICS semantics with min_pts = 2).
+    ``columns`` has shape ``(n_vps, len(ips))``.  Returns one
+    :class:`SiteClustering` per entry of ``configs``, in order.  The
+    configs may differ only in ``xi``: the distance matrix and the OPTICS
+    ordering are computed once and only the xi extraction runs per config.
 
-    Pass a :class:`ClusteringMemo` (with a ``memo_key`` identifying the
-    column set — the pipeline uses the ISP ASN) to share the distance
-    matrix and OPTICS ordering across calls that differ only in ``xi``; the
-    xi extraction itself is re-run per call.  Without a memo the
-    intermediates are computed fresh, exactly as before.
+    The points are clustered in IP order and the labels come back aligned
+    with the caller's ``ips``, so the result is a function of the set of
+    (IP, column) pairs: listing them in another order changes no label.
+    That is invariance under input order, not stability under noise — on
+    jitter-scale reachabilities the ratio-based xi rule still decides
+    where a facility ends.  A single IP is one *unclustered* IP (OPTICS
+    semantics with min_pts = 2).
     """
-    config = config or ClusteringConfig()
-    obs = ensure_telemetry(telemetry)
+    configs = list(configs)
+    require(bool(configs), "need at least one clustering config")
+    first = configs[0]
+    require(
+        all(replace(config, xi=first.xi) == first for config in configs),
+        "clustering configs may differ only in xi",
+    )
     require(columns.shape[1] == len(ips), "columns must align with ips")
-    require(memo is None or memo_key is not None, "a memo requires an explicit memo_key")
+    obs = ensure_telemetry(telemetry)
     n = len(ips)
-    if n == 0:
-        return SiteClustering(ips=[], labels=np.empty(0, dtype=int), config=config)
-    if n == 1:
-        obs.count("cluster.singleton_isps")
-        return SiteClustering(ips=list(ips), labels=np.array([-1]), config=config)
-    if memo is None:
-        # A throwaway memo unifies the timed/counted code path; nothing is
-        # ever reused through it.
-        memo, memo_key = ClusteringMemo(), "unshared"
-    distances = memo.distances(memo_key, columns, config.trim_fraction, telemetry=telemetry)
-    result = memo.optics(memo_key, distances, config.trim_fraction, config.min_pts, telemetry=telemetry)
-    with obs.span("cluster.xi"):
-        clusters = extract_xi_clusters(result.reachability, config.xi, config.min_pts)
-        clusters = split_clusters_on_spikes(
-            result.reachability, clusters, config.spike_factor, config.min_pts
-        )
-        position_labels = xi_labels(n, clusters)
-        labels = np.full(n, -1, dtype=int)
-        labels[result.ordering] = position_labels
-    clustering = SiteClustering(ips=list(ips), labels=labels, config=config)
-    obs.count("cluster.clusters_found", len(clustering.clusters))
-    obs.count("cluster.noise_ips", len(clustering.noise_ips))
-    obs.observe("cluster.sites_per_isp", clustering.site_count)
-    return clustering
+    if n < 2:
+        if n == 1:
+            obs.count("cluster.singleton_isps")
+        return [
+            SiteClustering(ips=list(ips), labels=np.full(n, -1, dtype=int), config=config)
+            for config in configs
+        ]
+    order = np.argsort(np.asarray(ips), kind="stable")
+    with obs.span("cluster.distance"):
+        distances = pairwise_trimmed_manhattan(columns[:, order], first.trim_fraction)
+    obs.count("cluster.distance_matrices_computed")
+    with obs.span("cluster.optics"):
+        result = optics_order(distances, first.min_pts, telemetry=telemetry)
+    # Caller position of the point at each OPTICS position.
+    positions = order[result.ordering]
+    clusterings = []
+    for config in configs:
+        with obs.span("cluster.xi"):
+            clusters = extract_xi_clusters(result.reachability, config.xi, config.min_pts)
+            clusters = split_clusters_on_spikes(
+                result.reachability, clusters, config.spike_factor, config.min_pts
+            )
+            labels = np.full(n, -1, dtype=int)
+            labels[positions] = xi_labels(n, clusters)
+        clustering = SiteClustering(ips=list(ips), labels=labels, config=config)
+        obs.count("cluster.clusters_found", len(clustering.clusters))
+        obs.count("cluster.noise_ips", len(clustering.noise_ips))
+        obs.observe("cluster.sites_per_isp", clustering.site_count)
+        clusterings.append(clustering)
+    return clusterings
 
 
 def _pairs_within(counts: np.ndarray) -> int:

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import make_rng, require, spawn_rng
-from repro.clustering.sites import (
-    ClusteringConfig,
-    ClusteringMemo,
-    SiteClustering,
-    cluster_isp_offnets,
-)
+from repro.clustering.sites import ClusteringConfig, SiteClustering, cluster_isp_offnets
 from repro.core.colocation import ColocationTable, build_colocation_table
 from repro.core.concentration import ConcentrationResult, single_facility_concentration
 from repro.core.country import CountryHostingResult, country_hosting_fractions
@@ -31,6 +26,7 @@ from repro.deployment.growth import DeploymentHistory, build_deployment_history
 from repro.deployment.placement import PlacementConfig
 from repro.faults import FaultPlan
 from repro.mlab.matrix import (
+    CAMPAIGN_CHUNK,
     FilteredCampaign,
     LatencyCampaignConfig,
     LatencyMatrix,
@@ -57,6 +53,9 @@ from repro.scan.detection import OffnetInventory, detect_offnets
 from repro.scan.scanner import ScanConfig, ScanResult, run_scan
 from repro.topology.generator import Internet, InternetConfig, generate_internet
 
+#: Whole ISPs per clustering shard.
+CLUSTERING_ISPS_PER_SHARD = 2
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -71,9 +70,8 @@ class StudyConfig:
     xis: tuple[float, ...] = (0.1, 0.9)
     #: Log-normal sigma of the population-estimate noise (0 = exact).
     population_noise_sigma: float = 0.0
-    #: How the campaign and clustering fan-outs execute.  Backend and
-    #: worker count never change the artifacts (chunk sizes do, by design:
-    #: they shape the shard RNG streams).
+    #: How the campaign and clustering fan-outs execute.  Execution-only:
+    #: never changes the artifacts.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     #: Deterministic fault injection (chaos testing).  None = no faults.
     #: Transient faults are retried away and never change artifacts;
@@ -218,38 +216,30 @@ class Study:
 
 def _cluster_shard(
     shared_rtt: SharedArray,
+    configs: tuple[ClusteringConfig, ...],
     shard: Shard,
     telemetry: Telemetry | None,
-) -> list[tuple[float, int, SiteClustering]]:
-    """Cluster one shard of ``(config, asn, ips, column_indices)`` units.
+) -> list[tuple[int, list[SiteClustering]]]:
+    """Cluster one shard of ``(asn, ips, column_indices)`` ISPs at every config.
 
     ``shared_rtt`` is the whole campaign matrix, crossed into workers by
     shared-memory reference; each work unit carries only its ISP's column
     *indices*, and slicing here (``rtt[:, cols]``) materialises exactly
-    the submatrix the old copied-payload design pickled per shard —
-    identical fancy-indexing, identical bytes.
+    the ISP's submatrix.
 
     OPTICS draws no randomness, so shard placement cannot affect labels;
     per-ISP spans are recorded here so the serial and pool backends
     produce the same telemetry shape.
-
-    Each shard carries its own :class:`ClusteringMemo`: the pair list is
-    ISP-major, so an ISP's xi settings land in the same shard (whenever the
-    chunk size is a multiple of ``len(xis)``) and its distance matrix and
-    OPTICS ordering are computed once — identically on the serial backend
-    and inside every process worker.
     """
     obs = ensure_telemetry(telemetry)
     rtt = shared_rtt.array
-    memo = ClusteringMemo()
-    results: list[tuple[float, int, SiteClustering]] = []
-    for clustering_config, asn, ips, column_indices in shard.items:
-        columns = rtt[:, column_indices]
-        with obs.span("cluster.isp", asn=asn, xi=clustering_config.xi, n_ips=len(ips)):
-            clustering = cluster_isp_offnets(
-                columns, list(ips), clustering_config, telemetry=telemetry, memo=memo, memo_key=asn
+    results: list[tuple[int, list[SiteClustering]]] = []
+    for asn, ips, column_indices in shard.items:
+        with obs.span("cluster.isp", asn=asn, n_ips=len(ips)):
+            clusterings = cluster_isp_offnets(
+                rtt[:, column_indices], list(ips), configs, telemetry=telemetry
             )
-        results.append((clustering_config.xi, asn, clustering))
+        results.append((asn, clusterings))
     return results
 
 
@@ -337,7 +327,6 @@ def run_study(
             # advances the root generator, and later stages (population,
             # PTR) must see exactly the streams a fresh run would.
             pings_rng = spawn_rng(root, "pings")
-            n_campaign_shards = -(-len(target_ips) // config.parallel.campaign_chunk)
             if precomputed is None:
                 matrix = measure_offnets(
                     internet,
@@ -378,7 +367,7 @@ def run_study(
                     ips=list(target_ips),
                     rtt_ms=rtt_ms,
                     unmeasured_ips=unmeasured,
-                    shards_total=n_campaign_shards,
+                    shards_total=-(-len(target_ips) // CAMPAIGN_CHUNK),
                 )
                 obs.count("study.rehydrated_measurements", rtt_ms.size)
             campaign_span.set(n_items=int(matrix.rtt_ms.size))
@@ -410,32 +399,23 @@ def run_study(
         ):
             obs.count("cluster.isps_analyzed", len(campaign.analyzable_isp_asns))
             if precomputed is None:
-                # Work units are (isp_asn, xi) pairs; each carries its ISP's
-                # column *indices* into the campaign matrix, which crosses
-                # to process workers once as a shared-memory reference —
-                # workers never unpickle per-shard submatrix copies.
-                # ISP-major order keeps an ISP's xi settings adjacent — with
-                # the default chunk of 4 and 2 xis every shard holds whole
-                # ISPs, so the per-shard ClusteringMemo computes each ISP's
-                # distance matrix and OPTICS ordering exactly once.  The
-                # pair *count* (and so the shard count in the coverage
-                # ledger) is unchanged from the xi-major layout.  Per-pair
-                # cost estimates (|ips|², the OPTICS distance-matrix term)
-                # let the executors dispatch the heaviest ISPs first.
-                pairs = []
-                pair_costs = []
+                # Work units are whole ISPs, each clustered at every xi in
+                # one call; each carries its column *indices* into the
+                # campaign matrix, which crosses to process workers once as
+                # a shared-memory reference.  Per-ISP cost estimates
+                # (|ips|², the OPTICS distance-matrix term) let the
+                # executors dispatch the heaviest ISPs first.
+                isps = []
+                isp_costs = []
                 for asn in campaign.analyzable_isp_asns:
                     isp_ips = campaign.ips_by_isp[asn]
-                    isp_column_indices = matrix.column_indices(isp_ips)
-                    for xi in config.xis:
-                        pairs.append((ClusteringConfig(xi=xi), asn, isp_ips, isp_column_indices))
-                        pair_costs.append(float(len(isp_ips)) ** 2)
-                plan = ShardPlan.of(
-                    pairs, chunk_size=config.parallel.clustering_chunk, costs=pair_costs
-                )
+                    isps.append((asn, isp_ips, matrix.column_indices(isp_ips)))
+                    isp_costs.append(float(len(isp_ips)) ** 2)
+                plan = ShardPlan.of(isps, chunk_size=CLUSTERING_ISPS_PER_SHARD, costs=isp_costs)
+                configs = tuple(ClusteringConfig(xi=xi) for xi in config.xis)
                 with ShmRegistry(enabled=config.parallel.backend != "serial") as registry:
                     shard_results = run_sharded(
-                        partial(_cluster_shard, registry.share(matrix.rtt_ms)),
+                        partial(_cluster_shard, registry.share(matrix.rtt_ms), configs),
                         plan,
                         config.parallel,
                         telemetry=telemetry,
@@ -447,13 +427,14 @@ def run_study(
                 clustering_shards_lost = 0
                 for shard_result in shard_results:
                     if isinstance(shard_result, ShardLoss):
-                        # The shard's (isp, xi) cells are simply absent from
-                        # the clusterings; downstream tables skip them and
-                        # the loss is surfaced in coverage.
+                        # The shard's ISPs are simply absent from the
+                        # clusterings; downstream tables skip them and the
+                        # loss is surfaced in coverage.
                         clustering_shards_lost += 1
                         continue
-                    for xi, asn, clustering in shard_result:
-                        clusterings[xi][asn] = clustering
+                    for asn, per_xi in shard_result:
+                        for xi, clustering in zip(config.xis, per_xi):
+                            clusterings[xi][asn] = clustering
                 coverage.record("clustering.shards", clustering_shards_lost, plan.n_shards)
             else:
                 require(
@@ -469,10 +450,8 @@ def run_study(
                         "than this config's filtered campaign",
                     )
                 clusterings = {xi: dict(per_isp) for xi, per_isp in precomputed.clusterings.items()}
-                n_pairs = len(config.xis) * len(campaign.analyzable_isp_asns)
-                coverage.record(
-                    "clustering.shards", 0, -(-n_pairs // config.parallel.clustering_chunk)
-                )
+                n_isps = len(campaign.analyzable_isp_asns)
+                coverage.record("clustering.shards", 0, -(-n_isps // CLUSTERING_ISPS_PER_SHARD))
 
         with obs.span("population", n_items=len(internet.isps)):
             population = build_population_dataset(

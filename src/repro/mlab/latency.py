@@ -17,7 +17,6 @@ the same physical routes — drawn deterministically from a hash so that:
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from repro._util import (
     require,
 )
 from repro.mlab.vantage import VantagePoint
-from repro.obs import Telemetry, ensure_telemetry
 from repro.topology.facilities import Facility
 
 #: Bounds for metro-pair path inflation (literature: typically 1.5-2.5x).
@@ -76,35 +74,16 @@ def vp_pair_floor_rtt_ms(a: VantagePoint, b: VantagePoint) -> float:
     return propagation_rtt_ms(great_circle_m(a.lat, a.lon, b.lat, b.lon), 1.0)
 
 
-#: The floor matrix is a pure function of the vantage-point coordinates and
-#: every study stage sees the same vantage set, so a tiny LRU suffices; the
-#: bound only guards pathological many-vantage-set callers (sweeps cycling
-#: configs) from unbounded growth.
-_FLOOR_CACHE_MAX = 8
-_floor_cache: OrderedDict[tuple[tuple[float, float], ...], np.ndarray] = OrderedDict()
-
-
-def vp_pair_floor_matrix(
-    vps: list[VantagePoint], telemetry: Telemetry | None = None
-) -> np.ndarray:
-    """Pairwise :func:`vp_pair_floor_rtt_ms` matrix, cached per vantage set.
+def vp_pair_floor_matrix(vps: list[VantagePoint]) -> np.ndarray:
+    """Pairwise :func:`vp_pair_floor_rtt_ms` matrix.
 
     Vectorised haversine over all pairs at once.  SIMD trig can differ from
     the scalar ``math``-library path by ~1 ulp (relative ~1e-16); the
     plausibility filter compares these floors against RTT sums offset by a
     0.5 ms slack, so the difference is six orders of magnitude below
     anything that could flip a decision (the golden-export tests pin the
-    artifacts regardless).  The returned array is shared and marked
-    read-only — copy before mutating.
+    artifacts regardless).
     """
-    obs = ensure_telemetry(telemetry)
-    key = tuple((vp.lat, vp.lon) for vp in vps)
-    cached = _floor_cache.get(key)
-    if cached is not None:
-        _floor_cache.move_to_end(key)
-        obs.count("filters.floor_cache_hits")
-        return cached
-    obs.count("filters.floor_cache_misses")
     lat = np.radians(np.array([vp.lat for vp in vps]))
     lon = np.radians(np.array([vp.lon for vp in vps]))
     half_dphi = (lat[None, :] - lat[:, None]) / 2.0
@@ -113,8 +92,4 @@ def vp_pair_floor_matrix(
     distance_m = 2 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
     floor = 2.0 * (distance_m / FIBRE_LIGHT_SPEED_M_S) * 1000.0
     np.fill_diagonal(floor, 0.0)
-    floor.flags.writeable = False
-    _floor_cache[key] = floor
-    while len(_floor_cache) > _FLOOR_CACHE_MAX:
-        _floor_cache.popitem(last=False)
     return floor

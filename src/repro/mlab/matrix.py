@@ -36,6 +36,10 @@ from repro.resilience import ResilienceConfig, ShardLoss
 from repro.topology.facilities import Facility
 from repro.topology.generator import Internet
 
+#: Offnet IPs per campaign shard.  Each shard draws from its own RNG
+#: stream, so this constant fixes the stream layout of every measured RTT.
+CAMPAIGN_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class LatencyCampaignConfig:
@@ -243,10 +247,10 @@ def measure_offnets(
     fraction respond from a mix of their true facility and a random other
     facility of the same hypergiant (split-location behaviour).
 
-    The measurement fan-out is sharded over target IPs (``parallel``
-    controls the backend); each shard draws from its own RNG stream spawned
-    before dispatch, so the matrix is byte-identical for every backend and
-    worker count at a fixed ``campaign_chunk``.
+    The measurement fan-out is sharded over target IPs in blocks of
+    :data:`CAMPAIGN_CHUNK` (``parallel`` controls only the backend); each
+    shard draws from its own RNG stream spawned before dispatch, so the
+    matrix is byte-identical for every backend and worker count.
 
     ``faults`` injects deterministic failures: ``mlab.ping`` drops turn a
     target's column NaN (after the RNG draws, so neighbours are
@@ -296,7 +300,7 @@ def measure_offnets(
             alternate_facility[idx] = candidates[int(rng_behaviour.integers(0, len(candidates)))]
 
     dropped = injected_ping_drops(faults, n_ips)
-    plan = ShardPlan.of(range(n_ips), chunk_size=parallel.campaign_chunk)
+    plan = ShardPlan.of(range(n_ips), chunk_size=CAMPAIGN_CHUNK)
     # Seed material instead of generators: each shard carries only *its*
     # stream (tens of bytes on shard.payload) where the old design pickled
     # the whole stage's generator tuple into every submission.
@@ -428,7 +432,7 @@ def apply_quality_filters(
     config = config or LatencyCampaignConfig()
     obs = ensure_telemetry(telemetry)
     with obs.span("filters.floor_matrix"):
-        floor = vp_pair_floor_matrix(matrix.vps, telemetry=telemetry)
+        floor = vp_pair_floor_matrix(matrix.vps)
 
     with obs.span("filters.plausibility"):
         valid = ~np.isnan(matrix.rtt_ms)

@@ -2,7 +2,7 @@
 
 The pipeline is embarrassingly parallel at two hot spots — the latency
 campaign (one column of pings per offnet IP) and the per-ISP OPTICS
-clustering at each xi — and this package fans both out without giving up
+clustering — and this package fans both out without giving up
 bit-reproducibility:
 
 * :class:`ShardPlan` partitions the work units into contiguous chunks as a
@@ -27,8 +27,6 @@ property ``tests/test_parallel_equivalence.py`` proves differentially.
 
 from repro.parallel.executor import (
     BACKENDS,
-    DEFAULT_CAMPAIGN_CHUNK,
-    DEFAULT_CLUSTERING_CHUNK,
     Executor,
     ParallelConfig,
     PoolExecutor,
@@ -57,8 +55,6 @@ from repro.parallel.shm import (
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_CAMPAIGN_CHUNK",
-    "DEFAULT_CLUSTERING_CHUNK",
     "Executor",
     "ParallelConfig",
     "PoolExecutor",

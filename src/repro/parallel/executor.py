@@ -95,12 +95,6 @@ from repro.parallel.shm import measure_payload, sweep_orphan_segments
 #: Recognised backend names, in preference order.
 BACKENDS = ("serial", "pool")
 
-#: Default work units per shard for the latency campaign (offnet IPs).
-DEFAULT_CAMPAIGN_CHUNK = 64
-
-#: Default work units per shard for clustering ((isp_asn, xi) pairs).
-DEFAULT_CLUSTERING_CHUNK = 4
-
 ShardTask = Callable[[Shard, Telemetry | None], Any]
 
 
@@ -130,23 +124,18 @@ def resolve_workers(workers: int | str) -> int:
 class ParallelConfig:
     """How sharded pipeline stages execute.
 
-    Chunk sizes shape the :class:`ShardPlan` and therefore the artifacts'
-    RNG stream layout; ``backend``, ``workers``, and ``shard_timeout_s``
-    only decide *where* shards run and how long a worker may hold one, so
-    changing them never changes results.  ``workers`` accepts ``"auto"``
-    (resolved to ``max(1, cpus - 1)`` at construction, so telemetry and
-    bench snapshots always see the concrete count).
+    Every field is execution-only: ``backend``, ``workers`` and
+    ``shard_timeout_s`` decide *where* shards run and how long a worker
+    may hold one, never how the work is partitioned, so changing them
+    never changes results.  The stages fix their own shard sizes
+    (:data:`repro.mlab.matrix.CAMPAIGN_CHUNK`,
+    :data:`repro.core.pipeline.CLUSTERING_ISPS_PER_SHARD`).  ``workers``
+    accepts ``"auto"`` (resolved to ``max(1, cpus - 1)`` at construction,
+    so telemetry and bench snapshots always see the concrete count).
     """
 
     backend: str = "serial"
     workers: int | str = 1
-    #: Offnet IPs per campaign shard.
-    campaign_chunk: int = DEFAULT_CAMPAIGN_CHUNK
-    #: (isp_asn, xi) pairs per clustering shard.  The pipeline emits pairs
-    #: ISP-major, so any multiple of ``len(xis)`` keeps each ISP's xi
-    #: settings in one shard and lets its distance matrix / OPTICS ordering
-    #: be memoized (other values stay correct, just without the reuse).
-    clustering_chunk: int = DEFAULT_CLUSTERING_CHUNK
     #: Per-shard execution timeout; ``None`` (default) never times out.
     #: On the pool a shard past its deadline is treated as a hung worker;
     #: retry/fallback behaviour then follows the stage's
@@ -158,8 +147,6 @@ class ParallelConfig:
         require(self.backend in BACKENDS, f"backend must be one of {BACKENDS}, got {self.backend!r}")
         object.__setattr__(self, "workers", resolve_workers(self.workers))
         require(self.workers >= 1, "workers must be >= 1")
-        require(self.campaign_chunk >= 1, "campaign_chunk must be >= 1")
-        require(self.clustering_chunk >= 1, "clustering_chunk must be >= 1")
         if self.shard_timeout_s is not None:
             require(self.shard_timeout_s > 0, "shard_timeout_s must be > 0 (or None)")
 

@@ -8,11 +8,10 @@ Two layers of identity:
   this keys the process-memory front cache so a study object always
   reports exactly the config it was asked for.
 * :func:`study_key` — the on-disk content address.  It hashes only the
-  *artifact-relevant* knobs: the parallel backend, worker count, and
-  shard timeout are normalised away because the differential harnesses
-  (``tests/test_parallel_equivalence.py``, ``tests/test_chaos.py``) prove
-  they never change the artifacts, while chunk sizes stay in the key
-  because they shape the shard RNG streams.  The resilience config is
+  *artifact-relevant* knobs: the parallel config is left out whole
+  because every field of it is execution-only, as the differential
+  harnesses (``tests/test_parallel_equivalence.py``,
+  ``tests/test_chaos.py``) prove.  The resilience config is
   execution-only and normalised away entirely; a fault plan keeps only
   its *permanent data* specs (transient faults are retried away without
   an artifact trace, and ``store.load`` faults never touch the pipeline's
@@ -94,9 +93,7 @@ def _artifact_relevant_faults(faults: dict | None) -> dict | None:
 def _artifact_view(config: StudyConfig) -> dict:
     """The config dict with artifact-irrelevant execution knobs normalised."""
     view = _jsonable(config)
-    view["parallel"] = dict(
-        view["parallel"], backend="serial", workers=1, shard_timeout_s=None
-    )
+    del view["parallel"]
     view["resilience"] = None
     view["faults"] = _artifact_relevant_faults(view["faults"])
     return view

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro._util import make_rng, require, spawn_rng
-from repro.clustering.sites import ClusteringConfig, ClusteringMemo, SiteClustering, cluster_isp_offnets
+from repro.clustering.sites import ClusteringConfig, SiteClustering, cluster_isp_offnets
 from repro.core.concentration import coverage_statistics, single_facility_concentration
 from repro.core.pipeline import StudyConfig
 from repro.deployment.hypergiants import DEFAULT_HYPERGIANT_PROFILES
@@ -334,7 +334,6 @@ def run_measure_stage(
         substrate.config.campaign,
         seed=_stage_seed(f"measure:{key}"),
         telemetry=telemetry,
-        parallel=ParallelConfig(),
     )
 
 
@@ -378,17 +377,13 @@ def run_cluster_stage(
     kept = filtered.ips_by_isp.get(isp_asn, [])
     payload: dict = {"analyzable": bool(kept), "ips": [int(ip) for ip in kept], "labels": {}}
     if kept:
-        memo = ClusteringMemo()
-        columns = matrix.submatrix(kept)
-        for xi in config.xis:
-            clustering = cluster_isp_offnets(
-                columns,
-                list(kept),
-                ClusteringConfig(xi=xi),
-                telemetry=telemetry,
-                memo=memo,
-                memo_key=isp_asn,
-            )
+        clusterings = cluster_isp_offnets(
+            matrix.submatrix(kept),
+            list(kept),
+            [ClusteringConfig(xi=xi) for xi in config.xis],
+            telemetry=telemetry,
+        )
+        for xi, clustering in zip(config.xis, clusterings):
             payload["labels"][str(xi)] = [int(label) for label in clustering.labels]
     if store is not None:
         store.put("cluster", key, payload)

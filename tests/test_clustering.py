@@ -12,12 +12,11 @@ from repro.clustering.distance import (
 from repro.clustering.optics import optics_order
 from repro.clustering.sites import (
     ClusteringConfig,
-    ClusteringMemo,
     cluster_isp_offnets,
     pair_confusion_counts,
     rand_index,
 )
-from repro.obs import Telemetry
+from repro.obs import Telemetry, aggregate_stages
 from repro.clustering.xi import XiCluster, extract_xi_clusters, xi_labels
 
 from tests.oracles import pair_confusion_counts_reference
@@ -219,29 +218,29 @@ class TestSiteDriver:
     def test_two_facilities_recovered(self):
         columns = two_blob_columns(n_a=6, n_b=6, separation=10.0)
         ips = list(range(12))
-        clustering = cluster_isp_offnets(columns, ips, ClusteringConfig(xi=0.5))
+        (clustering,) = cluster_isp_offnets(columns, ips, [ClusteringConfig(xi=0.5)])
         truth = np.array([0] * 6 + [1] * 6)
         assert rand_index(clustering.labels, truth) > 0.9
 
     def test_single_ip_is_noise(self):
-        clustering = cluster_isp_offnets(np.zeros((5, 1)), [99])
+        (clustering,) = cluster_isp_offnets(np.zeros((5, 1)), [99], [ClusteringConfig()])
         assert clustering.noise_ips == [99]
         assert clustering.site_count == 1
 
     def test_empty(self):
-        clustering = cluster_isp_offnets(np.zeros((5, 0)), [])
+        (clustering,) = cluster_isp_offnets(np.zeros((5, 0)), [], [ClusteringConfig()])
         assert clustering.clusters == []
         assert clustering.site_count == 0
 
     def test_site_count_counts_noise_as_sites(self):
         columns = two_blob_columns(n_a=6, n_b=1, separation=50.0)
-        clustering = cluster_isp_offnets(columns, list(range(7)), ClusteringConfig(xi=0.5))
+        (clustering,) = cluster_isp_offnets(columns, list(range(7)), [ClusteringConfig(xi=0.5)])
         # The lone far IP cannot form a cluster of 2: it is its own site.
         assert clustering.site_count >= 2
 
     def test_label_of(self):
         columns = two_blob_columns(n_a=4, n_b=4)
-        clustering = cluster_isp_offnets(columns, list(range(8)), ClusteringConfig(xi=0.5))
+        (clustering,) = cluster_isp_offnets(columns, list(range(8)), [ClusteringConfig(xi=0.5)])
         for ip in range(8):
             assert clustering.label_of(ip) == clustering.labels[ip]
 
@@ -253,56 +252,52 @@ class TestSiteDriver:
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
-            cluster_isp_offnets(np.zeros((5, 3)), [1, 2])
+            cluster_isp_offnets(np.zeros((5, 3)), [1, 2], [ClusteringConfig()])
 
     def test_label_of_unknown_ip_names_the_ip(self):
         columns = two_blob_columns(n_a=4, n_b=4)
-        clustering = cluster_isp_offnets(columns, list(range(8)), ClusteringConfig(xi=0.5))
+        (clustering,) = cluster_isp_offnets(columns, list(range(8)), [ClusteringConfig(xi=0.5)])
         with pytest.raises(KeyError, match="IP 404 is not a target"):
             clustering.label_of(404)
 
 
-class TestClusteringMemo:
-    def test_memo_requires_a_key(self):
-        with pytest.raises(ValueError, match="memo_key"):
-            cluster_isp_offnets(
-                two_blob_columns(), list(range(12)), memo=ClusteringMemo()
-            )
+class TestClusteringAtEveryXi:
+    XIS = (0.1, 0.5, 0.9)
 
-    def test_memoized_runs_match_unshared_runs(self):
-        """The memo changes only *when* work happens, never the labels."""
+    def test_one_call_equals_one_call_per_xi(self):
+        """Clustering at every xi in one call changes only *when* the
+        shared work happens, never the labels (IPs listed out of order)."""
         columns = two_blob_columns(n_a=6, n_b=6)
-        ips = list(range(12))
-        memo = ClusteringMemo()
-        for xi in (0.1, 0.5, 0.9):
-            config = ClusteringConfig(xi=xi)
-            shared = cluster_isp_offnets(columns, ips, config, memo=memo, memo_key="isp")
-            unshared = cluster_isp_offnets(columns, ips, config)
-            assert np.array_equal(shared.labels, unshared.labels)
+        ips = [int(ip) for ip in np.random.default_rng(0).permutation(12)]
+        configs = [ClusteringConfig(xi=xi) for xi in self.XIS]
+        together = cluster_isp_offnets(columns, ips, configs)
+        assert [clustering.config for clustering in together] == configs
+        for config, clustering in zip(configs, together):
+            (alone,) = cluster_isp_offnets(columns, ips, [config])
+            assert np.array_equal(clustering.labels, alone.labels)
 
-    def test_intermediates_computed_once_per_key(self):
+    def test_distances_and_ordering_computed_once(self):
         columns = two_blob_columns(n_a=5, n_b=5)
-        ips = list(range(10))
-        memo = ClusteringMemo()
         telemetry = Telemetry.capture()
-        for xi in (0.1, 0.9):
-            cluster_isp_offnets(
-                columns, ips, ClusteringConfig(xi=xi), telemetry=telemetry,
-                memo=memo, memo_key="isp",
-            )
+        cluster_isp_offnets(
+            columns, list(range(10)), [ClusteringConfig(xi=xi) for xi in self.XIS], telemetry=telemetry
+        )
         metrics = telemetry.metrics
         assert metrics.counter("cluster.distance_matrices_computed") == 1
-        assert metrics.counter("cluster.distance_matrices_reused") == 1
         assert metrics.counter("cluster.optics_runs") == 1
-        assert metrics.counter("cluster.optics_reused") == 1
+        stages = aggregate_stages(telemetry)
+        assert stages["cluster.distance"]["count"] == stages["cluster.optics"]["count"] == 1
+        assert stages["cluster.xi"]["count"] == len(self.XIS)
 
-    def test_different_trim_fractions_do_not_collide(self):
-        columns = two_blob_columns(n_a=4, n_b=4)
-        memo = ClusteringMemo()
-        a = memo.distances("isp", columns, 0.0)
-        b = memo.distances("isp", columns, 0.4)
-        assert a is not b
-        assert memo.distances("isp", columns, 0.0) is a
+    @pytest.mark.parametrize("other", [{"trim_fraction": 0.4}, {"min_pts": 3}, {"spike_factor": 9.0}])
+    def test_configs_may_differ_only_in_xi(self, other):
+        configs = [ClusteringConfig(xi=0.1), ClusteringConfig(xi=0.9, **other)]
+        with pytest.raises(ValueError, match="differ only in xi"):
+            cluster_isp_offnets(two_blob_columns(n_a=4, n_b=4), list(range(8)), configs)
+
+    def test_needs_a_config(self):
+        with pytest.raises(ValueError, match="at least one"):
+            cluster_isp_offnets(two_blob_columns(n_a=4, n_b=4), list(range(8)), [])
 
 
 class TestPairConfusionVectorized:

@@ -21,7 +21,6 @@ from repro.mlab.matrix import (
     apply_quality_filters,
     measure_offnets,
 )
-from repro.obs import Telemetry
 from repro.mlab.pings import PingConfig, ping_rtts
 from repro.mlab.vantage import build_vantage_points
 from repro.parallel import Shard, SharedArray
@@ -342,14 +341,6 @@ class TestFloorMatrix:
         floor = vp_pair_floor_matrix(vps)
         assert np.array_equal(floor, floor.T)
         assert (np.diag(floor) == 0.0).all()
-
-    def test_cached_per_vantage_set(self, vps):
-        telemetry = Telemetry.capture()
-        first = vp_pair_floor_matrix(vps, telemetry=telemetry)
-        second = vp_pair_floor_matrix(vps, telemetry=telemetry)
-        assert second is first
-        assert telemetry.metrics.counter("filters.floor_cache_hits") >= 1
-        assert not first.flags.writeable
 
     def test_distinct_vantage_sets_get_distinct_floors(self, vps):
         floor_all = vp_pair_floor_matrix(vps)

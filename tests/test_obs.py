@@ -344,29 +344,28 @@ class TestPipelineInstrumentation:
         assert summary.minimum >= 0.0
 
     def test_per_isp_timings(self, traced_pair):
-        """Every (isp, xi) cell lands one ``cluster.isp`` span; OPTICS runs
-        once per ISP (the memo serves the other xi settings from cache)."""
+        """Every analyzable ISP lands one ``cluster.isp`` span, clustered at
+        every xi in that one call; a multi-IP ISP runs OPTICS once."""
         _, _, telemetry = traced_pair
         metrics = telemetry.metrics
         stages = aggregate_stages(telemetry)
+        assert stages["cluster.isp"]["count"] == metrics.counter("cluster.isps_analyzed")
         assert stages["cluster.isp"]["count"] == (
-            metrics.counter("cluster.optics_runs")
-            + metrics.counter("cluster.optics_reused")
-            + int(metrics.counter("cluster.singleton_isps"))
+            metrics.counter("cluster.optics_runs") + int(metrics.counter("cluster.singleton_isps"))
         )
 
-    def test_memoization_reuses_per_isp_intermediates(self, traced_pair):
+    def test_one_distance_matrix_and_ordering_per_isp(self, traced_pair):
         """With two xi settings, every multi-IP ISP computes its distance
-        matrix and OPTICS ordering once and reuses both once."""
-        _, _, telemetry = traced_pair
+        matrix and OPTICS ordering once and extracts clusters twice."""
+        traced, _, telemetry = traced_pair
         metrics = telemetry.metrics
         computed = metrics.counter("cluster.distance_matrices_computed")
         assert computed > 0
-        assert metrics.counter("cluster.distance_matrices_reused") == computed
-        assert metrics.counter("cluster.optics_reused") == metrics.counter("cluster.optics_runs")
+        assert metrics.counter("cluster.optics_runs") == computed
         stages = aggregate_stages(telemetry)
         assert stages["cluster.distance"]["count"] == computed
-        assert stages["cluster.optics"]["count"] == metrics.counter("cluster.optics_runs")
+        assert stages["cluster.optics"]["count"] == computed
+        assert stages["cluster.xi"]["count"] == len(traced.config.xis) * computed
         assert stages["filters.plausibility"]["count"] == 1
 
 

@@ -8,6 +8,7 @@ per-shard RNG stability, and worker-telemetry accounting.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
@@ -183,14 +184,22 @@ class TestParallelConfig:
         [
             {"backend": "threads"},
             {"workers": 0},
-            {"campaign_chunk": 0},
-            {"clustering_chunk": -1},
+            {"shard_timeout_s": 0},
+            {"workers": "two"},
             {"backend": "process"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ParallelConfig(**kwargs)
+
+    def test_fields_are_execution_only(self):
+        """No field partitions the work: shard sizes belong to the stages."""
+        assert [field.name for field in dataclasses.fields(ParallelConfig)] == [
+            "backend",
+            "workers",
+            "shard_timeout_s",
+        ]
 
     def test_factory(self):
         assert isinstance(make_executor(ParallelConfig()), SerialExecutor)
@@ -342,9 +351,7 @@ class TestCampaignSharding:
         from repro.mlab.matrix import measure_offnets
 
         internet, state, ips, vps = campaign_setup
-        serial = measure_offnets(
-            internet, state, ips, vps, seed=4, parallel=ParallelConfig(campaign_chunk=32)
-        )
+        serial = measure_offnets(internet, state, ips, vps, seed=4)
         try:
             process = measure_offnets(
                 internet,
@@ -352,22 +359,27 @@ class TestCampaignSharding:
                 ips,
                 vps,
                 seed=4,
-                parallel=ParallelConfig(backend="pool", workers=4, campaign_chunk=32),
+                parallel=ParallelConfig(backend="pool", workers=4),
             )
         finally:
             shutdown_pools()
         assert np.array_equal(serial.rtt_ms, process.rtt_ms, equal_nan=True)
         assert serial.split_location_ips == process.split_location_ips
 
-    def test_chunk_size_is_part_of_the_artifact(self, campaign_setup):
-        # Chunk size shapes the shard RNG streams, so it is pinned in
-        # ParallelConfig rather than derived from the worker count.
+    def test_chunk_size_is_part_of_the_artifact(self, campaign_setup, monkeypatch):
+        # The shard size shapes the shard RNG streams, so it is a constant
+        # of the campaign (CAMPAIGN_CHUNK) rather than a ParallelConfig
+        # knob: another size re-draws the measurements.
+        import repro.mlab.matrix
         from repro.mlab.matrix import measure_offnets
 
         internet, state, ips, vps = campaign_setup
-        a = measure_offnets(internet, state, ips, vps, seed=4, parallel=ParallelConfig(campaign_chunk=32))
-        b = measure_offnets(internet, state, ips, vps, seed=4, parallel=ParallelConfig(campaign_chunk=32))
+        default = measure_offnets(internet, state, ips, vps, seed=4)
+        monkeypatch.setattr(repro.mlab.matrix, "CAMPAIGN_CHUNK", 32)
+        a = measure_offnets(internet, state, ips, vps, seed=4)
+        b = measure_offnets(internet, state, ips, vps, seed=4)
         assert np.array_equal(a.rtt_ms, b.rtt_ms, equal_nan=True)
+        assert not np.array_equal(default.rtt_ms, a.rtt_ms, equal_nan=True)
 
 
 needs_shm = pytest.mark.skipif(

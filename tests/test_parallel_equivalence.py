@@ -275,25 +275,33 @@ class TestProcessEquivalenceAtScale:
 
 
 class TestChunkSizeSemantics:
-    def test_chunk_size_may_change_measurements(self, serial_run):
-        """Chunk size pins the RNG stream layout, so it is an artifact knob.
+    def test_chunk_size_may_change_measurements(self, serial_run, monkeypatch):
+        """The campaign's shard size pins the RNG stream layout, so it is a
+        constant of the stage (``CAMPAIGN_CHUNK``), not an execution knob.
 
         This documents (rather than forbids) the behaviour: equivalence is
-        promised across backends and worker counts *at a fixed plan*, and
-        the plan is part of the configuration.
+        promised across backends and worker counts, and another shard size
+        is another artifact.
         """
+        import repro.mlab.matrix
+
         serial_study, _ = serial_run
-        other = run_study(_study_config(ParallelConfig(campaign_chunk=16)))
+        monkeypatch.setattr(repro.mlab.matrix, "CAMPAIGN_CHUNK", 16)
+        other = run_study(_study_config(ParallelConfig()))
         assert other.matrix.rtt_ms.shape == serial_study.matrix.rtt_ms.shape
         # Same campaign geometry, different noise stream layout.
         assert not np.array_equal(
             serial_study.matrix.rtt_ms, other.matrix.rtt_ms, equal_nan=True
         )
 
-    def test_clustering_chunk_is_inert_given_matrix(self, serial_run):
-        """Clustering draws no randomness: its chunk size cannot change labels."""
+    def test_clustering_chunk_is_inert_given_matrix(self, serial_run, monkeypatch):
+        """Clustering draws no randomness: how many ISPs share a shard
+        cannot change labels."""
+        import repro.core.pipeline
+
         serial_study, _ = serial_run
-        other = run_study(_study_config(ParallelConfig(clustering_chunk=1)))
+        monkeypatch.setattr(repro.core.pipeline, "CLUSTERING_ISPS_PER_SHARD", 1)
+        other = run_study(_study_config(ParallelConfig()))
         for xi, per_isp in serial_study.clusterings.items():
             for asn, clustering in per_isp.items():
                 assert np.array_equal(

@@ -16,9 +16,6 @@ numpy line the golden export digest was captured under.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-import repro.mlab.latency
 from repro.experiments.scenarios import scenario_by_name
 from repro.obs import Telemetry
 from repro.store import StageStore
@@ -38,11 +35,9 @@ SMALL_SCENARIO_COUNTERS = {
     "campaign.vantage_points": 40,
     "cluster.clusters_found": 392,
     "cluster.distance_matrices_computed": 101,
-    "cluster.distance_matrices_reused": 101,
     "cluster.isps_analyzed": 101,
     "cluster.noise_ips": 4034,
     "cluster.optics_points_ordered": 5579,
-    "cluster.optics_reused": 101,
     "cluster.optics_runs": 101,
     "clustering.shards_executed": 51,
     "deployment.epochs": 2,
@@ -51,7 +46,6 @@ SMALL_SCENARIO_COUNTERS = {
     "detect.onnet_or_unattributable": 400,
     "detect.records_matched": 13915,
     "detect.records_scanned": 14998,
-    "filters.floor_cache_misses": 1,
     "filters.ips_analyzable": 5579,
     "filters.ips_considered": 7250,
     "filters.ips_dropped_implausible": 30,
@@ -80,11 +74,8 @@ TIMELINE_STAGE_COUNTERS = {
 }
 
 
-def test_small_scenario_counters(monkeypatch):
+def test_small_scenario_counters():
     _require_golden_numpy()
-    # The vantage-pair floor cache lives for the process; empty it so the
-    # run records the one miss a fresh process records.
-    monkeypatch.setattr(repro.mlab.latency, "_floor_cache", OrderedDict())
     with Telemetry.capture() as telemetry:
         scenario_by_name("small").run(telemetry=telemetry)
     counters = telemetry.metrics.counters

@@ -1,7 +1,7 @@
 """Cross-cutting property-based tests (hypothesis) on the core algorithms.
 
 These complement the per-module unit tests with invariants that must hold
-for *any* input: OPTICS permutation/scale invariance, distance-matrix
+for *any* input: clustering invariance under input order and scale, distance-matrix
 consistency between the reference and vectorised implementations, xi label
 structure, and spike-split soundness.
 """
@@ -137,24 +137,26 @@ class TestOpticsInvariances:
         st.integers(3, 8),
         st.integers(3, 8),
     )
-    # ROADMAP item 6: when a shuffled ordering *ends* on a tiny absolute
-    # reachability rise, the ratio-based xi steep-up rule drops the tail
-    # point to noise while the unshuffled ordering keeps it (Rand 0.857).
-    # Inherent to Ankerst-style xi extraction, not an implementation bug;
-    # pinned here so the flake cannot resurface silently.  The planned fix
-    # (predecessor correction or an absolute-reachability floor on steep
-    # detection) should restore exact invariance — tighten the floor back
-    # to 1.0 in that PR.
+    # Inside one facility, reachabilities sit at jitter scale, and the
+    # ratio-based xi rule can count a rise from 0.015 to 0.034 ms as steep.
+    # Where that rise falls in the OPTICS ordering depends on the order the
+    # points are visited, so cluster_isp_offnets visits them in IP order:
+    # the same (IP, column) set gets the same labels whatever order the
+    # caller lists it in.  Each pinned example cuts a facility or drops its
+    # tail to noise (Rand 0.67-0.86) when the points are visited in caller
+    # order instead.
     @example(data_seed=20455020, perm_seed=1, n_a=4, n_b=3)
+    @example(data_seed=1484627254, perm_seed=1300054756, n_a=3, n_b=7)
+    @example(data_seed=256805448, perm_seed=2072534084, n_a=3, n_b=7)
+    @example(data_seed=1617404021, perm_seed=1025787207, n_a=3, n_b=5)
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariance_on_separated_structure(self, data_seed, perm_seed, n_a, n_b):
-        """Shuffling the input points must barely change a clear grouping.
+        """Shuffling the input points must not change the grouping.
 
-        (On structureless data OPTICS orderings — ours and sklearn's —
-        legitimately depend on input order, so the property is asserted
-        where the paper needs it: well-separated facilities.  Exact
-        invariance does not hold — see the pinned @example — so the claim
-        is a documented Rand-index floor.)
+        The property is invariance under input order: the labels are a
+        function of the set of (IP, column) pairs.  It is not stability
+        under noise, which the accuracy benches measure against ground
+        truth.
         """
         rng = np.random.default_rng(data_seed)
         n_vps = 20
@@ -166,24 +168,26 @@ class TestOpticsInvariances:
         for j in range(n_b):
             columns[:, n_a + j] = base_b + rng.normal(0, 0.05, n_vps)
         n = n_a + n_b
-        base = cluster_isp_offnets(columns, list(range(n)), ClusteringConfig(xi=0.5))
+        configs = [ClusteringConfig(xi=0.5)]
+        (base,) = cluster_isp_offnets(columns, list(range(n)), configs)
 
         permutation = np.random.default_rng(perm_seed).permutation(n)
-        shuffled = cluster_isp_offnets(
-            columns[:, permutation], [int(p) for p in permutation], ClusteringConfig(xi=0.5)
+        (shuffled,) = cluster_isp_offnets(
+            columns[:, permutation], [int(p) for p in permutation], configs
         )
         labels_shuffled = np.empty(n, dtype=int)
         for position, point in enumerate(permutation):
             labels_shuffled[point] = shuffled.labels[position]
-        assert rand_index(base.labels, labels_shuffled) >= 0.85
+        assert rand_index(base.labels, labels_shuffled) == 1.0
 
     @given(latency_columns(), st.floats(0.5, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance(self, columns, scale):
         """xi extraction is ratio-based: scaling all latencies is a no-op."""
         n = columns.shape[1]
-        base = cluster_isp_offnets(columns, list(range(n)), ClusteringConfig(xi=0.5))
-        scaled = cluster_isp_offnets(columns * scale, list(range(n)), ClusteringConfig(xi=0.5))
+        configs = [ClusteringConfig(xi=0.5)]
+        (base,) = cluster_isp_offnets(columns, list(range(n)), configs)
+        (scaled,) = cluster_isp_offnets(columns * scale, list(range(n)), configs)
         assert rand_index(base.labels, scaled.labels) == pytest.approx(1.0)
 
     @given(latency_columns())

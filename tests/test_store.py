@@ -70,11 +70,16 @@ class TestKeys:
         assert config_fingerprint(serial) != config_fingerprint(process)
         assert study_key(serial) == study_key(process)
 
-    def test_chunk_sizes_stay_in_study_key(self):
-        """Chunk sizes shape shard RNG streams, so they must key the store."""
-        assert study_key(_tiny_config()) != study_key(
-            _tiny_config(parallel=ParallelConfig(campaign_chunk=16))
-        )
+    def test_study_key_ignores_every_parallel_config_field(self):
+        """Every ParallelConfig field is execution-only, so none of them
+        reaches the content address."""
+        key = study_key(_tiny_config())
+        for parallel in (
+            ParallelConfig(backend="pool"),
+            ParallelConfig(workers=3),
+            ParallelConfig(shard_timeout_s=5.0),
+        ):
+            assert study_key(_tiny_config(parallel=parallel)) == key
 
 
 class TestStoreRoundTrip:
