@@ -5,9 +5,9 @@ Runs the small scenario under the serial backend and the persistent
 **byte-identical** archives, and writes the timings to
 ``BENCH_parallel.json`` in the ``repro-bench-v1`` trajectory format.
 Each run's flight-recorder summary rides along: per worker utilization,
-queue-wait share, per-shard payload bytes (with the shared-memory marker
-proving the zero-copy path engaged), and per-stage pool identity/restarts
-— the *why* behind every wall time.
+queue-wait share, per-shard payload bytes (each submission carries only
+its own shard's slice of the stage's arrays), and per-stage pool
+identity/restarts — the *why* behind every wall time.
 
 The JSON records the host's CPU count: the speedup assertion (pool
 backend, 4 workers, >= ``TARGET_SPEEDUP_4W``) only arms when the hardware
@@ -18,9 +18,10 @@ records standing in as proof that the fast path was exercised.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by the CI ``parallel-check``
 job) runs a trimmed grid, skips the timing gate and the snapshot write,
-and *asserts the optimization is structurally active*: campaign shard
-payloads must ride shared memory and the pool backend must reuse one pool
-across both fan-out stages.
+and *asserts the dispatch is structurally sound*: no submission may carry
+more than its own shard (the largest payload stays below a tenth of the
+RTT matrix's bytes) and the pool backend must reuse one pool across both
+fan-out stages.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_parallel.py -s``.
 """
@@ -39,12 +40,7 @@ from repro._util import format_table
 from repro.experiments.scenarios import scenario_by_name
 from repro.io.archive import save_archive
 from repro.obs import Telemetry
-from repro.parallel import (
-    ParallelConfig,
-    process_backend_available,
-    shared_memory_available,
-    shutdown_pools,
-)
+from repro.parallel import ParallelConfig, process_backend_available, shutdown_pools
 
 from benchmarks.conftest import emit
 
@@ -95,27 +91,23 @@ def _time_run(backend: str, workers: int, export_dir: Path) -> dict:
         "clustering_s": round(clustering.duration_s, 3),
         "parallel_stages_s": round(campaign.duration_s + clustering.duration_s, 3),
         "archive_sha256": digest.hexdigest(),
+        "matrix_bytes": study.matrix.rtt_ms.nbytes,
         # Flight-view forensics: per-worker utilization, queue-wait
-        # share, payload bytes + shm markers, pool identity, stragglers.
+        # share, payload bytes, pool identity, stragglers.
         "flight": telemetry.flight.to_json(),
     }
 
 
 def _assert_fast_path_active(run: dict) -> None:
-    """The structural claims behind the numbers: shm engaged, pool reused."""
+    """The structural claims behind the numbers: own-slice payloads, pool reused."""
     flight = run["flight"]
-    if shared_memory_available():
-        payload = flight["payload"]
-        assert payload["shm_shards"] > 0, (
-            f"{run['backend']}/{run['workers']}w: no shard payload rode shared "
-            "memory — the zero-copy fast path is not engaged"
-        )
-        # Reference-shaped payloads: even the largest submission must be
-        # far below one campaign submatrix (tens of KiB at small scale).
-        assert payload["max_bytes"] < 16 * 1024, (
-            f"max shard payload {payload['max_bytes']}B looks value-shaped, "
-            "not reference-shaped"
-        )
+    payload = flight["payload"]
+    assert payload["measured_shards"] > 0
+    assert payload["max_bytes"] < run["matrix_bytes"] / 10, (
+        f"{run['backend']}/{run['workers']}w: max shard payload {payload['max_bytes']}B "
+        f"against a {run['matrix_bytes']}B RTT matrix — a submission carries more "
+        "than its own shard"
+    )
     pools = flight["pools"]
     assert {"campaign", "clustering"} <= set(pools)
     if run["backend"] == "pool":
@@ -156,7 +148,7 @@ def test_bench_parallel_snapshot(tmp_path):
     if _smoke():
         emit(
             "parallel bench smoke",
-            "fast path active: shm payloads engaged, persistent pool reused "
+            "fast path active: own-slice payloads, persistent pool reused "
             f"across stages ({len(runs)} runs, identical artifacts)",
         )
         return
@@ -181,7 +173,6 @@ def test_bench_parallel_snapshot(tmp_path):
         "target_speedup_4w": TARGET_SPEEDUP_4W,
         "speedup_4w": speedup_4w,
         "hardware_limited": cpus < 4,
-        "shared_memory_available": shared_memory_available(),
         "runs": [
             {key: value for key, value in run.items() if key != "archive_sha256"}
             for run in runs

@@ -38,16 +38,22 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def spawn_seed(rng: np.random.Generator, label: str) -> tuple[int, ...]:
+    """Seed material for an independent child stream of ``rng``, keyed by ``label``.
+
+    One draw from ``rng`` followed by the label's characters as entropy;
+    ``np.random.default_rng`` over the tuple is the child generator.
+    """
+    return (int(rng.integers(0, 2**63 - 1)), *(ord(ch) for ch in label))
+
+
 def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:
     """Derive an independent child generator from ``rng``, keyed by ``label``.
 
     Using a label (rather than drawing from the parent stream) keeps sibling
     components' randomness independent of the order in which they are built.
     """
-    # Fold the label into entropy deterministically.
-    label_entropy = [ord(ch) for ch in label]
-    seed_material = rng.integers(0, 2**63 - 1)
-    return np.random.default_rng([int(seed_material), *label_entropy])
+    return np.random.default_rng(spawn_seed(rng, label))
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:

@@ -10,9 +10,8 @@ figure is derived.
 
 from __future__ import annotations
 
-import math
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,19 +30,13 @@ from repro.mlab.matrix import (
     LatencyCampaignConfig,
     LatencyMatrix,
     apply_quality_filters,
+    effective_min_vps,
     injected_ping_drops,
     measure_offnets,
 )
 from repro.mlab.vantage import VantagePoint, build_vantage_points
 from repro.obs import Telemetry, ensure_telemetry
-from repro.parallel import (
-    ParallelConfig,
-    Shard,
-    ShardPlan,
-    SharedArray,
-    ShmRegistry,
-    run_sharded,
-)
+from repro.parallel import ParallelConfig, Shard, ShardPlan, run_sharded
 from repro.population.users import PopulationDataset, build_population_dataset
 from repro.rdns.ptr import PtrConfig, PtrDataset, build_ptr_dataset
 from repro.resilience import CoverageReport, ResilienceConfig, ShardLoss
@@ -214,31 +207,28 @@ class Study:
         return single / total if total else 0.0
 
 
+def _isp_columns(matrix: LatencyMatrix, shard: Shard) -> list[np.ndarray]:
+    """The RTT columns of each ``(asn, ips)`` ISP in ``shard``: its cut."""
+    return [matrix.submatrix(ips) for _asn, ips in shard.items]
+
+
 def _cluster_shard(
-    shared_rtt: SharedArray,
     configs: tuple[ClusteringConfig, ...],
     shard: Shard,
     telemetry: Telemetry | None,
 ) -> list[tuple[int, list[SiteClustering]]]:
-    """Cluster one shard of ``(asn, ips, column_indices)`` ISPs at every config.
+    """Cluster one shard of ``(asn, ips)`` ISPs at every config.
 
-    ``shared_rtt`` is the whole campaign matrix, crossed into workers by
-    shared-memory reference; each work unit carries only its ISP's column
-    *indices*, and slicing here (``rtt[:, cols]``) materialises exactly
-    the ISP's submatrix.
-
+    ``shard.payload`` holds each ISP's RTT columns (:func:`_isp_columns`).
     OPTICS draws no randomness, so shard placement cannot affect labels;
     per-ISP spans are recorded here so the serial and pool backends
     produce the same telemetry shape.
     """
     obs = ensure_telemetry(telemetry)
-    rtt = shared_rtt.array
     results: list[tuple[int, list[SiteClustering]]] = []
-    for asn, ips, column_indices in shard.items:
+    for (asn, ips), rtt in zip(shard.items, shard.payload):
         with obs.span("cluster.isp", asn=asn, n_ips=len(ips)):
-            clusterings = cluster_isp_offnets(
-                rtt[:, column_indices], list(ips), configs, telemetry=telemetry
-            )
+            clusterings = cluster_isp_offnets(rtt, list(ips), configs, telemetry=telemetry)
         results.append((asn, clusterings))
     return results
 
@@ -374,20 +364,11 @@ def run_study(
             coverage.record("mlab.pings", len(matrix.unmeasured_ips), len(matrix.ips))
             coverage.record("campaign.shards", matrix.shards_lost, matrix.shards_total)
 
-        # Scale the per-ISP coverage threshold to the vantage-point count
-        # (the paper's 100-of-163 is ~61 %).
-        effective_min_vps = min(config.campaign.min_vps_per_isp, math.ceil(0.61 * config.n_vantage_points))
-        campaign_config = LatencyCampaignConfig(
-            ping=config.campaign.ping,
-            unresponsive_ip_fraction=config.campaign.unresponsive_ip_fraction,
-            split_location_fraction=config.campaign.split_location_fraction,
-            inflation_seed=config.campaign.inflation_seed,
-            plausibility_slack_ms=config.campaign.plausibility_slack_ms,
-            min_vps_per_isp=effective_min_vps,
-        )
+        min_vps = effective_min_vps(config.campaign, config.n_vantage_points)
+        filter_config = replace(config.campaign, min_vps_per_isp=min_vps)
         ip_to_isp = {d.ip: d.isp_asn for d in inventories["2023"].detections}
-        with obs.span("filters", min_vps_per_isp=effective_min_vps, n_items=len(matrix.ips)):
-            campaign = apply_quality_filters(matrix, ip_to_isp, campaign_config, telemetry=telemetry)
+        with obs.span("filters", min_vps_per_isp=min_vps, n_items=len(matrix.ips)):
+            campaign = apply_quality_filters(matrix, ip_to_isp, filter_config, telemetry=telemetry)
         obs.log(
             "quality filters applied",
             kept_isps=len(campaign.ips_by_isp),
@@ -400,29 +381,23 @@ def run_study(
             obs.count("cluster.isps_analyzed", len(campaign.analyzable_isp_asns))
             if precomputed is None:
                 # Work units are whole ISPs, each clustered at every xi in
-                # one call; each carries its column *indices* into the
-                # campaign matrix, which crosses to process workers once as
-                # a shared-memory reference.  Per-ISP cost estimates
-                # (|ips|², the OPTICS distance-matrix term) let the
-                # executors dispatch the heaviest ISPs first.
-                isps = []
-                isp_costs = []
-                for asn in campaign.analyzable_isp_asns:
-                    isp_ips = campaign.ips_by_isp[asn]
-                    isps.append((asn, isp_ips, matrix.column_indices(isp_ips)))
-                    isp_costs.append(float(len(isp_ips)) ** 2)
+                # one call; a shard carries its ISPs' RTT columns.  Per-ISP
+                # cost estimates (|ips|², the OPTICS distance-matrix term)
+                # let the executors dispatch the heaviest ISPs first.
+                isps = [(asn, campaign.ips_by_isp[asn]) for asn in campaign.analyzable_isp_asns]
+                isp_costs = [float(len(ips)) ** 2 for _asn, ips in isps]
                 plan = ShardPlan.of(isps, chunk_size=CLUSTERING_ISPS_PER_SHARD, costs=isp_costs)
                 configs = tuple(ClusteringConfig(xi=xi) for xi in config.xis)
-                with ShmRegistry(enabled=config.parallel.backend != "serial") as registry:
-                    shard_results = run_sharded(
-                        partial(_cluster_shard, registry.share(matrix.rtt_ms), configs),
-                        plan,
-                        config.parallel,
-                        telemetry=telemetry,
-                        label="clustering",
-                        faults=faults,
-                        resilience=resilience,
-                    )
+                shard_results = run_sharded(
+                    partial(_cluster_shard, configs),
+                    plan,
+                    config.parallel,
+                    telemetry=telemetry,
+                    label="clustering",
+                    faults=faults,
+                    resilience=resilience,
+                    payload=partial(_isp_columns, matrix),
+                )
                 clusterings = {xi: {} for xi in config.xis}
                 clustering_shards_lost = 0
                 for shard_result in shard_results:

@@ -12,6 +12,7 @@ ISP's offnets).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,14 +25,7 @@ from repro.mlab.latency import base_rtt_matrix, vp_pair_floor_matrix
 from repro.mlab.pings import PingConfig, ping_rtts
 from repro.mlab.vantage import VantagePoint
 from repro.obs import Telemetry, ensure_telemetry
-from repro.parallel import (
-    ParallelConfig,
-    Shard,
-    ShardPlan,
-    SharedArray,
-    ShmRegistry,
-    run_sharded,
-)
+from repro.parallel import ParallelConfig, Shard, ShardPlan, run_sharded
 from repro.resilience import ResilienceConfig, ShardLoss
 from repro.topology.facilities import Facility
 from repro.topology.generator import Internet
@@ -74,6 +68,15 @@ class LatencyCampaignConfig:
         require(self.min_vps_per_isp >= 1, "min_vps_per_isp must be >= 1")
 
 
+def effective_min_vps(config: LatencyCampaignConfig, n_vantage_points: int) -> int:
+    """The per-ISP coverage threshold scaled to the vantage-point count.
+
+    The paper's 100 of 163 vantage points is ~61 %; with fewer vantage
+    points the threshold becomes that share of them.
+    """
+    return min(config.min_vps_per_isp, math.ceil(0.61 * n_vantage_points))
+
+
 @dataclass
 class LatencyMatrix:
     """Second-smallest-of-8 RTTs, shape ``(n_vps, n_ips)``; NaN = no value."""
@@ -114,23 +117,13 @@ class LatencyMatrix:
         """
         return self.rtt_ms[:, self._index_of(ip)]
 
-    def column_indices(self, ips: list[int]) -> np.ndarray:
-        """Column index per IP in ``ips``, in the given order.
-
-        The indirection that lets a sharded stage ship *indices* to
-        workers holding a shared-memory view of ``rtt_ms`` instead of
-        copied submatrices.  Raises :class:`KeyError` naming the first
-        missing IP when any of ``ips`` was not a campaign target.
-        """
-        return np.array([self._index_of(ip) for ip in ips], dtype=np.intp)
-
     def submatrix(self, ips: list[int]) -> np.ndarray:
         """Columns for ``ips``, in the given order.
 
         Raises :class:`KeyError` naming the first missing IP when any of
         ``ips`` was not a campaign target.
         """
-        return self.rtt_ms[:, self.column_indices(ips)]
+        return self.rtt_ms[:, np.array([self._index_of(ip) for ip in ips], dtype=np.intp)]
 
     def has_ip(self, ip: int) -> bool:
         """Whether ``ip`` was a target in this campaign."""
@@ -139,76 +132,85 @@ class LatencyMatrix:
 
 @dataclass(frozen=True)
 class _CampaignShardInputs:
-    """Everything one campaign shard needs, picklable for process workers.
+    """One campaign shard's own inputs, cut in the parent at dispatch.
 
     All randomness-driven *behaviour* (which IPs are unresponsive, split, or
-    rate-limited) is decided in the parent before fan-out; shards only draw
-    the per-probe measurement noise from their own stream (a compact seed
-    riding on ``shard.payload``).  Every array field is a
-    :class:`~repro.parallel.SharedArray`: on the pool backend they
-    cross into workers as shared-memory references (~100 bytes each)
-    instead of pickled copies, and by value — bit-identically — where
-    shared memory is unavailable.
+    rate-limited) is decided in the parent before fan-out; a shard only
+    draws the per-probe measurement noise, from its own stream.
     """
 
-    base: SharedArray  # (n_vps, n_facilities) base RTTs
-    target_facility: SharedArray  # facility column per target IP
-    alternate_facility: SharedArray  # split-location alternate per target IP
-    unresponsive: SharedArray  # bool per target IP
-    split: SharedArray  # bool per target IP
-    lossy: SharedArray  # bool per target IP (ISP rate-limits ICMP)
-    ping: PingConfig
-    lossy_success_rate: float
-    #: bool per target IP: measurements lost to an injected ``mlab.ping``
-    #: fault (None when no such faults are planned — the common case).
-    dropped: SharedArray | None = None
+    seed: tuple[int, ...]  # the shard's stream (see ShardPlan.shard_seeds)
+    base_rtt: np.ndarray  # (n_vps, k) base RTT to each target's facility
+    alternate: np.ndarray | None  # (n_vps, k) split-location alternates; None if none split
+    split: np.ndarray  # bool per target
+    lossy: np.ndarray  # bool per target (ISP rate-limits ICMP)
+    blank: np.ndarray  # bool per target: unresponsive, or lost to an mlab.ping fault
+
+
+def _cut_campaign_shard(
+    shard: Shard,
+    *,
+    seeds: tuple[tuple[int, ...], ...],
+    base: np.ndarray,
+    target_facility: np.ndarray,
+    alternate_facility: np.ndarray,
+    unresponsive: np.ndarray,
+    split: np.ndarray,
+    lossy: np.ndarray,
+    dropped: np.ndarray | None,
+) -> _CampaignShardInputs:
+    """``shard``'s seed, base-RTT columns and flags, from the campaign's arrays.
+
+    ``base`` is ``(n_vps, n_facilities)``; the other arrays hold one entry
+    per target IP, and ``dropped`` (None when no ``mlab.ping`` fault is
+    planned) marks measurements lost to injected faults.
+    """
+    cols = np.asarray(shard.items, dtype=int)
+    split_cols = split[cols]
+    blank = unresponsive[cols] if dropped is None else unresponsive[cols] | dropped[cols]
+    return _CampaignShardInputs(
+        seed=seeds[shard.index],
+        base_rtt=base[:, target_facility[cols]],
+        alternate=base[:, alternate_facility[cols]] if split_cols.any() else None,
+        split=split_cols,
+        lossy=lossy[cols],
+        blank=blank,
+    )
 
 
 def _measure_shard(
-    inputs: _CampaignShardInputs,
+    ping: PingConfig,
+    lossy_success_rate: float,
     shard: Shard,
     telemetry: Telemetry | None,
 ) -> np.ndarray:
-    """Measure one shard's columns: shape ``(n_vps, len(shard))``.
+    """Measure one shard's columns from its cut inputs: ``(n_vps, len(shard))``.
 
     One :func:`~repro.mlab.pings.ping_rtts` call per vantage-point row, in
     the stream order the artifacts pin: the row's split coin, its lossy
-    coin, then its probes.  The rest runs once per shard: the facility
-    columns are gathered up front, and the masks that only blank a
-    measurement (unresponsive, rate-limited and dropped targets) apply
-    after the loop -- a NaN base row would have measured NaN, from the
-    same draws.
+    coin, then its probes.  The masks that only blank a measurement
+    (unresponsive, rate-limited and dropped targets) apply after the
+    loop -- a NaN base row would have measured NaN, from the same draws.
     """
     obs = ensure_telemetry(telemetry)
-    # The shard's RNG stream, spawned in the parent before dispatch and
-    # shipped as seed material (see ShardPlan.shard_seeds): identical to
-    # the generator shard_rngs() would have handed a serial loop.
-    rng = np.random.default_rng(shard.payload)
-    base = inputs.base.array
-    cols = np.asarray(shard.items, dtype=int)
-    k = cols.size
-    split = inputs.split.array[cols]
-    lossy = inputs.lossy.array[cols]
-    n_vps = base.shape[0]
-    base_rtt = base[:, inputs.target_facility.array[cols]]
-    alternate = base[:, inputs.alternate_facility.array[cols]] if split.any() else None
+    inputs: _CampaignShardInputs = shard.payload
+    rng = np.random.default_rng(inputs.seed)
+    n_vps, k = inputs.base_rtt.shape
     split_coin = np.empty(k)
-    lossy_coin = np.empty((n_vps, k)) if lossy.any() else None
+    lossy_coin = np.empty((n_vps, k)) if inputs.lossy.any() else None
     rtt = np.empty((n_vps, k))
     for i in range(n_vps):
-        base_row = base_rtt[i]
-        if alternate is not None:
+        base_row = inputs.base_rtt[i]
+        if inputs.alternate is not None:
             # Each vantage point hits one of the two locations, 50/50.
             rng.random(out=split_coin)
-            base_row = np.where(split & (split_coin < 0.5), alternate[i], base_row)
+            base_row = np.where(inputs.split & (split_coin < 0.5), inputs.alternate[i], base_row)
         if lossy_coin is not None:
             rng.random(out=lossy_coin[i])
-        rtt[i] = ping_rtts(base_row, inputs.ping, rng)
-    rtt[:, inputs.unresponsive.array[cols]] = np.nan
+        rtt[i] = ping_rtts(base_row, ping, rng)
+    rtt[:, inputs.blank] = np.nan
     if lossy_coin is not None:
-        rtt[lossy & (lossy_coin >= inputs.lossy_success_rate)] = np.nan
-    if inputs.dropped is not None:
-        rtt[:, inputs.dropped.array[cols]] = np.nan
+        rtt[inputs.lossy & (lossy_coin >= lossy_success_rate)] = np.nan
     obs.count("campaign.shard_measurements", n_vps * k)
     return rtt
 
@@ -301,35 +303,29 @@ def measure_offnets(
 
     dropped = injected_ping_drops(faults, n_ips)
     plan = ShardPlan.of(range(n_ips), chunk_size=CAMPAIGN_CHUNK)
-    # Seed material instead of generators: each shard carries only *its*
-    # stream (tens of bytes on shard.payload) where the old design pickled
-    # the whole stage's generator tuple into every submission.
-    seeds = plan.shard_seeds(rng_pings, "campaign")
-    # Heavy read-only arrays ride shared memory on the pool backend;
-    # the registry is scoped to the fan-out and unlinks on exit (workers'
-    # attached views stay valid for in-flight shards until they drop).
-    with ShmRegistry(enabled=parallel.backend != "serial") as registry:
-        inputs = _CampaignShardInputs(
-            base=registry.share(base),
-            target_facility=registry.share(target_facility),
-            alternate_facility=registry.share(alternate_facility),
-            unresponsive=registry.share(unresponsive),
-            split=registry.share(split),
-            lossy=registry.share(lossy_ip),
-            ping=config.ping,
-            lossy_success_rate=config.lossy_success_rate,
-            dropped=registry.share(dropped),
-        )
-        columns = run_sharded(
-            partial(_measure_shard, inputs),
-            plan,
-            parallel,
-            telemetry=telemetry,
-            label="campaign",
-            faults=faults,
-            resilience=resilience,
-            payloads=seeds,
-        )
+    # Cut lazily, at dispatch: every shard's base columns at once would
+    # be a second copy of the whole (n_vps, n_ips) base matrix.
+    cut = partial(
+        _cut_campaign_shard,
+        seeds=plan.shard_seeds(rng_pings, "campaign"),
+        base=base,
+        target_facility=target_facility,
+        alternate_facility=alternate_facility,
+        unresponsive=unresponsive,
+        split=split,
+        lossy=lossy_ip,
+        dropped=dropped,
+    )
+    columns = run_sharded(
+        partial(_measure_shard, config.ping, config.lossy_success_rate),
+        plan,
+        parallel,
+        telemetry=telemetry,
+        label="campaign",
+        faults=faults,
+        resilience=resilience,
+        payload=cut,
+    )
     shards = plan.shards()
     unmeasured: set[int] = set()
     if dropped is not None:

@@ -3,7 +3,7 @@
 Both execution backends trace every shard attempt as a ``<label>.shard``
 span; a completed attempt's span carries ``attempt`` and, on the pool,
 the dispatch readings the parent took (``worker``, ``queue_wait_ms``,
-``payload_bytes``, ``shm``).  A pool fan-out's ``<label>.fanout`` span
+``payload_bytes``).  A pool fan-out's ``<label>.fanout`` span
 carries the pool's identity (``pool``, ``restarts``, ``stages_served``,
 ``persistent``, ``stage_restarts``).  :class:`FlightView` reads those
 spans back as :class:`ShardFlight` records and derives the three numbers
@@ -59,12 +59,10 @@ class ShardFlight:
     attempt: int
     #: Start offset on the run's shared wall timeline, seconds.
     started_s: float
-    #: Pickled size of the shard's submission (task + shard), bytes; 0 on
-    #: backends that never serialize (serial, in-process fallback).
+    #: Pickled size of the shard's submission (task + shard with its cut
+    #: inputs), bytes; 0 on backends that never serialize (serial,
+    #: in-process fallback).
     payload_bytes: int = 0
-    #: Whether the payload rode shared memory (arrays by reference) —
-    #: the marker proving the zero-copy fast path engaged.
-    shm: bool = False
 
     @property
     def finished_s(self) -> float:
@@ -81,7 +79,6 @@ class ShardFlight:
             "execute_ms": round(1000.0 * self.execute_s, 3),
             "attempt": self.attempt,
             "payload_bytes": self.payload_bytes,
-            "shm": self.shm,
         }
 
 
@@ -125,7 +122,6 @@ class FlightView:
                 attempt=span.attributes["attempt"],
                 started_s=span.start_s,
                 payload_bytes=span.attributes.get("payload_bytes", 0),
-                shm=span.attributes.get("shm", False),
             )
             for span in self._spans()
             if span.name.endswith(".shard") and "attempt" in span.attributes
@@ -196,14 +192,12 @@ class FlightView:
     # -- export -----------------------------------------------------------------
 
     def payload_stats(self) -> dict[str, Any]:
-        """Serialization-cost rollup: total/max payload bytes, shm share."""
-        records = self.records
-        measured = [r.payload_bytes for r in records if r.payload_bytes > 0]
+        """Serialization-cost rollup: measured shards, total and max bytes."""
+        measured = [r.payload_bytes for r in self.records if r.payload_bytes > 0]
         return {
             "measured_shards": len(measured),
             "total_bytes": sum(measured),
             "max_bytes": max(measured, default=0),
-            "shm_shards": sum(1 for r in records if r.shm),
         }
 
     def to_json(self) -> dict[str, Any]:
@@ -236,8 +230,8 @@ class FlightView:
         if payload["measured_shards"]:
             lines.append(
                 f"payloads: {payload['total_bytes'] / 1024:.1f} KiB total, "
-                f"max {payload['max_bytes'] / 1024:.1f} KiB/shard, "
-                f"{payload['shm_shards']}/{len(records)} shards via shared memory"
+                f"max {payload['max_bytes'] / 1024:.1f} KiB/shard "
+                f"over {payload['measured_shards']} submissions"
             )
         for label, info in sorted(self.pools.items()):
             lines.append(

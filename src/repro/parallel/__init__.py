@@ -7,18 +7,17 @@ bit-reproducibility:
 
 * :class:`ShardPlan` partitions the work units into contiguous chunks as a
   pure function of the items and a chunk size (never of the worker count);
-* per-shard RNG streams are spawned from the stage's root generator in
-  shard order *before* dispatch (:meth:`ShardPlan.shard_rngs` — or their
-  compact wire form, :meth:`ShardPlan.shard_seeds`), so every shard sees
-  the same randomness on every backend;
+* per-shard RNG streams are seeded from the stage's root generator in
+  shard order *before* dispatch (:meth:`ShardPlan.shard_seeds`), so every
+  shard sees the same randomness on every backend;
 * :func:`run_sharded` executes the shards on the configured backend
   (:class:`SerialExecutor` or the persistent, supervised
   :class:`PoolExecutor`) and merges results in shard order — dispatch is
   largest-cost-first (:func:`steal_order`) but the merge is keyed by shard
   index, so scheduling never touches bytes;
-* large read-only arrays cross the process boundary by *reference* through
-  :mod:`repro.parallel.shm` (``multiprocessing.shared_memory``) instead of
-  being pickled per shard, with a guaranteed-unlink registry lifecycle.
+* each shard carries its own inputs: a stage's ``payload`` function cuts
+  a shard's slice of the stage's arrays in the parent when the shard is
+  first dispatched, so a pool submission pickles only that slice.
 
 Consequently a study's exported artifacts are byte-identical across
 ``backend="serial"`` and ``backend="pool"`` at any worker count — the
@@ -45,13 +44,7 @@ from repro.parallel.pool import (
     pool_snapshot,
     shutdown_pools,
 )
-from repro.parallel.shm import (
-    SharedArray,
-    ShmRegistry,
-    measure_payload,
-    shared_memory_available,
-    sweep_orphan_segments,
-)
+from repro.parallel.shm import measure_payload
 
 __all__ = [
     "BACKENDS",
@@ -61,8 +54,6 @@ __all__ = [
     "SerialExecutor",
     "Shard",
     "ShardPlan",
-    "SharedArray",
-    "ShmRegistry",
     "WorkerPool",
     "get_pool",
     "make_executor",
@@ -72,9 +63,7 @@ __all__ = [
     "process_backend_available",
     "resolve_workers",
     "run_sharded",
-    "shared_memory_available",
     "shutdown_pools",
     "steal_order",
-    "sweep_orphan_segments",
     "usable_cpu_count",
 ]

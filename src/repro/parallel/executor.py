@@ -18,6 +18,12 @@ Two backends:
   campaign cells, and (under ``repro serve``) whole campaigns, so spawn +
   import warmup is paid once per process instead of once per stage.
 
+A shard carries its own inputs.  A stage passes :func:`run_sharded` a
+``payload`` function that cuts one shard's slice of the stage's arrays;
+the executor calls it in the parent when it first dispatches that shard
+and hands the task the cut shard, so a pool submission pickles only its
+own slice, and only the slices of shards in flight are alive at once.
+
 Telemetry crosses the process boundary by value: each worker records into a
 fresh private bundle, returns its snapshot alongside the shard result, and
 the parent merges snapshots back — counters add, histogram observations
@@ -27,9 +33,8 @@ records only the fan-out span and the merge, never the per-shard work the
 workers already accounted for.  The span tree is the one record of each
 dispatch: a completed attempt's ``<label>.shard`` span carries its
 ``attempt``, an adopted worker span also its ``worker``, queue wait and
-submission size (pickled bytes, and whether it rode shared memory,
-:mod:`repro.parallel.shm`), and a pool fan-out's span carries the pool's
-identity.  :class:`repro.obs.flight.FlightView` reads them back.
+submission size in pickled bytes, and a pool fan-out's span carries the
+pool's identity.  :class:`repro.obs.flight.FlightView` reads them back.
 
 Both backends are *supervised* when given a
 :class:`~repro.resilience.ResilienceConfig` and/or a
@@ -65,7 +70,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro._util import require
 from repro.faults import (
@@ -90,12 +95,15 @@ from repro.resilience import (
 
 from repro.parallel.plan import Shard, ShardPlan, steal_order
 from repro.parallel.pool import get_pool
-from repro.parallel.shm import measure_payload, sweep_orphan_segments
+from repro.parallel.shm import measure_payload
 
 #: Recognised backend names, in preference order.
 BACKENDS = ("serial", "pool")
 
 ShardTask = Callable[[Shard, Telemetry | None], Any]
+
+#: Cuts one shard's own inputs, which the task reads as ``shard.payload``.
+ShardPayload = Callable[[Shard], Any]
 
 
 def usable_cpu_count() -> int:
@@ -193,6 +201,11 @@ def _trip_shard_fault(
         time.sleep(spec.hang_s)
 
 
+def _cut(shard: Shard, payload: ShardPayload | None) -> Shard:
+    """``shard`` carrying its own inputs (unchanged without ``payload``)."""
+    return shard if payload is None else dataclasses.replace(shard, payload=payload(shard))
+
+
 def _run_in_process(
     task: ShardTask,
     shard: Shard,
@@ -241,12 +254,18 @@ class SerialExecutor:
         self.shard_timeout_s = shard_timeout_s
 
     def map_shards(
-        self, task: ShardTask, shards: list[Shard], telemetry: Telemetry | None, label: str
+        self,
+        task: ShardTask,
+        shards: list[Shard],
+        telemetry: Telemetry | None,
+        label: str,
+        payload: ShardPayload | None = None,
     ) -> list[Any]:
         obs = ensure_telemetry(telemetry)
         results: list[Any] = []
         for shard in shards:
-            results.append(self._run_one(task, shard, telemetry, obs, label))
+            # Cut just before the shard runs: one shard's slice at a time.
+            results.append(self._run_one(task, _cut(shard, payload), telemetry, obs, label))
             obs.progress(label, len(results), len(shards))
             obs.heartbeat(label=label)
         return results
@@ -317,33 +336,39 @@ class PoolExecutor:
         self.pool_info: dict[str, Any] = {}
 
     def map_shards(
-        self, task: ShardTask, shards: list[Shard], telemetry: Telemetry | None, label: str
+        self,
+        task: ShardTask,
+        shards: list[Shard],
+        telemetry: Telemetry | None,
+        label: str,
+        payload: ShardPayload | None = None,
     ) -> list[Any]:
         capture = telemetry is not None and telemetry.enabled
         # CPU time and peak RSS are per-process readings: a profiled parent
         # has each worker profile its own shard spans.
         profile = capture and telemetry.tracer.profiler is not None
         obs = ensure_telemetry(telemetry)
-        # Backstop for SIGKILLed predecessors: reap shared-memory segments
-        # whose creating process is gone before exporting our own.
-        sweep_orphan_segments()
         # The pool always holds the configured worker count; ``window``
         # only bounds in-flight submissions for small stages.
         window = min(self.workers, len(shards))
         results: dict[int, Any] = {}
-        snapshots: dict[int, tuple[dict[str, Any], float, int, tuple[int, bool]]] = {}
+        snapshots: dict[int, tuple[dict[str, Any], float, int, int]] = {}
         # Work-stealing discipline: dispatch largest-estimated-cost-first
         # so uneven shards overlap instead of straggling; the merge below
         # is keyed by shard.index, so dispatch order cannot change bytes.
-        queue: deque[tuple[Shard, int]] = deque((shard, 0) for shard in steal_order(shards))
-        active: dict[Future, tuple[Shard, int, float | None, float, tuple[int, bool]]] = {}
+        # A fresh shard is cut just before its first submit; ``queue``
+        # holds shards already cut (requeues, and a submit that met a
+        # broken pool), which go first and are never cut again.
+        fresh: deque[Shard] = deque(steal_order(shards))
+        queue: deque[tuple[Shard, int]] = deque()
+        active: dict[Future, tuple[Shard, int, float | None, float, int]] = {}
         restarts = 0
-        task_payload = measure_payload(task) if capture else (0, False)
+        task_bytes = measure_payload(task)[0] if capture else 0
         pool = get_pool(self.workers, preferred_start_method())
-        while queue or active:
+        while fresh or queue or active:
             pool_broken = False
-            while queue and len(active) < window:
-                shard, attempt = queue.popleft()
+            while (fresh or queue) and len(active) < window:
+                shard, attempt = queue.popleft() if queue else (_cut(fresh.popleft(), payload), 0)
                 try:
                     future = pool.submit(
                         _invoke_shard, task, shard, label, capture, self.faults, attempt, profile
@@ -361,11 +386,6 @@ class PoolExecutor:
                     if self.shard_timeout_s is not None
                     else None
                 )
-                if capture:
-                    shard_bytes, shard_shm = measure_payload(shard)
-                    payload = (task_payload[0] + shard_bytes, task_payload[1] or shard_shm)
-                else:
-                    payload = (0, False)
                 # Submission wall time gives the shard span's queue wait
                 # (worker start wall − submit wall).
                 active[future] = (
@@ -373,7 +393,7 @@ class PoolExecutor:
                     attempt,
                     deadline,
                     time.time() if capture else 0.0,
-                    payload,
+                    task_bytes + measure_payload(shard)[0] if capture else 0,
                 )
             if pool_broken:
                 poll: float | None = 0.0  # harvest what already finished
@@ -385,7 +405,7 @@ class PoolExecutor:
                 poll = None
             done, _pending = wait(list(active), timeout=poll, return_when=FIRST_COMPLETED)
             for future in done:
-                shard, attempt, _deadline, submit_wall, payload = active.pop(future)
+                shard, attempt, _deadline, submit_wall, payload_bytes = active.pop(future)
                 try:
                     value, snapshot = future.result()
                 except Exception as error:  # noqa: BLE001 — classified in _dispose
@@ -394,14 +414,14 @@ class PoolExecutor:
                 else:
                     results[shard.index] = value
                     if snapshot is not None:
-                        snapshots[shard.index] = (snapshot, submit_wall, attempt, payload)
+                        snapshots[shard.index] = (snapshot, submit_wall, attempt, payload_bytes)
             if done:
                 obs.progress(label, len(results), len(shards))
             obs.heartbeat(label=label, in_flight=len(active))
             now = time.monotonic()
             hung = {
                 future
-                for future, (_shard, _attempt, deadline, _submit, _payload) in active.items()
+                for future, (_shard, _attempt, deadline, _submit, _bytes) in active.items()
                 if deadline is not None and now > deadline
             }
             if pool_broken or hung:
@@ -415,7 +435,7 @@ class PoolExecutor:
                 active.clear()
                 restarts += 1
                 pool.rebuild()
-                for future, (shard, attempt, _deadline, _submit, _payload) in survivors:
+                for future, (shard, attempt, _deadline, _submit, _bytes) in survivors:
                     if future in hung:
                         error: Exception = ShardTimeoutError(
                             f"shard {shard.index} exceeded its {self.shard_timeout_s}s timeout"
@@ -505,7 +525,7 @@ def run_sharded(
     label: str = "parallel",
     faults: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
-    payloads: Sequence[Any] | None = None,
+    payload: ShardPayload | None = None,
 ) -> list[Any]:
     """Execute ``task`` over every shard of ``plan``; ordered results.
 
@@ -514,10 +534,13 @@ def run_sharded(
     completed shard as one ``<label>.shard`` span, whichever backend ran
     it.
 
-    ``payloads`` (optional, one per shard) attaches per-shard data — a
-    compact RNG seed, typically — as ``shard.payload``, so a stage can
-    ship each worker only *its* shard's context instead of closing the
-    task over per-shard state for the whole stage.
+    ``payload`` (optional) cuts a shard's own inputs — its RNG seed, its
+    columns of a stage-wide array — which the task reads as
+    ``shard.payload``, so a submission carries only its own slice.  The
+    executor calls it in the parent once per shard, when it first
+    dispatches that shard (serial: just before running it; pool: just
+    before its first submit); retries, requeues and the in-process
+    fallback reuse the cut shard.
 
     With ``resilience``, a shard that exhausts its attempts is replaced
     by a :class:`~repro.resilience.ShardLoss` sentinel in the returned
@@ -529,15 +552,6 @@ def run_sharded(
     shards = plan.shards()
     if not shards:
         return []
-    if payloads is not None:
-        require(
-            len(payloads) == len(shards),
-            f"payloads length {len(payloads)} != shard count {len(shards)}",
-        )
-        shards = [
-            dataclasses.replace(shard, payload=payload)
-            for shard, payload in zip(shards, payloads)
-        ]
     obs = ensure_telemetry(telemetry)
     executor = make_executor(config, faults=faults, resilience=resilience)
     effective_workers = config.workers if executor.name != "serial" else 1
@@ -549,7 +563,7 @@ def run_sharded(
         n_shards=len(shards),
         n_items=plan.n_items,
     ) as fanout:
-        results = executor.map_shards(task, shards, telemetry, label)
+        results = executor.map_shards(task, shards, telemetry, label, payload)
         fanout.set(**executor.pool_info)
     losses = [result for result in results if isinstance(result, ShardLoss)]
     if losses:
@@ -601,7 +615,7 @@ def _merge_worker_snapshot(
     snapshot: dict[str, Any],
     submit_wall: float,
     attempt: int,
-    payload: tuple[int, bool],
+    payload_bytes: int,
 ) -> None:
     """Fold one worker's snapshot into the parent bundle.
 
@@ -611,9 +625,9 @@ def _merge_worker_snapshot(
     recorded against the worker tracer's own origin, so they are rebased
     onto the parent timeline first (wall-clock origin delta,
     :func:`~repro.obs.trace.shift_spans`) and tagged with the worker id,
-    the completed ``attempt``, the submission's ``payload_bytes`` and
-    ``shm`` marker, and ``queue_wait_ms``: worker start minus submission,
-    both in parent wall time.
+    the completed ``attempt``, the submission's ``payload_bytes``, and
+    ``queue_wait_ms``: worker start minus submission, both in parent wall
+    time.
     """
     if telemetry.metrics.enabled:
         telemetry.metrics.merge_json(snapshot)
@@ -631,8 +645,7 @@ def _merge_worker_snapshot(
             worker=f"pid-{worker_info['pid']}" if "pid" in worker_info else "worker",
             attempt=attempt,
             queue_wait_ms=round(1000.0 * queue_wait_s, 3),
-            payload_bytes=payload[0],
-            shm=payload[1],
+            payload_bytes=payload_bytes,
         )
     telemetry.tracer.adopt(spans)
 

@@ -5,7 +5,7 @@ The partition is a pure function of the items and the chunk size — never
 of the backend or worker count — which is what makes sharded execution
 reproducible: concatenating shard results in shard order always yields the
 same sequence the serial code would have produced, and per-shard RNG
-streams (see :meth:`ShardPlan.shard_rngs`) depend only on the plan.
+streams (see :meth:`ShardPlan.shard_seeds`) depend only on the plan.
 
 Invariants (property-tested in ``tests/test_parallel.py``):
 
@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro._util import require, spawn_rng
+from repro._util import require, spawn_seed
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class Shard:
     #: Estimated execution cost (work-stealing dispatch key); defaults to
     #: the item count.  Never consulted for partitioning or merging.
     cost: float | None = field(default=None, compare=False)
-    #: Optional per-shard payload attached by :func:`~repro.parallel.run_sharded`
-    #: (e.g. a compact RNG seed), available to the task as ``shard.payload``.
+    #: The shard's own inputs, cut by :func:`~repro.parallel.run_sharded`'s
+    #: ``payload`` function when the shard is first dispatched.
     payload: Any = None
 
     def __len__(self) -> int:
@@ -127,30 +127,15 @@ class ShardPlan:
             for i in range(self.n_shards)
         ]
 
-    def shard_rngs(self, root: np.random.Generator, label: str) -> tuple[np.random.Generator, ...]:
-        """One independent child generator per shard, derived from ``root``.
-
-        Streams are spawned in shard order *before* any dispatch, so they are
-        identical no matter which backend or worker count later consumes the
-        shards.  ``label`` namespaces the streams per stage (two stages
-        sharing a root still get independent streams).
-        """
-        return tuple(spawn_rng(root, f"{label}.shard-{i}") for i in range(self.n_shards))
-
     def shard_seeds(self, root: np.random.Generator, label: str) -> tuple[tuple[int, ...], ...]:
-        """Compact seed material for each shard's RNG stream.
+        """Seed material for one independent RNG stream per shard.
 
-        ``np.random.default_rng(seed)`` over one of these tuples yields the
-        *same generator* :meth:`shard_rngs` would have returned (both fold
-        the label into the entropy the way :func:`repro._util.spawn_rng`
-        does, drawing from ``root`` once per shard in shard order).  A seed
-        tuple pickles in tens of bytes where a generator costs hundreds —
-        and, critically, a shard task can carry *its own* seed instead of
-        the whole stage's generator tuple, keeping submissions O(1).
+        Drawn from ``root`` once per shard, in shard order and *before* any
+        dispatch, so the streams are identical no matter which backend or
+        worker count later consumes the shards.  ``label`` namespaces the
+        streams per stage.  ``np.random.default_rng(seed)`` over a shard's
+        tuple is the generator :func:`repro._util.spawn_rng` would spawn
+        for ``f"{label}.shard-{i}"``; the tuple pickles in tens of bytes,
+        so a shard can carry its own stream.
         """
-        seeds = []
-        for i in range(self.n_shards):
-            label_entropy = tuple(ord(ch) for ch in f"{label}.shard-{i}")
-            seed_material = int(root.integers(0, 2**63 - 1))
-            seeds.append((seed_material, *label_entropy))
-        return tuple(seeds)
+        return tuple(spawn_seed(root, f"{label}.shard-{i}") for i in range(self.n_shards))

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +51,13 @@ from repro.deployment.placement import PlacementConfig
 from repro.experiments.figure1 import figure1_panels
 from repro.experiments.section32 import cohosting_counts
 from repro.faults import FaultPlan
-from repro.mlab.matrix import LatencyCampaignConfig, LatencyMatrix, apply_quality_filters, measure_offnets
+from repro.mlab.matrix import (
+    LatencyCampaignConfig,
+    LatencyMatrix,
+    apply_quality_filters,
+    effective_min_vps,
+    measure_offnets,
+)
 from repro.mlab.vantage import VantagePoint, build_vantage_points
 from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import ParallelConfig
@@ -132,11 +137,6 @@ class TimelineConfig:
             resilience=resilience,
             seed=base.seed,
         )
-
-    @property
-    def effective_min_vps(self) -> int:
-        """Coverage threshold scaled to the VP count (pipeline's 61 % rule)."""
-        return min(self.campaign.min_vps_per_isp, math.ceil(0.61 * self.n_vantage_points))
 
 
 def timeline_fingerprint(config: TimelineConfig) -> str:
@@ -344,7 +344,7 @@ def cluster_stage_key(substrate: TimelineSubstrate, measure_key: str) -> str:
         "cluster",
         {
             "measure": measure_key,
-            "min_vps": config.effective_min_vps,
+            "min_vps": effective_min_vps(config.campaign, config.n_vantage_points),
             "xis": list(config.xis),
         },
     )
@@ -370,7 +370,10 @@ def run_cluster_stage(
     if cached is not None:
         return cached
     matrix = run_measure_stage(substrate, isp_asn, ips, telemetry=telemetry)
-    filter_config = replace(config.campaign, min_vps_per_isp=config.effective_min_vps)
+    filter_config = replace(
+        config.campaign,
+        min_vps_per_isp=effective_min_vps(config.campaign, config.n_vantage_points),
+    )
     filtered = apply_quality_filters(
         matrix, {ip: isp_asn for ip in matrix.ips}, filter_config, telemetry=telemetry
     )

@@ -74,7 +74,6 @@ class TestShardFlight:
             "execute_ms": 200.0,
             "attempt": 1,
             "payload_bytes": 0,
-            "shm": False,
         }
 
 
@@ -96,7 +95,7 @@ class TestFlightRecorder:
             "worker": {"pid": 7, "wall_origin": 1000.0},
         }
         with telemetry.span("x.fanout"):
-            _merge_worker_snapshot(telemetry, snapshot, 1000.5, 0, (0, False))
+            _merge_worker_snapshot(telemetry, snapshot, 1000.5, 0, 0)
         (record,) = telemetry.flight.records
         assert record.queue_wait_s == 0.0
         assert record.execute_s == pytest.approx(0.1)
@@ -166,17 +165,16 @@ class TestFlightRecorder:
 
     def test_payload_stats_rollup(self):
         view = _view(
-            _shard_span("x", 0, worker="pid-1", payload_bytes=100, shm=True),
-            _shard_span("x", 1, worker="pid-1", payload_bytes=300, shm=True),
+            _shard_span("x", 0, worker="pid-1", payload_bytes=100),
+            _shard_span("x", 1, worker="pid-1", payload_bytes=300),
             _shard_span("x", 2, worker="fallback"),  # never serialized
         )
         assert view.payload_stats() == {
             "measured_shards": 2,
             "total_bytes": 400,
             "max_bytes": 300,
-            "shm_shards": 2,
         }
-        assert "via shared memory" in view.render()
+        assert "max 0.3 KiB/shard over 2 submissions" in view.render()
 
     def test_set_pool_lands_in_json_and_render(self):
         fanout = Span.from_json(

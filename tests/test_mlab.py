@@ -1,5 +1,7 @@
 """Tests for vantage points, the latency model, pings, and campaign filters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.mlab.latency import (
 )
 from repro.mlab.matrix import (
     LatencyCampaignConfig,
-    _CampaignShardInputs,
+    _cut_campaign_shard,
     _implausible_mask,
     _measure_shard,
     apply_quality_filters,
@@ -23,7 +25,7 @@ from repro.mlab.matrix import (
 )
 from repro.mlab.pings import PingConfig, ping_rtts
 from repro.mlab.vantage import build_vantage_points
-from repro.parallel import Shard, SharedArray
+from repro.parallel import Shard
 
 from tests.oracles import implausible_for_single_location
 
@@ -58,18 +60,19 @@ def _ping_row_reference(base_rtts_ms, config, rng, drop_mask=None):
     return measured
 
 
-def _measure_shard_per_row(inputs, shard):
-    """The campaign shard as a per-vantage-point loop (the oracle)."""
-    rng = np.random.default_rng(shard.payload)
-    base = inputs.base.array
+def _measure_shard_per_row(stage, ping, lossy_success_rate, shard):
+    """The campaign shard as a per-vantage-point loop over the whole
+    campaign's arrays (the oracle)."""
+    rng = np.random.default_rng(stage["seeds"][shard.index])
+    base = stage["base"]
     cols = np.asarray(shard.items, dtype=int)
     k = cols.size
-    target_facility = inputs.target_facility.array[cols]
-    alternate_facility = inputs.alternate_facility.array[cols]
-    unresponsive = inputs.unresponsive.array[cols]
-    split = inputs.split.array[cols]
-    lossy = inputs.lossy.array[cols]
-    drop_mask = inputs.dropped.array[cols] if inputs.dropped is not None else None
+    target_facility = stage["target_facility"][cols]
+    alternate_facility = stage["alternate_facility"][cols]
+    unresponsive = stage["unresponsive"][cols]
+    split = stage["split"][cols]
+    lossy = stage["lossy"][cols]
+    drop_mask = stage["dropped"][cols] if stage["dropped"] is not None else None
     rtt = np.empty((base.shape[0], k))
     for i in range(base.shape[0]):
         base_row = base[i, target_facility].copy()
@@ -78,14 +81,17 @@ def _measure_shard_per_row(inputs, shard):
             base_row[use_alternate] = base[i, alternate_facility[use_alternate]]
         base_row[unresponsive] = np.nan
         if lossy.any():
-            rate_limited = lossy & (rng.random(k) >= inputs.lossy_success_rate)
+            rate_limited = lossy & (rng.random(k) >= lossy_success_rate)
             base_row[rate_limited] = np.nan
-        rtt[i] = _ping_row_reference(base_row, inputs.ping, rng, drop_mask=drop_mask)
+        rtt[i] = _ping_row_reference(base_row, ping, rng, drop_mask=drop_mask)
     return rtt
 
 
 def _random_shard_case(rng, aggregation, loss_probability):
-    """A random campaign shard: sizes, pathologies and probe model vary."""
+    """A random campaign and one of its shards: sizes, pathologies and
+    probe model vary.  Returns the campaign's arrays (keyed as
+    :func:`_cut_campaign_shard` takes them), its ping config, its lossy
+    success rate and the shard."""
     n_vps = int(rng.integers(1, 40))
     n_facilities = int(rng.integers(1, 8))
     n_ips = int(rng.integers(1, 50))
@@ -100,22 +106,23 @@ def _random_shard_case(rng, aggregation, loss_probability):
     )
 
     def flags(rate):
-        return SharedArray(rng.random(n_ips) < rate)
+        return rng.random(n_ips) < rate
 
-    inputs = _CampaignShardInputs(
-        base=SharedArray(rng.uniform(1.0, 200.0, size=(n_vps, n_facilities))),
-        target_facility=SharedArray(rng.integers(0, n_facilities, size=n_ips)),
-        alternate_facility=SharedArray(rng.integers(0, n_facilities, size=n_ips)),
+    stage = dict(
+        base=rng.uniform(1.0, 200.0, size=(n_vps, n_facilities)),
+        target_facility=rng.integers(0, n_facilities, size=n_ips),
+        alternate_facility=rng.integers(0, n_facilities, size=n_ips),
         unresponsive=flags(rng.choice([0.0, 0.2])),
         split=flags(rng.choice([0.0, 0.3])),
         lossy=flags(rng.choice([0.0, 0.3])),
-        ping=config,
-        lossy_success_rate=float(rng.uniform()),
         dropped=flags(0.2) if rng.random() < 0.3 else None,
+        seeds=tuple(
+            (int(rng.integers(0, 2**63 - 1)), *map(ord, f"campaign.shard-{i}")) for i in range(3)
+        ),
     )
     items = np.sort(rng.choice(n_ips, size=int(rng.integers(1, n_ips + 1)), replace=False))
-    seed = (int(rng.integers(0, 2**63 - 1)), *map(ord, "campaign.shard-0"))
-    return inputs, Shard(index=0, items=tuple(items.tolist()), payload=seed)
+    shard = Shard(index=int(rng.integers(0, 3)), items=tuple(items.tolist()))
+    return stage, config, float(rng.uniform()), shard
 
 
 @pytest.fixture(scope="module")
@@ -315,16 +322,19 @@ class TestCampaignShard:
     @pytest.mark.parametrize("loss_probability", [0.0, 0.02, 0.5])
     @pytest.mark.parametrize("aggregation", ["second_smallest", "min", "median"])
     def test_shard_equals_per_row_loop(self, aggregation, loss_probability):
-        """Gathering the facility columns once and blanking unresponsive,
-        rate-limited and dropped targets after the row loop changes no bit
-        of any column."""
+        """Cutting the shard's facility columns and flags from the whole
+        campaign's arrays, and blanking unresponsive, rate-limited and
+        dropped targets after the row loop, changes no bit of any column."""
         rng = np.random.default_rng([len(aggregation), int(loss_probability * 100)])
         for case in range(35):
-            inputs, shard = _random_shard_case(rng, aggregation, loss_probability)
-            expected = _measure_shard_per_row(inputs, shard)
-            measured = _measure_shard(inputs, shard, None)
+            stage, ping, lossy_success_rate, shard = _random_shard_case(
+                rng, aggregation, loss_probability
+            )
+            expected = _measure_shard_per_row(stage, ping, lossy_success_rate, shard)
+            cut = dataclasses.replace(shard, payload=_cut_campaign_shard(shard, **stage))
+            measured = _measure_shard(ping, lossy_success_rate, cut, None)
             assert measured.shape == expected.shape, case
-            assert measured.tobytes() == expected.tobytes(), (case, inputs.ping)
+            assert measured.tobytes() == expected.tobytes(), (case, ping)
 
 
 class TestFloorMatrix:

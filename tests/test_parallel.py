@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util import make_rng
+from repro._util import make_rng, spawn_rng
+from repro.faults import FaultPlan, FaultSpec
 from repro.obs import MetricsRegistry, Telemetry, Tracer, aggregate_stages
 from repro.parallel import (
     ParallelConfig,
@@ -24,17 +27,15 @@ from repro.parallel import (
     SerialExecutor,
     Shard,
     ShardPlan,
-    ShmRegistry,
     make_executor,
     measure_payload,
     resolve_workers,
     run_sharded,
-    shared_memory_available,
     shutdown_pools,
     steal_order,
-    sweep_orphan_segments,
     usable_cpu_count,
 )
+from repro.resilience import ResilienceConfig, RetryPolicy
 
 
 # Module-level so the pool backend can pickle them.
@@ -51,6 +52,25 @@ def _echo_shard(shard: Shard, telemetry) -> tuple[int, tuple]:
 
 def _boom_shard(shard: Shard, telemetry) -> None:
     raise RuntimeError(f"shard {shard.index} exploded")
+
+
+def _payload_shard(shard: Shard, telemetry):
+    return shard.payload
+
+
+#: Every shard fails its first attempt, transiently.
+_FIRST_ATTEMPT_FAILS = FaultPlan(
+    seed=1,
+    specs=(FaultSpec(site="parallel.shard", kind="error", rate=1.0, fail_attempts=1),),
+)
+
+
+def _shard_streams(plan: ShardPlan, seed: int, label: str) -> list[list[float]]:
+    """Eight draws from each shard's stream, rebuilt from its seed material."""
+    return [
+        np.random.default_rng(material).random(8).tolist()
+        for material in plan.shard_seeds(make_rng(seed), label)
+    ]
 
 
 class TestShardPlan:
@@ -89,20 +109,16 @@ class TestShardPlan:
 
     def test_shard_rngs_deterministic_and_distinct(self):
         plan = ShardPlan.of(range(40), chunk_size=10)
-        rngs_a = plan.shard_rngs(make_rng(9), "stage")
-        rngs_b = plan.shard_rngs(make_rng(9), "stage")
-        assert len(rngs_a) == plan.n_shards == 4
-        draws_a = [rng.random(5).tolist() for rng in rngs_a]
-        draws_b = [rng.random(5).tolist() for rng in rngs_b]
+        draws_a = _shard_streams(plan, 9, "stage")
+        draws_b = _shard_streams(plan, 9, "stage")
+        assert len(draws_a) == plan.n_shards == 4
         # Same root seed -> identical streams; different shards -> distinct.
         assert draws_a == draws_b
         assert len({tuple(d) for d in draws_a}) == len(draws_a)
 
     def test_shard_rngs_label_namespacing(self):
         plan = ShardPlan.of(range(10), chunk_size=5)
-        a = plan.shard_rngs(make_rng(1), "campaign")[0].random(4).tolist()
-        b = plan.shard_rngs(make_rng(1), "clustering")[0].random(4).tolist()
-        assert a != b
+        assert _shard_streams(plan, 1, "campaign")[0] != _shard_streams(plan, 1, "clustering")[0]
 
 
 class TestStealOrder:
@@ -150,20 +166,22 @@ class TestShardSeeds:
     @given(n=st.integers(1, 80), chunk=st.integers(1, 16), seed=st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
     def test_seeds_reproduce_shard_rngs(self, n, chunk, seed):
+        """A shard's seed material rebuilds the generator ``spawn_rng``
+        spawns for ``<label>.shard-<i>``, drawn from the root in shard order."""
         plan = ShardPlan.of(range(n), chunk_size=chunk)
-        rngs = plan.shard_rngs(make_rng(seed), "campaign")
-        seeds = plan.shard_seeds(make_rng(seed), "campaign")
-        assert len(seeds) == len(rngs) == plan.n_shards
-        for rng, seed_material in zip(rngs, seeds):
-            rebuilt = np.random.default_rng(seed_material)
-            assert rng.random(8).tolist() == rebuilt.random(8).tolist()
+        root = make_rng(seed)
+        spawned = [
+            spawn_rng(root, f"campaign.shard-{i}").random(8).tolist() for i in range(plan.n_shards)
+        ]
+        assert _shard_streams(plan, seed, "campaign") == spawned
 
     def test_seeds_consume_root_identically_to_rngs(self):
         # Downstream draws from the root generator must not depend on
         # whether a stage asked for generators or seed material.
         root_a, root_b = make_rng(7), make_rng(7)
         plan = ShardPlan.of(range(30), chunk_size=4)
-        plan.shard_rngs(root_a, "stage")
+        for i in range(plan.n_shards):
+            spawn_rng(root_a, f"stage.shard-{i}")
         plan.shard_seeds(root_b, "stage")
         assert root_a.random(4).tolist() == root_b.random(4).tolist()
 
@@ -239,6 +257,33 @@ class TestSerialExecution:
     def test_exceptions_propagate(self):
         with pytest.raises(RuntimeError, match="exploded"):
             run_sharded(_boom_shard, ShardPlan.of(range(4), chunk_size=2))
+
+    def test_each_shard_cut_after_the_previous_returns(self):
+        """Shard k+1 is cut only after shard k's task returns, and a
+        retried shard reuses its cut."""
+        events = []
+
+        def cut(shard):
+            events.append(("cut", shard.index))
+            return 10 * shard.index
+
+        def task(shard, telemetry):
+            events.append(("ran", shard.index, shard.payload))
+            return shard.payload
+
+        telemetry = Telemetry.capture()
+        plan = ShardPlan.of(range(10), chunk_size=3)
+        results = run_sharded(
+            task,
+            plan,
+            telemetry=telemetry,
+            faults=_FIRST_ATTEMPT_FAILS,
+            resilience=ResilienceConfig(),
+            payload=cut,
+        )
+        assert results == [0, 10, 20, 30]
+        assert events == [e for i in range(4) for e in (("cut", i), ("ran", i, 10 * i))]
+        assert telemetry.metrics.counter("resilience.retries") == plan.n_shards
 
 
 @pytest.mark.parallel
@@ -382,94 +427,12 @@ class TestCampaignSharding:
         assert not np.array_equal(default.rtt_ms, a.rtt_ms, equal_nan=True)
 
 
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="shared memory unavailable on this host"
-)
-
-
-class TestSharedMemory:
-    @needs_shm
-    def test_share_roundtrip_is_byte_identical(self):
-        import pickle
-
-        rng = np.random.default_rng(3)
-        array = rng.random((17, 23))
-        array[0, 0] = np.nan
-        with ShmRegistry() as registry:
-            shared = registry.share(array)
-            assert shared.shm_backed
-            blob = pickle.dumps(shared)
-            # Reference-shaped: a handful of bytes, not the 17*23 floats.
-            assert len(blob) < 256
-            back = pickle.loads(blob)
-            assert back.array.tobytes() == array.tobytes()
-            assert back.array.dtype == array.dtype and back.array.shape == array.shape
-
-    def test_disabled_registry_carries_by_value(self):
-        import pickle
-
-        array = np.arange(6.0)
-        with ShmRegistry(enabled=False) as registry:
-            shared = registry.share(array)
-            assert not shared.shm_backed
-            back = pickle.loads(pickle.dumps(shared))
-            assert back.array.tobytes() == array.tobytes()
-
-    def test_share_none_passthrough(self):
-        with ShmRegistry() as registry:
-            assert registry.share(None) is None
-
-    @needs_shm
-    def test_close_unlinks_and_is_idempotent(self):
-        import os
-
-        registry = ShmRegistry()
-        shared = registry.share(np.arange(10.0))
-        path = f"/dev/shm/{shared.name}"
-        assert os.path.exists(path)
-        registry.close()
-        assert not os.path.exists(path)
-        registry.close()  # idempotent
-
-    @needs_shm
-    def test_measure_payload_marks_shm(self):
-        with ShmRegistry() as registry:
-            shared = registry.share(np.zeros((50, 50)))
-            size, used_shm = measure_payload({"matrix": shared, "k": 1})
-            assert used_shm and size < 512
-        size, used_shm = measure_payload({"k": 1})
-        assert not used_shm
-
-    @needs_shm
-    def test_orphan_sweep_reaps_dead_owner_segments_only(self):
-        import os
-        import subprocess
-        import sys
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro.parallel.shm import SHM_PREFIX
-
-        # A pid guaranteed dead: a subprocess that already exited.
-        probe = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        dead_pid = int(probe.stdout)
-        orphan_name = f"{SHM_PREFIX}_{dead_pid}_orphantest"
-        orphan = shared_memory.SharedMemory(create=True, size=64, name=orphan_name)
-        orphan.close()
-        # This process created the simulated orphan, so detach it from our
-        # resource tracker — the "owner" it is simulating is already dead.
-        resource_tracker.unregister(f"/{orphan_name}", "shared_memory")
-        with ShmRegistry() as registry:
-            live = registry.share(np.arange(4.0))
-            removed = sweep_orphan_segments()
-            assert removed >= 1
-            assert not os.path.exists(f"/dev/shm/{orphan_name}")
-            # Live segments of a live process survive the sweep.
-            assert os.path.exists(f"/dev/shm/{live.name}")
+class TestMeasurePayload:
+    def test_counts_pickled_bytes(self):
+        shard = Shard(index=0, items=(1, 2), payload=np.zeros((50, 50)))
+        size, used_shm = measure_payload(shard)
+        assert size == len(pickle.dumps(shard, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size > 50 * 50 * 8 and not used_shm
 
 
 @pytest.mark.parallel
@@ -532,6 +495,40 @@ class TestPoolBackend:
             shutdown_pools()
         stats = telemetry.flight.payload_stats()
         assert stats["measured_shards"] == 4 and stats["total_bytes"] > 0
+
+    @pytest.mark.parametrize(
+        "counter, resilience",
+        [
+            ("resilience.requeues", ResilienceConfig()),
+            ("resilience.fallbacks", ResilienceConfig(retry=RetryPolicy(max_attempts=1))),
+        ],
+    )
+    def test_each_shard_cut_once_across_requeues_and_fallbacks(self, counter, resilience):
+        """The parent cuts a shard before its first submit; requeued and
+        fallen-back attempts reuse that cut."""
+        cuts = Counter()
+
+        def cut(shard):
+            cuts[shard.index] += 1
+            return 10 * shard.index
+
+        telemetry = Telemetry.capture()
+        plan = ShardPlan.of(range(14), chunk_size=2)
+        try:
+            results = run_sharded(
+                _payload_shard,
+                plan,
+                ParallelConfig(backend="pool", workers=2),
+                telemetry=telemetry,
+                faults=_FIRST_ATTEMPT_FAILS,
+                resilience=resilience,
+                payload=cut,
+            )
+        finally:
+            shutdown_pools()
+        assert results == [10 * i for i in range(plan.n_shards)]
+        assert cuts == Counter(range(plan.n_shards))
+        assert telemetry.metrics.counter(counter) == plan.n_shards
 
 
 @pytest.mark.parallel

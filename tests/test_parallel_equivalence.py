@@ -6,9 +6,8 @@ each run with :func:`repro.io.archive.save_archive`, and asserts the
 archives are **byte-identical** file by file.  This is the strongest
 equivalence claim the executor makes: not "statistically close", but the
 same artifact bytes a third party would download — and it holds through
-the zero-copy shared-memory payload path and the largest-cost-first
-work-stealing dispatch, both of which are execution details the merge
-provably erases.
+the per-shard payload cut and the largest-cost-first work-stealing
+dispatch, both of which are execution details the merge provably erases.
 
 A second axis checks that execution knobs that *should* be inert (backend,
 workers) are, while knobs documented to shape the artifact (chunk size,
@@ -116,7 +115,7 @@ class TestProcessEquivalence:
 
         try:
             with Telemetry.capture(stream=io.StringIO()) as telemetry:
-                run_study(
+                study = run_study(
                     _study_config(ParallelConfig(backend="pool", workers=2)),
                     telemetry=telemetry,
                 )
@@ -126,9 +125,10 @@ class TestProcessEquivalence:
         assert {"campaign", "clustering"} <= set(pools)
         assert pools["campaign"]["pool"] == pools["clustering"]["pool"]
         assert pools["campaign"]["persistent"] and pools["clustering"]["persistent"]
-        # And the campaign payloads rode shared memory, not the pickle path.
-        campaign_records = [r for r in telemetry.flight.records if r.label == "campaign"]
-        assert campaign_records and all(r.shm for r in campaign_records)
+        # And no submission carried more than its own shard's slice.
+        payload = telemetry.flight.payload_stats()
+        assert payload["measured_shards"] == len(telemetry.flight.records)
+        assert payload["max_bytes"] < study.matrix.rtt_ms.nbytes / 10
 
     def test_in_memory_artifacts_equal(self, serial_run):
         """Beyond the export: the live Study objects agree field by field."""
