@@ -250,6 +250,29 @@ class TestGoldenExport:
         assert _composite_digest(tmp_path / "ref") == GOLDEN_EXPORT_SHA256
 
 
+#: Composite and content digests of the default scenario's serial export:
+#: 19,063 offnets measured from 163 vantage points, so the campaign spans
+#: hundreds of shards and the plausibility filter many column blocks --
+#: the paper-scale bytes that :data:`GOLDEN_EXPORT_SHA256`'s 10-VP study
+#: cannot reach.  Captured under numpy 2.4.6.
+DEFAULT_SCENARIO_EXPORT_SHA256 = "2cef461d6524e0b32a258c13a8a7eff62308efff814c7dd3954e95c38f571596"
+DEFAULT_SCENARIO_CONTENT_SHA256 = "5ca76151e4c82d66bd4509dc7057f2291bc5c1bbaf5ae606f27ebb06a3836cda"
+
+
+@pytest.mark.slow
+def test_default_scenario_serial_export_matches_golden_digests(tmp_path):
+    """The paper-scale export, pinned byte for byte and value for value.
+
+    Run with ``pytest -m slow tests/test_parallel_equivalence.py -k default_scenario``.
+    """
+    from repro.experiments.scenarios import DEFAULT_SCENARIO
+
+    _require_golden_numpy()
+    save_archive(run_study(DEFAULT_SCENARIO.config), tmp_path / "default")
+    assert _composite_digest(tmp_path / "default") == DEFAULT_SCENARIO_EXPORT_SHA256
+    assert _content_digest(tmp_path / "default") == DEFAULT_SCENARIO_CONTENT_SHA256
+
+
 @pytest.mark.slow
 @pytest.mark.parallel
 class TestProcessEquivalenceAtScale:
