@@ -4,7 +4,14 @@ Runs the small scenario under the serial backend and the persistent
 ``pool`` backend at 2 and 4 workers, cross-checks that every run exports
 **byte-identical** archives, and writes the timings to
 ``BENCH_parallel.json`` in the ``repro-bench-v1`` trajectory format.
-Each run's flight-recorder summary rides along: per worker utilization,
+
+Each leg (backend, workers) first runs once untimed, which forks its
+pool and pays first-call costs, so no timed run counts worker start-up
+as campaign time.  Then :data:`REPEATS` rounds time every leg once,
+rotating the leg order from round to round so host drift spreads over
+all of them.  The snapshot records each leg's median times, and each
+speedup is the median of the per-round ratios.  The flight-recorder
+summary of each leg's median run rides along: per worker utilization,
 queue-wait share, per-shard payload bytes (each submission carries only
 its own shard's slice of the stage's arrays), and per-stage pool
 identity/restarts — the *why* behind every wall time.
@@ -17,11 +24,11 @@ trajectory stays honest about where they came from — with the payload
 records standing in as proof that the fast path was exercised.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by the CI ``parallel-check``
-job) runs a trimmed grid, skips the timing gate and the snapshot write,
-and *asserts the dispatch is structurally sound*: no submission may carry
-more than its own shard (the largest payload stays below a tenth of the
-RTT matrix's bytes) and the pool backend must reuse one pool across both
-fan-out stages.
+job) runs a trimmed grid for one round, skips the timing gate and the
+snapshot write, and *asserts the dispatch is structurally sound*: no
+submission may carry more than its own shard (the largest payload stays
+below a tenth of the RTT matrix's bytes) and the pool backend must reuse
+one pool across both fan-out stages.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_parallel.py -s``.
 """
@@ -31,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -51,6 +59,12 @@ RUNS = (("serial", 1), ("pool", 2), ("pool", 4))
 
 #: Trimmed grid for smoke mode: structure checks, not timings.
 SMOKE_RUNS = (("serial", 1), ("pool", 2))
+
+#: Timed rounds per full bench run; every round times each leg once.
+REPEATS = 5
+
+#: Per-run times the snapshot reports as each leg's median.
+TIMES = ("total_s", "campaign_s", "clustering_s", "parallel_stages_s")
 
 #: Wall-time speedup the 4-worker persistent-pool run must reach on
 #: capable hardware.
@@ -117,18 +131,38 @@ def _assert_fast_path_active(run: dict) -> None:
         )
 
 
+def _median_leg(samples: list[dict]) -> dict:
+    """One leg's timed runs as its median times, with the flight of the
+    run whose campaign+clustering time is the median."""
+    ordered = sorted(samples, key=lambda run: run["parallel_stages_s"])
+    leg = dict(ordered[(len(ordered) - 1) // 2])
+    for key in TIMES:
+        leg[key] = round(statistics.median(run[key] for run in samples), 3)
+    leg["parallel_stages_samples_s"] = [run["parallel_stages_s"] for run in samples]
+    return leg
+
+
 def test_bench_parallel_snapshot(tmp_path):
     if not process_backend_available():
         pytest.skip("worker-pool backend unavailable on this host")
 
     grid = SMOKE_RUNS if _smoke() else RUNS
+    repeats = 1 if _smoke() else REPEATS
     try:
-        runs = [
-            _time_run(backend, workers, tmp_path / f"{backend}-{workers}")
+        warmups = [
+            _time_run(backend, workers, tmp_path / f"warmup-{backend}-{workers}")
             for backend, workers in grid
         ]
+        rounds = []
+        for index in range(repeats):
+            order = [*grid[index % len(grid):], *grid[:index % len(grid)]]
+            by_leg = {
+                leg: _time_run(*leg, tmp_path / f"round{index}-{leg[0]}-{leg[1]}") for leg in order
+            }
+            rounds.append([by_leg[leg] for leg in grid])
     finally:
         shutdown_pools()
+    runs = [run for timed in rounds for run in timed]
 
     # Every run must have flight-recorded its shards, and every parallel
     # run must prove the fast path was structurally active.
@@ -142,25 +176,28 @@ def test_bench_parallel_snapshot(tmp_path):
     # Differential cross-check: every backend/worker combination exported
     # the same bytes (the equivalence harness proves this per-file; here it
     # guards the benchmark itself against comparing different work).
-    digests = {run["archive_sha256"] for run in runs}
+    digests = {run["archive_sha256"] for run in [*warmups, *runs]}
     assert len(digests) == 1, "backends exported different artifacts"
 
     if _smoke():
         emit(
             "parallel bench smoke",
             "fast path active: own-slice payloads, persistent pool reused "
-            f"across stages ({len(runs)} runs, identical artifacts)",
+            f"across stages ({len(runs)} timed runs after warm-up, identical artifacts)",
         )
         return
 
-    serial = runs[0]
+    legs = [_median_leg([timed[leg] for timed in rounds]) for leg in range(len(grid))]
     cpus = _usable_cpus()
     speedups = {
-        f"speedup_{run['backend']}_{run['workers']}w": round(
-            serial["parallel_stages_s"] / run["parallel_stages_s"], 3
+        f"speedup_{backend}_{workers}w": round(
+            statistics.median(
+                timed[0]["parallel_stages_s"] / timed[leg]["parallel_stages_s"] for timed in rounds
+            ),
+            3,
         )
-        for run in runs
-        if run["backend"] != "serial"
+        for leg, (backend, workers) in enumerate(grid)
+        if backend != "serial"
     }
     # The headline number the gate below arms on.
     speedup_4w = speedups.get("speedup_pool_4w")
@@ -169,24 +206,25 @@ def test_bench_parallel_snapshot(tmp_path):
         "format": "repro-bench-v1",
         "scenario": "small",
         "cpu_count": cpus,
+        "repeats": repeats,
         "identical_artifacts": True,
         "target_speedup_4w": TARGET_SPEEDUP_4W,
         "speedup_4w": speedup_4w,
         "hardware_limited": cpus < 4,
         "runs": [
-            {key: value for key, value in run.items() if key != "archive_sha256"}
-            for run in runs
+            {key: value for key, value in leg.items() if key != "archive_sha256"}
+            for leg in legs
         ],
         **speedups,
     }
     SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     rows = [
-        [run["backend"], run["workers"], run["total_s"], run["parallel_stages_s"]]
-        for run in runs
+        [leg["backend"], leg["workers"], leg["total_s"], leg["parallel_stages_s"]]
+        for leg in legs
     ]
     emit(
-        f"parallel backend wall times ({cpus} usable CPUs)",
+        f"parallel backend wall times, medians of {repeats} rounds ({cpus} usable CPUs)",
         format_table(["backend", "workers", "total s", "campaign+clustering s"], rows),
     )
 

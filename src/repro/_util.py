@@ -133,10 +133,22 @@ def weighted_choice_without_replacement(
 
 def great_circle_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in metres between two (lat, lon) points (haversine)."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    return haversine_m(lat1, lon1, lat_cos(lat1), lat2, lon2, lat_cos(lat2))
+
+
+def lat_cos(lat: float) -> float:
+    """``cos`` of a latitude in degrees: the per-endpoint term of the haversine."""
+    return math.cos(math.radians(lat))
+
+
+def haversine_m(
+    lat1: float, lon1: float, cos_lat1: float, lat2: float, lon2: float, cos_lat2: float
+) -> float:
+    """:func:`great_circle_m` with each endpoint's :func:`lat_cos` given, for
+    loops over many pairs that compute each endpoint's term once."""
     dphi = math.radians(lat2 - lat1)
     dlambda = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlambda / 2) ** 2
+    a = math.sin(dphi / 2) ** 2 + cos_lat1 * cos_lat2 * math.sin(dlambda / 2) ** 2
     return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 

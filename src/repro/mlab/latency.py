@@ -24,6 +24,8 @@ from repro._util import (
     EARTH_RADIUS_M,
     FIBRE_LIGHT_SPEED_M_S,
     great_circle_m,
+    haversine_m,
+    lat_cos,
     propagation_rtt_ms,
     require,
 )
@@ -56,12 +58,28 @@ def base_rtt_ms(vp: VantagePoint, facility: Facility, seed: int) -> float:
 def base_rtt_matrix(
     vps: list[VantagePoint], facilities: list[Facility], seed: int
 ) -> np.ndarray:
-    """Base RTTs, shape ``(len(vps), len(facilities))``."""
+    """Base RTTs, shape ``(len(vps), len(facilities))``.
+
+    Every entry equals :func:`base_rtt_ms` bit for bit: the haversine's
+    per-endpoint cosines are computed once per vantage point and once per
+    facility, and the path inflation once per city pair, all with the
+    scalar ``math`` functions (numpy's SIMD trig can differ by an ulp).
+    """
     require(bool(vps) and bool(facilities), "need vantage points and facilities")
+    columns = [
+        (f.lat, f.lon, lat_cos(f.lat), f.city.iata, f.uplink_delay_ms) for f in facilities
+    ]
+    inflations: dict[tuple[str, str], float] = {}
     matrix = np.empty((len(vps), len(facilities)))
     for i, vp in enumerate(vps):
-        for j, facility in enumerate(facilities):
-            matrix[i, j] = base_rtt_ms(vp, facility, seed)
+        lat, lon, cos_lat, city = vp.lat, vp.lon, lat_cos(vp.lat), vp.city.iata
+        row = matrix[i]
+        for j, (f_lat, f_lon, f_cos, f_city, uplink_ms) in enumerate(columns):
+            inflation = inflations.get((city, f_city))
+            if inflation is None:
+                inflation = inflations[city, f_city] = path_inflation(city, f_city, seed)
+            distance = haversine_m(lat, lon, cos_lat, f_lat, f_lon, f_cos)
+            row[j] = propagation_rtt_ms(distance, inflation) + uplink_ms
     return matrix
 
 

@@ -22,7 +22,7 @@ from repro._util import make_rng, require, require_fraction, spawn_rng
 from repro.deployment.placement import DeploymentState
 from repro.faults import FaultPlan
 from repro.mlab.latency import base_rtt_matrix, vp_pair_floor_matrix
-from repro.mlab.pings import PingConfig, ping_rtts
+from repro.mlab.pings import PingConfig, Probes, draw_probes, ping_rtts
 from repro.mlab.vantage import VantagePoint
 from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import ParallelConfig, Shard, ShardPlan, run_sharded
@@ -33,6 +33,9 @@ from repro.topology.generator import Internet
 #: Offnet IPs per campaign shard.  Each shard draws from its own RNG
 #: stream, so this constant fixes the stream layout of every measured RTT.
 CAMPAIGN_CHUNK = 64
+
+#: Target columns per block of the speed-of-light plausibility check.
+PLAUSIBILITY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,9 @@ class _CampaignShardInputs:
     """
 
     seed: tuple[int, ...]  # the shard's stream (see ShardPlan.shard_seeds)
-    base_rtt: np.ndarray  # (n_vps, k) base RTT to each target's facility
-    alternate: np.ndarray | None  # (n_vps, k) split-location alternates; None if none split
+    base_rtt: np.ndarray  # (n_vps, n_used) base RTT to each facility the shard uses
+    target: np.ndarray  # per target: its facility's column in base_rtt
+    alternate: np.ndarray | None  # per target: its split-location alternate's column; None if none split
     split: np.ndarray  # bool per target
     lossy: np.ndarray  # bool per target (ISP rate-limits ICMP)
     blank: np.ndarray  # bool per target: unresponsive, or lost to an mlab.ping fault
@@ -163,15 +167,22 @@ def _cut_campaign_shard(
 
     ``base`` is ``(n_vps, n_facilities)``; the other arrays hold one entry
     per target IP, and ``dropped`` (None when no ``mlab.ping`` fault is
-    planned) marks measurements lost to injected faults.
+    planned) marks measurements lost to injected faults.  A shard's
+    targets sit in a few facilities, so the cut ships those facilities'
+    columns once each, and every target's index into them.
     """
     cols = np.asarray(shard.items, dtype=int)
+    k = cols.size
     split_cols = split[cols]
+    target = target_facility[cols]
+    alternate = np.where(split_cols, alternate_facility[cols], target)
+    used, index = np.unique(np.concatenate([target, alternate]), return_inverse=True)
     blank = unresponsive[cols] if dropped is None else unresponsive[cols] | dropped[cols]
     return _CampaignShardInputs(
         seed=seeds[shard.index],
-        base_rtt=base[:, target_facility[cols]],
-        alternate=base[:, alternate_facility[cols]] if split_cols.any() else None,
+        base_rtt=base[:, used],
+        target=index[:k],
+        alternate=index[k:] if split_cols.any() else None,
         split=split_cols,
         lossy=lossy[cols],
         blank=blank,
@@ -186,28 +197,37 @@ def _measure_shard(
 ) -> np.ndarray:
     """Measure one shard's columns from its cut inputs: ``(n_vps, len(shard))``.
 
-    One :func:`~repro.mlab.pings.ping_rtts` call per vantage-point row, in
-    the stream order the artifacts pin: the row's split coin, its lossy
-    coin, then its probes.  The masks that only blank a measurement
-    (unresponsive, rate-limited and dropped targets) apply after the
-    loop -- a NaN base row would have measured NaN, from the same draws.
+    The draws run row by row, in the stream order the artifacts pin: each
+    vantage point's split coin, its lossy coin, then its probes
+    (:func:`~repro.mlab.pings.draw_probes`, straight into the shard's
+    buffers).  Everything else runs once per shard: the split targets'
+    floors, then one :func:`~repro.mlab.pings.ping_rtts` call over the
+    flattened floors, then the masks that only blank a measurement
+    (unresponsive, rate-limited and dropped targets) -- a NaN floor would
+    have measured NaN, from the same draws.
     """
     obs = ensure_telemetry(telemetry)
     inputs: _CampaignShardInputs = shard.payload
     rng = np.random.default_rng(inputs.seed)
-    n_vps, k = inputs.base_rtt.shape
-    split_coin = np.empty(k)
+    floor = inputs.base_rtt[:, inputs.target]
+    n_vps, k = floor.shape
+    split_coin = np.empty((n_vps, k)) if inputs.alternate is not None else None
     lossy_coin = np.empty((n_vps, k)) if inputs.lossy.any() else None
-    rtt = np.empty((n_vps, k))
+    shape = (n_vps, k, ping.pings_per_target)
+    queueing, noise, loss = np.empty(shape), np.empty(shape), np.empty(shape)
     for i in range(n_vps):
-        base_row = inputs.base_rtt[i]
-        if inputs.alternate is not None:
-            # Each vantage point hits one of the two locations, 50/50.
-            rng.random(out=split_coin)
-            base_row = np.where(inputs.split & (split_coin < 0.5), inputs.alternate[i], base_row)
+        if split_coin is not None:
+            rng.random(out=split_coin[i])
         if lossy_coin is not None:
             rng.random(out=lossy_coin[i])
-        rtt[i] = ping_rtts(base_row, ping, rng)
+        draw_probes(rng, queueing[i], noise[i], loss[i])
+    if split_coin is not None:
+        # Each vantage point hits one of the two locations, 50/50.
+        use_alternate = inputs.split & (split_coin < 0.5)
+        floor = np.where(use_alternate, inputs.base_rtt[:, inputs.alternate], floor)
+    flat = (n_vps * k, ping.pings_per_target)
+    probes = Probes(queueing.reshape(flat), noise.reshape(flat), loss.reshape(flat))
+    rtt = ping_rtts(floor.reshape(-1), ping, probes).reshape(n_vps, k)
     rtt[:, inputs.blank] = np.nan
     if lossy_coin is not None:
         rtt[inputs.lossy & (lossy_coin >= lossy_success_rate)] = np.nan
@@ -303,8 +323,7 @@ def measure_offnets(
 
     dropped = injected_ping_drops(faults, n_ips)
     plan = ShardPlan.of(range(n_ips), chunk_size=CAMPAIGN_CHUNK)
-    # Cut lazily, at dispatch: every shard's base columns at once would
-    # be a second copy of the whole (n_vps, n_ips) base matrix.
+    # Cut lazily, at dispatch, so only the cuts of shards in flight are alive.
     cut = partial(
         _cut_campaign_shard,
         seeds=plan.shard_seeds(rng_pings, "campaign"),
@@ -397,18 +416,21 @@ def _implausible_mask(
     can neither be the closest vantage point nor violate a floor; columns
     with fewer than two valid entries are never implausible.  ``argmin``
     returns the first minimum, the same tie-break as the per-column oracle
-    in ``tests/oracles.py``.
+    in ``tests/oracles.py``.  Columns are independent, so they are checked
+    :data:`PLAUSIBILITY_BLOCK` at a time, in place on each block's filled
+    copy: the temporaries stay a block wide, whatever the campaign's size.
     """
     n_ips = rtt_ms.shape[1]
-    if n_ips == 0:
-        return np.zeros(0, dtype=bool)
-    filled = np.where(valid, rtt_ms, np.inf)
-    closest = np.argmin(filled, axis=0)
-    closest_rtt = filled[closest, np.arange(n_ips)]
-    chained = closest_rtt[None, :] + filled  # inf where either side is missing
-    pair_floor = floor[:, closest]  # floor is symmetric: row i is floor(closest_j, i)
-    violates = chained + slack_ms < pair_floor
-    return violates.any(axis=0) & (n_valid >= 2)
+    violates = np.zeros(n_ips, dtype=bool)
+    for start in range(0, n_ips, PLAUSIBILITY_BLOCK):
+        block = slice(start, min(start + PLAUSIBILITY_BLOCK, n_ips))
+        filled = np.where(valid[:, block], rtt_ms[:, block], np.inf)
+        closest = np.argmin(filled, axis=0)
+        filled += filled[closest, np.arange(filled.shape[1])]  # chained; inf where either side is missing
+        filled += slack_ms
+        # floor is symmetric: row i of column j is floor(closest_j, i).
+        violates[block] = (filled < floor[:, closest]).any(axis=0)
+    return violates & (n_valid >= 2)
 
 
 def apply_quality_filters(

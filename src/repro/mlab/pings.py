@@ -10,6 +10,7 @@ queueing delay + small Gaussian timestamping noise, with independent loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,10 +47,40 @@ class PingConfig:
         )
 
 
+class Probes(NamedTuple):
+    """Unit-scale probe draws for ``n`` targets, each ``(n, pings_per_target)``.
+
+    ``queueing`` holds standard-exponential draws, ``noise`` standard-normal
+    draws and ``loss`` uniform coins on [0, 1).  :func:`ping_rtts` scales
+    and combines them in place.
+    """
+
+    queueing: np.ndarray
+    noise: np.ndarray
+    loss: np.ndarray
+
+
+def draw_probes(
+    rng: np.random.Generator, queueing: np.ndarray, noise: np.ndarray, loss: np.ndarray
+) -> None:
+    """Fill three same-shape buffers with unit-scale probe draws.
+
+    The stream order is the artifacts': every queueing delay, then every
+    noise term, then every loss coin.  ``exponential(s)`` is
+    ``s * standard_exponential()`` and ``normal(0, s)`` is
+    ``s * standard_normal()`` draw for draw, so scaling afterwards changes
+    no bit of a measurement (the scaled normal's sign of zero aside, which
+    the sum that takes it erases).
+    """
+    rng.standard_exponential(out=queueing)
+    rng.standard_normal(out=noise)
+    rng.random(out=loss)
+
+
 def ping_rtts(
     base_rtts_ms: np.ndarray,
     config: PingConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Probes,
     drop_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Measure each target once: second-smallest of ``pings_per_target`` pings.
@@ -58,24 +89,35 @@ def ping_rtts(
     targets) stay NaN.  Returns shape ``(n,)`` with NaN where fewer than
     ``min_responses`` probes answered.
 
+    ``rng`` is the stream the probes are drawn from (:func:`draw_probes`),
+    or :class:`Probes` already drawn, which are consumed in place: a
+    campaign shard draws each vantage point's probes between that row's
+    coins, then measures the whole shard in one call.
+
     ``drop_mask`` (optional, bool shape ``(n,)``) marks targets whose
     measurements are lost to injected faults (the ``mlab.ping`` site).  It
     is applied *after* every RNG draw, so a dropped target consumes exactly
     the randomness an undropped one would — injection never shifts the
     probe streams of its neighbours.
-
-    The campaign calls this once per vantage-point row, so the samples
-    are built in place, in the exponential draw's buffer.
     """
     base = np.asarray(base_rtts_ms, dtype=float)
-    floor = base[:, None]
     shape = (base.shape[0], config.pings_per_target)
-    samples = rng.exponential(config.queueing_mean_ms, size=shape)
+    if isinstance(rng, Probes):
+        probes = rng
+        require(probes.queueing.shape == shape, f"probes must have shape {shape}")
+    else:
+        probes = Probes(np.empty(shape), np.empty(shape), np.empty(shape))
+        draw_probes(rng, *probes)
+    floor = base[:, None]
+    samples = probes.queueing
+    samples *= config.queueing_mean_ms
     samples += floor
-    samples += rng.normal(0.0, config.noise_std_ms, size=shape)
+    noise = probes.noise
+    noise *= config.noise_std_ms
+    samples += noise
     # Never below the physical floor: clamp the noise term at >= 0 total.
     np.maximum(samples, floor, out=samples)
-    samples[rng.random(shape) < config.loss_probability] = np.nan
+    samples[probes.loss < config.loss_probability] = np.nan
     samples.sort(axis=1)  # NaNs sort last
     if config.aggregation == "median":
         with np.errstate(all="ignore"):

@@ -166,7 +166,7 @@ def implausible_for_single_location(
     closest vantage point against all others.
 
     Per-IP reference for ``repro.mlab.matrix._implausible_mask``, which
-    batches the same decision over every column at once.
+    batches the same decision over blocks of columns.
     """
     valid = np.flatnonzero(~np.isnan(rtts))
     if valid.size < 2:

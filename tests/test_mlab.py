@@ -1,11 +1,13 @@
 """Tests for vantage points, the latency model, pings, and campaign filters."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro._util import make_rng
+from repro.mlab import matrix as matrix_module
 from repro.mlab.latency import (
     MAX_INFLATION,
     MIN_INFLATION,
@@ -16,6 +18,7 @@ from repro.mlab.latency import (
     vp_pair_floor_rtt_ms,
 )
 from repro.mlab.matrix import (
+    CAMPAIGN_CHUNK,
     LatencyCampaignConfig,
     _cut_campaign_shard,
     _implausible_mask,
@@ -189,6 +192,14 @@ class TestLatencyModel:
         assert matrix.shape == (len(vps), 5)
         assert (matrix > 0).all()
 
+    def test_matrix_equals_scalar_base_rtt(self, small_internet, vps):
+        """Hoisting the per-endpoint terms and memoising the inflation per
+        city pair changes no bit: every entry is the scalar model's."""
+        facilities = small_internet.all_facilities
+        matrix = base_rtt_matrix(vps, facilities, seed=7)
+        expected = np.array([[base_rtt_ms(vp, f, seed=7) for f in facilities] for vp in vps])
+        np.testing.assert_array_equal(matrix, expected)
+
     def test_vp_floor_rtt_zero_for_same_point(self, vps):
         assert vp_pair_floor_rtt_ms(vps[0], vps[0]) == pytest.approx(0.0)
 
@@ -337,6 +348,41 @@ class TestCampaignShard:
             assert measured.tobytes() == expected.tobytes(), (case, ping)
 
 
+class TestCampaignShardCut:
+    def test_cut_ships_each_used_facility_once(self, small_internet, state23, vps, monkeypatch):
+        """A shard's targets sit in a few facilities: its cut carries one
+        base-RTT column per distinct target or split-alternate facility,
+        and indexing that block gives back every target's own columns."""
+        cuts = []
+        cut_shard = matrix_module._cut_campaign_shard
+
+        def recording(shard, **arrays):
+            cut = cut_shard(shard, **arrays)
+            cuts.append((shard, arrays, cut))
+            return cut
+
+        monkeypatch.setattr(matrix_module, "_cut_campaign_shard", recording)
+        ips = [s.ip for s in state23.servers]
+        measure_offnets(small_internet, state23, ips, vps, seed=4)
+        assert len(cuts) == math.ceil(len(ips) / CAMPAIGN_CHUNK)
+        n_split = 0
+        for shard, arrays, cut in cuts:
+            cols = np.asarray(shard.items)
+            base, split = arrays["base"], arrays["split"][cols]
+            target, alternate = arrays["target_facility"][cols], arrays["alternate_facility"][cols]
+            used = set(target.tolist()) | set(alternate[split].tolist())
+            assert cut.base_rtt.shape == (len(vps), len(used))
+            np.testing.assert_array_equal(cut.base_rtt[:, cut.target], base[:, target])
+            if split.any():
+                n_split += 1
+                np.testing.assert_array_equal(
+                    cut.base_rtt[:, cut.alternate[split]], base[:, alternate[split]]
+                )
+            else:
+                assert cut.alternate is None
+        assert n_split > 0
+
+
 class TestFloorMatrix:
     def test_matches_scalar_pairs(self, vps):
         """Vectorised haversine vs the scalar libm path: identical to well
@@ -372,6 +418,34 @@ class TestBatchedPlausibility:
         for column_index, ip in enumerate(matrix.ips):
             expected = implausible_for_single_location(matrix.column(ip), vps, floor, slack)
             assert mask[column_index] == expected
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_edges_match_per_ip_reference(self, campaign, vps, monkeypatch, block):
+        """Checked a few columns at a time, every column still agrees with
+        the per-column reference: the campaign's all-NaN and split-location
+        columns, plus single-valid, all-NaN and violating columns placed on
+        both sides of block edges."""
+        matrix, _ = campaign
+        floor = vp_pair_floor_matrix(vps)
+        slack = LatencyCampaignConfig().plausibility_slack_ms
+        rtts = matrix.rtt_ms.copy()
+        for column in (6, 7, 8):
+            rtts[:, column] = np.nan
+            rtts[column, column] = 5.0
+        rtts[:, [13, 14]] = np.nan
+        far = np.unravel_index(np.argmax(floor), floor.shape)
+        rtts[:, [20, 21]] = np.nan
+        rtts[list(far), 20] = rtts[list(far), 21] = 0.1
+        monkeypatch.setattr(matrix_module, "PLAUSIBILITY_BLOCK", block)
+        valid = ~np.isnan(rtts)
+        mask = _implausible_mask(rtts, valid, valid.sum(axis=0), floor, slack)
+        expected = [
+            implausible_for_single_location(rtts[:, column], vps, floor, slack)
+            for column in range(rtts.shape[1])
+        ]
+        assert mask.tolist() == expected
+        assert mask[[20, 21]].all() and not mask[[6, 7, 8, 13, 14]].any()
+        assert set(np.flatnonzero(mask)) - {20, 21}
 
     def test_mask_flags_a_synthetic_violation(self, vps):
         """A column pretending to be 0 ms from two far-apart vantage points
