@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +240,41 @@ class TestGoldenExport:
             shutdown_pools()
         save_archive(study, tmp_path / "pool")
         assert _composite_digest(tmp_path / "pool") == GOLDEN_EXPORT_SHA256
+
+    def test_content_digest_independent_of_string_hash_seed(self, tmp_path):
+        """Sets and dicts of topology objects iterate in an order that
+        follows the process's string-hash seed; no exported value may."""
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.core.pipeline import run_study\n"
+            "from repro.io.archive import save_archive\n"
+            "from repro.parallel import ParallelConfig\n"
+            "from tests.test_parallel_equivalence import _content_digest, _study_config\n"
+            "save_archive(run_study(_study_config(ParallelConfig())), Path(sys.argv[1]))\n"
+            "print(_content_digest(Path(sys.argv[1])))\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), str(root)])
+        runs = {
+            hash_seed: subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path / f"hash-seed-{hash_seed}")],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for hash_seed in ("0", "1")
+        }
+        try:
+            outputs = {hash_seed: run.communicate(timeout=300) for hash_seed, run in runs.items()}
+        finally:
+            for run in runs.values():
+                run.kill()
+        for hash_seed, run in runs.items():
+            assert run.returncode == 0, outputs[hash_seed][1]
+        digests = {hash_seed: out.strip() for hash_seed, (out, _) in outputs.items()}
+        assert digests == {"0": GOLDEN_CONTENT_SHA256, "1": GOLDEN_CONTENT_SHA256}
 
     def test_reference_implementations_reproduce_golden_digest(self, tmp_path, monkeypatch):
         """The kept reference OPTICS loop exports the same bytes — the

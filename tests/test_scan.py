@@ -1,5 +1,9 @@
 """Tests for certificates, fingerprints, scanning, and offnet detection."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro._util import make_rng
@@ -13,6 +17,8 @@ from repro.scan.certificates import (
 from repro.scan.detection import detect_offnets, score_detection
 from repro.scan.fingerprints import fingerprint_rules
 from repro.scan.scanner import ScanConfig, ScanResult, ScanRecord, run_scan
+
+from tests.conftest import _require_golden_numpy
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +204,42 @@ class TestDetection:
         asn = next(iter(inventory23.hosting_isp_asns()))
         detections = inventory23.detections_in_isp(asn)
         assert [d.ip for d in detections] == sorted(d.ip for d in detections)
+
+
+#: sha256 over the small scenario's substrate: both epochs' placements down
+#: to the rack, every record of both scans (undetected infrastructure hosts
+#: and impostors included) and both inventories.  The export digests carry
+#: only what the pipeline keeps downstream of detection.
+SMALL_SCENARIO_SUBSTRATE_SHA256 = "d55a19fe9e9c611a1580df3ac10022b2e5bb5d052901d8f96279dfd228bc15d4"
+
+
+def substrate_digest(study) -> str:
+    """One JSON line per placed server, scan record and detection, hashed."""
+    digest = hashlib.sha256()
+
+    def feed(*fields):
+        digest.update(json.dumps(fields).encode() + b"\n")
+
+    certificate_fields = [field.name for field in dataclasses.fields(Certificate)]
+    for epoch in sorted(study.history.epochs):
+        state = study.history.state(epoch)
+        feed("state", epoch, len(state.servers))
+        for server in state.servers:
+            feed(server.ip, server.hypergiant, server.isp.asn, server.facility.facility_id, server.rack.rack_id)
+    for epoch in sorted(study.scans):
+        scan = study.scans[epoch]
+        feed("scan", epoch, len(scan.records), scan.records_dropped)
+        for record in scan.records:
+            feed(record.ip, *(getattr(record.certificate, name) for name in certificate_fields))
+    for epoch in sorted(study.inventories):
+        inventory = study.inventories[epoch]
+        feed("inventory", epoch, inventory.edition, len(inventory))
+        for detection in inventory.detections:
+            feed(detection.ip, detection.hypergiant, detection.isp_asn)
+    return digest.hexdigest()
+
+
+def test_small_scenario_substrate_matches_pinned_digest(small_study):
+    """Placement, scan and detection bytes that no export digest carries."""
+    _require_golden_numpy()
+    assert substrate_digest(small_study) == SMALL_SCENARIO_SUBSTRATE_SHA256
