@@ -36,9 +36,6 @@ class OffnetServer:
     facility: Facility
     rack: Rack
 
-    def __hash__(self) -> int:
-        return hash(("OffnetServer", self.ip))
-
     def __repr__(self) -> str:
         return f"OffnetServer(ip={self.ip}, hg={self.hypergiant!r}, isp={self.isp.name!r}, fac={self.facility.name!r})"
 
@@ -76,10 +73,12 @@ class DeploymentState:
         self._server_by_ip = {}
         for deployment in self.deployments:
             key = (deployment.hypergiant, deployment.isp.asn)
-            require(key not in self._by_key, f"duplicate deployment {key}")
+            if key in self._by_key:
+                raise ValueError(f"duplicate deployment {key}")
             self._by_key[key] = deployment
             for server in deployment.servers:
-                require(server.ip not in self._server_by_ip, f"duplicate server IP {server.ip}")
+                if server.ip in self._server_by_ip:
+                    raise ValueError(f"duplicate server IP {server.ip}")
                 self._server_by_ip[server.ip] = server
 
     @property
@@ -175,16 +174,21 @@ class _RackPlanner:
         self._open_racks: dict[Facility, list[Rack]] = {}
 
     def place(self, facility: Facility) -> Rack:
-        """Pick a rack for one server in ``facility``."""
-        open_racks = [r for r in self._open_racks.get(facility, []) if self._occupancy[r] < self._capacity]
-        self._open_racks[facility] = open_racks
+        """Pick a rack for one server in ``facility``.
+
+        A facility's open racks stay in creation order; a rack leaves the
+        list the moment it fills.
+        """
+        open_racks = self._open_racks.setdefault(facility, [])
         if open_racks and self._rng.random() < self._share_probability:
             rack = open_racks[0]
         else:
             rack = facility.new_rack()
             self._occupancy[rack] = 0
-            self._open_racks.setdefault(facility, []).append(rack)
+            open_racks.append(rack)
         self._occupancy[rack] += 1
+        if self._occupancy[rack] == self._capacity:
+            open_racks.remove(rack)
         return rack
 
 

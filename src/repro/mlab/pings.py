@@ -117,16 +117,36 @@ def ping_rtts(
     samples += noise
     # Never below the physical floor: clamp the noise term at >= 0 total.
     np.maximum(samples, floor, out=samples)
-    samples[probes.loss < config.loss_probability] = np.nan
-    samples.sort(axis=1)  # NaNs sort last
+    # One contiguous row per probe, so each step below runs over every
+    # target at once.
+    samples = samples.T.copy()
+    lost = np.ascontiguousarray((probes.loss < config.loss_probability).T)
     if config.aggregation == "median":
+        samples[lost] = np.nan
         with np.errstate(all="ignore"):
-            measured = np.nanmedian(samples, axis=1)
+            measured = np.nanmedian(samples, axis=0)
     else:
-        measured = samples[:, 0 if config.aggregation == "min" else 1].copy()
-    # Fewer than min_responses answers (none for a NaN base) leave a NaN
-    # at that rank.
-    measured[np.isnan(samples[:, config.min_responses - 1])] = np.nan
+        samples[lost] = np.inf  # a lost probe never ranks among the smallest
+        smallest, second_smallest = _two_smallest(samples)
+        measured = smallest if config.aggregation == "min" else second_smallest
+    # Too few answers leave no value; a NaN base leaves NaN whatever answers.
+    measured[config.pings_per_target - lost.sum(axis=0) < config.min_responses] = np.nan
     if drop_mask is not None:
         measured[drop_mask] = np.nan
     return measured
+
+
+def _two_smallest(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and second-smallest entry of each column of ``rows``.
+
+    The same floats as ranks 0 and 1 of a sort along the columns; a NaN
+    in a column makes both NaN.
+    """
+    smallest = rows[0].copy()
+    second = np.full_like(smallest, np.inf)
+    larger = np.empty_like(smallest)
+    for row in rows[1:]:
+        np.maximum(smallest, row, out=larger)
+        np.minimum(second, larger, out=second)
+        np.minimum(smallest, row, out=smallest)
+    return smallest, second

@@ -75,14 +75,9 @@ def _meta_site_code(server: OffnetServer, rng: np.random.Generator) -> str:
     return f"f{iata}{cluster}-{machine}"
 
 
-def certificate_for_server(server: OffnetServer, epoch: str, rng: np.random.Generator) -> Certificate:
-    """The certificate the offnet ``server`` presents on port 443 in ``epoch``.
-
-    ``epoch`` is ``"2021"`` or ``"2023"``; conventions differ as described in
-    the module docstring.
-    """
-    require(epoch in ("2021", "2023"), f"unknown epoch {epoch!r}")
-    hypergiant = server.hypergiant
+def _offnet_certificate(hypergiant: str, epoch: str, meta_site_code: str | None = None) -> Certificate:
+    """``hypergiant``'s offnet certificate convention in ``epoch``; Meta's
+    2023 names carry the server's ``meta_site_code``."""
     issuer_org = TRUSTED_ISSUERS[hypergiant]
     if hypergiant == "Google":
         organization = "Google LLC" if epoch == "2021" else None
@@ -94,10 +89,7 @@ def certificate_for_server(server: OffnetServer, epoch: str, rng: np.random.Gene
             issuer_organization=issuer_org,
         )
     if hypergiant == "Meta":
-        if epoch == "2021":
-            common_name = "*.fbcdn.net"
-        else:
-            common_name = f"*.{_meta_site_code(server, rng)}.fna.fbcdn.net"
+        common_name = "*.fbcdn.net" if epoch == "2021" else f"*.{meta_site_code}.fna.fbcdn.net"
         return Certificate(
             subject_common_name=common_name,
             subject_organization="Meta Platforms, Inc.",
@@ -122,6 +114,35 @@ def certificate_for_server(server: OffnetServer, epoch: str, rng: np.random.Gene
             issuer_organization=issuer_org,
         )
     raise ValueError(f"no certificate convention for hypergiant {hypergiant!r}")
+
+
+_EPOCHS = ("2021", "2023")
+
+#: The one certificate all of a hypergiant's offnets present in an epoch,
+#: for every convention without a per-server field: all but Meta's 2023
+#: site-coded names.  Certificates are frozen, so every server and every
+#: scan shares these objects.
+SHARED_OFFNET_CERTIFICATES: dict[tuple[str, str], Certificate] = {
+    (hypergiant, epoch): _offnet_certificate(hypergiant, epoch)
+    for hypergiant in TRUSTED_ISSUERS
+    for epoch in _EPOCHS
+    if (hypergiant, epoch) != ("Meta", "2023")
+}
+
+
+def certificate_for_server(server: OffnetServer, epoch: str, rng: np.random.Generator) -> Certificate:
+    """The certificate the offnet ``server`` presents on port 443 in ``epoch``.
+
+    ``epoch`` is ``"2021"`` or ``"2023"``; conventions differ as described in
+    the module docstring.  Only Meta's 2023 site-coded certificate draws
+    from ``rng``; every other one is shared (:data:`SHARED_OFFNET_CERTIFICATES`).
+    """
+    require(epoch in _EPOCHS, f"unknown epoch {epoch!r}")
+    shared = SHARED_OFFNET_CERTIFICATES.get((server.hypergiant, epoch))
+    if shared is not None:
+        return shared
+    site_code = _meta_site_code(server, rng) if server.hypergiant == "Meta" else None
+    return _offnet_certificate(server.hypergiant, epoch, site_code)
 
 
 def infrastructure_certificate(isp: AS, host_index: int) -> Certificate:
@@ -161,14 +182,7 @@ def impostor_certificate(hypergiant: str, rng: np.random.Generator) -> Certifica
     )
 
 
-def onnet_certificate(hypergiant: str, epoch: str = "2023") -> Certificate:
-    """The certificate a hypergiant's *onnet* (own-AS) server presents.
-
-    Identical in content to offnet certificates — this is the paper's point:
-    ownership of the hosting IP, not the certificate, distinguishes offnet
-    from onnet.
-    """
-    require(epoch in ("2021", "2023"), f"unknown epoch {epoch!r}")
+def _onnet_certificate(hypergiant: str, epoch: str) -> Certificate:
     google_organization = "Google LLC" if epoch == "2021" else None
     conventions = {
         "Google": ("*.googlevideo.com", google_organization, "GTS CA 1C3"),
@@ -176,7 +190,6 @@ def onnet_certificate(hypergiant: str, epoch: str = "2023") -> Certificate:
         "Netflix": ("*.nflxvideo.net", "Netflix, Inc.", "DigiCert TLS RSA SHA256 2020 CA1"),
         "Akamai": ("a248.e.akamai.net", "Akamai Technologies, Inc.", "Let's Encrypt R3"),
     }
-    require(hypergiant in conventions, f"unknown hypergiant {hypergiant!r}")
     common_name, organization, issuer_cn = conventions[hypergiant]
     return Certificate(
         subject_common_name=common_name,
@@ -185,3 +198,22 @@ def onnet_certificate(hypergiant: str, epoch: str = "2023") -> Certificate:
         issuer_common_name=issuer_cn,
         issuer_organization=TRUSTED_ISSUERS[hypergiant],
     )
+
+
+_ONNET_CERTIFICATES: dict[tuple[str, str], Certificate] = {
+    (hypergiant, epoch): _onnet_certificate(hypergiant, epoch)
+    for hypergiant in TRUSTED_ISSUERS
+    for epoch in _EPOCHS
+}
+
+
+def onnet_certificate(hypergiant: str, epoch: str = "2023") -> Certificate:
+    """The certificate a hypergiant's *onnet* (own-AS) server presents.
+
+    Identical in content to offnet certificates — this is the paper's point:
+    ownership of the hosting IP, not the certificate, distinguishes offnet
+    from onnet.  One shared object per hypergiant and epoch.
+    """
+    require(epoch in _EPOCHS, f"unknown epoch {epoch!r}")
+    require(hypergiant in TRUSTED_ISSUERS, f"unknown hypergiant {hypergiant!r}")
+    return _ONNET_CERTIFICATES[(hypergiant, epoch)]

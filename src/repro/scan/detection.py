@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util import require
 from repro.deployment.placement import DeploymentState
 from repro.obs import Telemetry, ensure_telemetry
-from repro.scan.fingerprints import FingerprintRule, fingerprint_rules
+from repro.scan.fingerprints import FingerprintRule, fingerprint_rules, rule_matcher
 from repro.scan.scanner import ScanResult
 from repro.topology.asn import AS
 from repro.topology.generator import Internet
@@ -44,7 +43,8 @@ class OffnetInventory:
         self._isps_by_hypergiant = {}
         seen_ips: set[int] = set()
         for detection in self.detections:
-            require(detection.ip not in seen_ips, f"IP {detection.ip} detected twice")
+            if detection.ip in seen_ips:
+                raise ValueError(f"IP {detection.ip} detected twice")
             seen_ips.add(detection.ip)
             self._by_hypergiant.setdefault(detection.hypergiant, []).append(detection)
             self._isps_by_hypergiant.setdefault(detection.hypergiant, set()).add(detection.isp_asn)
@@ -98,14 +98,13 @@ def detect_offnets(
         rules = fingerprint_rules(scan.epoch)
     obs = ensure_telemetry(telemetry)
     hypergiant_asns = {a.asn for a in internet.hypergiant_ases.values()}
+    match = rule_matcher(rules)
+    # Whether each owner seen so far hosts offnets: an ISP, not a hypergiant.
+    hosts_offnets: dict[AS | None, bool] = {None: False}
     detections: list[DetectedOffnet] = []
     matched_records = 0
     for record in scan.records:
-        matched: str | None = None
-        for rule in rules:
-            if rule.matches(record.certificate):
-                matched = rule.hypergiant
-                break
+        matched = match(record.certificate)
         if matched is None:
             continue
         matched_records += 1
@@ -114,7 +113,9 @@ def detect_offnets(
         else:
             owner_asn = ip2as.lookup(record.ip)
             owner = internet.registry.get(owner_asn) if owner_asn is not None and owner_asn in internet.registry else None
-        if owner is None or owner.asn in hypergiant_asns or not owner.is_isp:
+        if owner not in hosts_offnets:
+            hosts_offnets[owner] = owner.asn not in hypergiant_asns and owner.is_isp
+        if not hosts_offnets[owner]:
             continue  # onnet or unattributable: not an offnet
         detections.append(DetectedOffnet(ip=record.ip, hypergiant=matched, isp_asn=owner.asn))
     edition = rules[0].edition if rules else "2023"

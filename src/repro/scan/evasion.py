@@ -109,6 +109,15 @@ def rotating_san_certificate(server: OffnetServer, seed: int) -> Certificate:
     )
 
 
+_SHARED_WILDCARD_CERTIFICATE = Certificate(
+    subject_common_name="*.edge-cache.example",
+    subject_organization=None,
+    subject_alternative_names=("edge-cache.example",),
+    issuer_common_name="Generic CA",
+    issuer_organization="Generic Trust Services",
+)
+
+
 def shared_wildcard_certificate() -> Certificate:
     """The one bland wildcard certificate every evading server shares.
 
@@ -116,10 +125,4 @@ def shared_wildcard_certificate() -> Certificate:
     Organization, a generic CA.  Indistinguishable from any third-party
     CDN edge, and identical across hypergiants by construction.
     """
-    return Certificate(
-        subject_common_name="*.edge-cache.example",
-        subject_organization=None,
-        subject_alternative_names=("edge-cache.example",),
-        issuer_common_name="Generic CA",
-        issuer_organization="Generic Trust Services",
-    )
+    return _SHARED_WILDCARD_CERTIFICATE

@@ -39,6 +39,26 @@ class FingerprintRule:
         return self._predicate(certificate)
 
 
+def rule_matcher(rules: list[FingerprintRule]) -> Callable[[Certificate], str | None]:
+    """``certificate -> hypergiant of the first rule that matches, or None``.
+
+    The returned function runs ``rules`` once per distinct certificate it
+    is given and remembers the answer for as long as the caller keeps it:
+    most of a scan's records share a handful of certificates.
+    """
+    matched: dict[Certificate, str | None] = {}
+
+    def match(certificate: Certificate) -> str | None:
+        try:
+            return matched[certificate]
+        except KeyError:
+            hypergiant = next((rule.hypergiant for rule in rules if rule.matches(certificate)), None)
+            matched[certificate] = hypergiant
+            return hypergiant
+
+    return match
+
+
 def _issuer_plausible(certificate: Certificate, hypergiant: str) -> bool:
     """The "other checks": a believable CA, never self-signed."""
     if certificate.self_signed:

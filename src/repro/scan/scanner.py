@@ -83,7 +83,8 @@ class ScanResult:
     def __post_init__(self) -> None:
         self._by_ip = {}
         for record in self.records:
-            require(record.ip not in self._by_ip, f"duplicate scan record for IP {record.ip}")
+            if record.ip in self._by_ip:
+                raise ValueError(f"duplicate scan record for IP {record.ip}")
             self._by_ip[record.ip] = record
 
     def __len__(self) -> int:
@@ -123,8 +124,10 @@ def run_scan(
     evasion = config.evasion if config.evasion is not None and config.evasion.enabled else None
     certless_endpoints = 0
     rewritten_certificates = 0
-    for index, server in enumerate(state.servers):
-        if rng_response.random() < config.offnet_nonresponse_rate:
+    servers = state.servers
+    silent = (rng_response.random(len(servers)) < config.offnet_nonresponse_rate).tolist()
+    for index, server in enumerate(servers):
+        if silent[index]:
             nonresponders += 1
             continue
         # The honest certificate is always drawn, even for evading servers:
@@ -183,8 +186,8 @@ def run_scan(
     records.sort(key=lambda r: r.ip)
     n_infra = config.infrastructure_hosts_per_isp * len(internet.isps)
     n_onnet = config.onnet_hosts_per_hypergiant * len(internet.hypergiant_ases)
-    obs.count("scan.hosts_probed", len(state.servers) + n_infra + n_onnet + n_impostors)
-    obs.count("scan.offnet_servers", len(state.servers))
+    obs.count("scan.hosts_probed", len(servers) + n_infra + n_onnet + n_impostors)
+    obs.count("scan.offnet_servers", len(servers))
     obs.count("scan.offnet_nonresponders", nonresponders)
     obs.count("scan.records", len(records))
     if records_dropped:

@@ -63,9 +63,9 @@ from repro.obs import Telemetry, ensure_telemetry
 from repro.parallel import ParallelConfig
 from repro.population.users import PopulationDataset, build_population_dataset
 from repro.resilience import ResilienceConfig
-from repro.scan.certificates import certificate_for_server
+from repro.scan.certificates import SHARED_OFFNET_CERTIFICATES, certificate_for_server
 from repro.scan.detection import DetectedOffnet, OffnetInventory
-from repro.scan.fingerprints import FingerprintRule, fingerprint_rules
+from repro.scan.fingerprints import FingerprintRule, fingerprint_rules, rule_matcher
 from repro.scan.scanner import ScanConfig
 from repro.store import StageStore, stage_key
 from repro.store.keys import _jsonable
@@ -264,10 +264,12 @@ def run_detect_stage(
 ) -> list[tuple[int, str]]:
     """Scan one deployment's servers and match certificates against rules.
 
-    Returns ``[(ip, detected_hypergiant), ...]`` in IP order.  Each
-    server's certificate RNG is seeded from ``(config seed, ip)``, so
-    the per-server draw is identical no matter which quarter, sibling
-    set, or worker evaluates it.  ``store=None`` disables caching (the
+    Returns ``[(ip, detected_hypergiant), ...]`` in IP order.  A server
+    whose certificate draws (Meta's 2023 site code) gets an RNG seeded
+    from ``(config seed, ip)``, so the per-server draw is identical no
+    matter which quarter, sibling set, or worker evaluates it; every
+    other server presents its shared certificate and needs no RNG.
+    ``store=None`` disables caching (the
     differential harness's full-rerun leg).
     """
     config = substrate.config
@@ -276,16 +278,18 @@ def run_detect_stage(
     cached = store.get("detect", key) if store is not None else None
     if cached is not None:
         return [(int(ip), str(name)) for ip, name in cached["detections"]]
+    match = rule_matcher(substrate.rules)
     detections: list[tuple[int, str]] = []
     for server in servers:
         if not _responds(config.seed, server.ip, config.scan.offnet_nonresponse_rate):
             continue
-        cert_rng = make_rng(_stage_seed(f"{config.seed}:timeline.cert:{server.ip}"))
-        certificate = certificate_for_server(server, config.spec.edition, cert_rng)
-        for rule in substrate.rules:
-            if rule.matches(certificate):
-                detections.append((server.ip, rule.hypergiant))
-                break
+        certificate = SHARED_OFFNET_CERTIFICATES.get((server.hypergiant, config.spec.edition))
+        if certificate is None:  # the server's own certificate draws
+            cert_rng = make_rng(_stage_seed(f"{config.seed}:timeline.cert:{server.ip}"))
+            certificate = certificate_for_server(server, config.spec.edition, cert_rng)
+        matched = match(certificate)
+        if matched is not None:
+            detections.append((server.ip, matched))
     if store is not None:
         store.put("detect", key, {"detections": [[ip, name] for ip, name in detections]})
     return detections

@@ -57,9 +57,6 @@ class AS:
         require(bool(self.name), "AS needs a name")
         require(self.users >= 0, "users must be >= 0")
 
-    def __hash__(self) -> int:
-        return hash(("AS", self.asn))
-
     def __repr__(self) -> str:
         return f"AS(asn={self.asn}, name={self.name!r}, role={self.role.value})"
 

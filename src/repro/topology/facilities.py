@@ -26,9 +26,6 @@ class Rack:
     rack_id: int
     facility: "Facility"
 
-    def __hash__(self) -> int:
-        return hash(("Rack", self.facility.facility_id, self.rack_id))
-
     def __repr__(self) -> str:
         return f"Rack({self.facility.name}#{self.rack_id})"
 
@@ -59,9 +56,6 @@ class Facility:
     def __post_init__(self) -> None:
         require(self.facility_id >= 0, "facility_id must be >= 0")
         require(self.uplink_delay_ms >= 0, "uplink_delay_ms must be >= 0")
-
-    def __hash__(self) -> int:
-        return hash(("Facility", self.facility_id))
 
     def __repr__(self) -> str:
         return f"Facility({self.name!r}, city={self.city.name!r}, op={self.operator.name!r})"

@@ -31,9 +31,6 @@ class IXP:
     def __post_init__(self) -> None:
         require(self.ixp_id >= 0, "ixp_id must be >= 0")
 
-    def __hash__(self) -> int:
-        return hash(("IXP", self.ixp_id))
-
     def add_member(self, member: AS) -> int:
         """Assign ``member`` a fabric address and return it."""
         require(member not in self._member_addresses, f"{member.name} already on {self.name}")

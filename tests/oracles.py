@@ -1,8 +1,9 @@
 """Reference implementations the optimized kernels are tested against.
 
 Each function here is the plain, slow form of a kernel in ``src/repro``:
-a per-pair or per-column loop, or the original O(n²)-per-step scan.  No
-pipeline code calls them.  The property tests, the equivalence tests and
+a per-pair or per-column loop, a full sort where the kernel selects, a
+per-call rebuild where it keeps state, or the original O(n²)-per-step
+scan.  No pipeline code calls them.  The property tests, the equivalence tests and
 ``benchmarks/test_bench_clustering.py`` compare the shipped kernels with
 these, and ``tests/test_parallel_equivalence.py`` patches
 :func:`order_reference` into :mod:`repro.clustering.optics` to show the
@@ -16,7 +17,9 @@ import numpy as np
 from repro._util import require, require_fraction
 from repro.clustering.distance import trimmed_manhattan
 from repro.clustering.optics import OpticsResult
+from repro.mlab.pings import PingConfig, Probes
 from repro.mlab.vantage import VantagePoint
+from repro.topology.facilities import Facility, Rack
 
 # -- OPTICS ------------------------------------------------------------------
 
@@ -174,3 +177,59 @@ def implausible_for_single_location(
     closest = valid[np.argmin(rtts[valid])]
     sums = rtts[closest] + rtts[valid]
     return bool((sums + slack_ms < floor[closest, valid]).any())
+
+
+# -- probe aggregation ---------------------------------------------------------------
+
+
+def ping_rtts_reference(
+    base_rtts_ms: np.ndarray,
+    config: PingConfig,
+    probes: Probes,
+    drop_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`repro.mlab.pings.ping_rtts` on pre-drawn ``probes``, through a
+    full sort of each target's samples: ranks 0 and 1 of the sorted row,
+    and too few answers read off a NaN at rank ``min_responses - 1``."""
+    base = np.asarray(base_rtts_ms, dtype=float)
+    floor = base[:, None]
+    samples = probes.queueing * config.queueing_mean_ms + floor + probes.noise * config.noise_std_ms
+    samples = np.maximum(samples, floor)
+    samples[probes.loss < config.loss_probability] = np.nan
+    samples.sort(axis=1)  # NaNs sort last
+    if config.aggregation == "median":
+        with np.errstate(all="ignore"):
+            measured = np.nanmedian(samples, axis=1)
+    else:
+        measured = samples[:, 0 if config.aggregation == "min" else 1].copy()
+    measured[np.isnan(samples[:, config.min_responses - 1])] = np.nan
+    if drop_mask is not None:
+        measured[drop_mask] = np.nan
+    return measured
+
+
+# -- rack placement -----------------------------------------------------------------
+
+
+class RackPlannerReference:
+    """``repro.deployment.placement._RackPlanner`` rebuilding a facility's
+    open-rack list from the occupancy table on every call."""
+
+    def __init__(self, capacity: int, share_probability: float, rng: np.random.Generator) -> None:
+        self._capacity = capacity
+        self._share_probability = share_probability
+        self._rng = rng
+        self._occupancy: dict[Rack, int] = {}
+        self._open_racks: dict[Facility, list[Rack]] = {}
+
+    def place(self, facility: Facility) -> Rack:
+        open_racks = [r for r in self._open_racks.get(facility, []) if self._occupancy[r] < self._capacity]
+        self._open_racks[facility] = open_racks
+        if open_racks and self._rng.random() < self._share_probability:
+            rack = open_racks[0]
+        else:
+            rack = facility.new_rack()
+            self._occupancy[rack] = 0
+            self._open_racks.setdefault(facility, []).append(rack)
+        self._occupancy[rack] += 1
+        return rack

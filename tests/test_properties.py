@@ -19,11 +19,18 @@ from repro.clustering.sites import (
     rand_index,
 )
 from repro.clustering.xi import XiCluster, extract_xi_clusters, split_clusters_on_spikes, xi_labels
+from repro.deployment.placement import _RackPlanner
+from repro.mlab.pings import PingConfig, Probes, draw_probes, ping_rtts
+from repro.topology.asn import AS, ASRole
+from repro.topology.facilities import Facility
+from repro.topology.geo import City
 
 from tests.oracles import (
+    RackPlannerReference,
     optics_order_reference,
     pair_confusion_counts_reference,
     pairwise_trimmed_manhattan_reference,
+    ping_rtts_reference,
 )
 
 
@@ -205,6 +212,71 @@ class TestOpticsInvariances:
         distances = pairwise_trimmed_manhattan(columns)
         result = optics_order(distances)
         assert not np.isfinite(result.reachability[0])
+
+
+def _facilities(count: int) -> list[Facility]:
+    """``count`` fresh facilities of one operator, without racks."""
+    city = City("Hanoi", "VN", 21.0, 105.8, "han")
+    operator = AS(64500, "isp", ASRole.ACCESS, "VN", cities=[city])
+    return [Facility(index, f"fac{index}", city, operator, city.lat, city.lon) for index in range(count)]
+
+
+class TestRackPlannerEquivalence:
+    @given(
+        st.integers(1, 8),
+        st.floats(0.0, 1.0),
+        st.lists(st.integers(0, 4), max_size=120),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_racks_and_stream_as_reference(self, capacity, share, sequence, seed):
+        """Keeping each facility's open racks, and dropping a rack once it
+        fills, picks the racks the per-call rebuild picks and draws the
+        same share coins."""
+        fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast, reference = _RackPlanner(capacity, share, fast_rng), RackPlannerReference(capacity, share, reference_rng)
+        fast_facilities, reference_facilities = _facilities(5), _facilities(5)
+        picked = [fast.place(fast_facilities[index]) for index in sequence]
+        expected = [reference.place(reference_facilities[index]) for index in sequence]
+        assert [(r.facility.facility_id, r.rack_id) for r in picked] == [
+            (r.facility.facility_id, r.rack_id) for r in expected
+        ]
+        assert fast_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestPingSelectionEquivalence:
+    @given(
+        st.integers(1, 60),
+        st.integers(2, 10),
+        st.data(),
+        st.sampled_from(["second_smallest", "min", "median"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+    def test_same_bits_as_sorted_reference(self, n, pings, data, aggregation, loss, nan_rate, drop, seed):
+        """Selecting the two smallest answered probes, and counting the
+        answers, gives the bits the full sort gives."""
+        min_responses = data.draw(st.integers(2, pings))
+        config = PingConfig(
+            pings_per_target=pings,
+            loss_probability=loss,
+            min_responses=min_responses,
+            aggregation=aggregation,
+        )
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.5, 250.0, n)
+        base[rng.random(n) < nan_rate] = np.nan
+        drop_mask = rng.random(n) < 0.2 if drop else None
+        probes = Probes(*(np.empty((n, pings)) for _ in range(3)))
+        draw_probes(rng, *probes)
+        copies = Probes(*(array.copy() for array in probes))
+        expected = ping_rtts_reference(base, config, copies, drop_mask)
+        measured = ping_rtts(base, config, probes, drop_mask)
+        assert measured.tobytes() == expected.tobytes()
 
 
 @st.composite
