@@ -182,7 +182,14 @@ def impostor_certificate(hypergiant: str, rng: np.random.Generator) -> Certifica
     )
 
 
-def _onnet_certificate(hypergiant: str, epoch: str) -> Certificate:
+def onnet_certificate(hypergiant: str, epoch: str = "2023") -> Certificate:
+    """The certificate a hypergiant's *onnet* (own-AS) server presents.
+
+    Identical in content to offnet certificates — this is the paper's point:
+    ownership of the hosting IP, not the certificate, distinguishes offnet
+    from onnet.
+    """
+    require(epoch in ("2021", "2023"), f"unknown epoch {epoch!r}")
     google_organization = "Google LLC" if epoch == "2021" else None
     conventions = {
         "Google": ("*.googlevideo.com", google_organization, "GTS CA 1C3"),
@@ -190,6 +197,7 @@ def _onnet_certificate(hypergiant: str, epoch: str) -> Certificate:
         "Netflix": ("*.nflxvideo.net", "Netflix, Inc.", "DigiCert TLS RSA SHA256 2020 CA1"),
         "Akamai": ("a248.e.akamai.net", "Akamai Technologies, Inc.", "Let's Encrypt R3"),
     }
+    require(hypergiant in conventions, f"unknown hypergiant {hypergiant!r}")
     common_name, organization, issuer_cn = conventions[hypergiant]
     return Certificate(
         subject_common_name=common_name,
@@ -198,22 +206,3 @@ def _onnet_certificate(hypergiant: str, epoch: str) -> Certificate:
         issuer_common_name=issuer_cn,
         issuer_organization=TRUSTED_ISSUERS[hypergiant],
     )
-
-
-_ONNET_CERTIFICATES: dict[tuple[str, str], Certificate] = {
-    (hypergiant, epoch): _onnet_certificate(hypergiant, epoch)
-    for hypergiant in TRUSTED_ISSUERS
-    for epoch in _EPOCHS
-}
-
-
-def onnet_certificate(hypergiant: str, epoch: str = "2023") -> Certificate:
-    """The certificate a hypergiant's *onnet* (own-AS) server presents.
-
-    Identical in content to offnet certificates — this is the paper's point:
-    ownership of the hosting IP, not the certificate, distinguishes offnet
-    from onnet.  One shared object per hypergiant and epoch.
-    """
-    require(epoch in _EPOCHS, f"unknown epoch {epoch!r}")
-    require(hypergiant in TRUSTED_ISSUERS, f"unknown hypergiant {hypergiant!r}")
-    return _ONNET_CERTIFICATES[(hypergiant, epoch)]

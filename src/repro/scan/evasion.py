@@ -109,15 +109,6 @@ def rotating_san_certificate(server: OffnetServer, seed: int) -> Certificate:
     )
 
 
-_SHARED_WILDCARD_CERTIFICATE = Certificate(
-    subject_common_name="*.edge-cache.example",
-    subject_organization=None,
-    subject_alternative_names=("edge-cache.example",),
-    issuer_common_name="Generic CA",
-    issuer_organization="Generic Trust Services",
-)
-
-
 def shared_wildcard_certificate() -> Certificate:
     """The one bland wildcard certificate every evading server shares.
 
@@ -125,4 +116,10 @@ def shared_wildcard_certificate() -> Certificate:
     Organization, a generic CA.  Indistinguishable from any third-party
     CDN edge, and identical across hypergiants by construction.
     """
-    return _SHARED_WILDCARD_CERTIFICATE
+    return Certificate(
+        subject_common_name="*.edge-cache.example",
+        subject_organization=None,
+        subject_alternative_names=("edge-cache.example",),
+        issuer_common_name="Generic CA",
+        issuer_organization="Generic Trust Services",
+    )

@@ -269,8 +269,8 @@ def run_detect_stage(
     from ``(config seed, ip)``, so the per-server draw is identical no
     matter which quarter, sibling set, or worker evaluates it; every
     other server presents its shared certificate and needs no RNG.
-    ``store=None`` disables caching (the
-    differential harness's full-rerun leg).
+    ``store=None`` disables caching (the differential harness's
+    full-rerun leg).
     """
     config = substrate.config
     ips = [server.ip for server in servers]
