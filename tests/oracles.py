@@ -3,9 +3,9 @@
 Each function here is the plain, slow form of a kernel in ``src/repro``:
 a per-pair or per-column loop, a full sort where the kernel selects, a
 per-call rebuild where it keeps state, or the original O(n²)-per-step
-scan.  No pipeline code calls them.  The property tests, the equivalence tests and
-``benchmarks/test_bench_clustering.py`` compare the shipped kernels with
-these, and ``tests/test_parallel_equivalence.py`` patches
+scan.  No pipeline code calls them.  The property tests, the
+equivalence tests and ``benchmarks/test_bench_clustering.py`` compare
+the shipped kernels with these, and ``tests/test_parallel_equivalence.py`` patches
 :func:`order_reference` into :mod:`repro.clustering.optics` to show the
 reference OPTICS loop exports the golden bytes end to end.
 """

@@ -3,7 +3,8 @@
 These complement the per-module unit tests with invariants that must hold
 for *any* input: clustering invariance under input order and scale, distance-matrix
 consistency between the reference and vectorised implementations, xi label
-structure, and spike-split soundness.
+structure, spike-split soundness, and rack placement and probe selection
+against their references.
 """
 
 import numpy as np
