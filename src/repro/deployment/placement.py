@@ -67,6 +67,7 @@ class DeploymentState:
     deployments: list[Deployment]
     _by_key: dict[tuple[str, int], Deployment] = field(init=False, repr=False)
     _server_by_ip: dict[int, OffnetServer] = field(init=False, repr=False)
+    _servers: tuple[OffnetServer, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_key = {}
@@ -80,11 +81,12 @@ class DeploymentState:
                 if server.ip in self._server_by_ip:
                     raise ValueError(f"duplicate server IP {server.ip}")
                 self._server_by_ip[server.ip] = server
+        self._servers = tuple(self._server_by_ip[ip] for ip in sorted(self._server_by_ip))
 
     @property
-    def servers(self) -> list[OffnetServer]:
-        """Every offnet server, in IP order."""
-        return [self._server_by_ip[ip] for ip in sorted(self._server_by_ip)]
+    def servers(self) -> tuple[OffnetServer, ...]:
+        """Every offnet server, in IP order (sorted once, at construction)."""
+        return self._servers
 
     def server_at(self, ip: int) -> OffnetServer | None:
         """Ground-truth server at ``ip`` or None."""

@@ -12,7 +12,10 @@ that explain *why* a fan-out performed the way it did:
 * **per-worker utilization** — each worker's busy time over the fan-out
   makespan; a pool whose workers idle at 40% is serialization-bound, not
   compute-bound;
-* **queue-wait vs execute time** — per shard;
+* **queue-wait vs execute time** — per shard; a pool shard's queue wait
+  runs from its submit to its worker's start, so it includes the time it
+  spent queued inside the pool behind the other submissions in flight,
+  and so does the queue-wait share;
 * **stragglers** — shards whose execute time exceeds
   :data:`STRAGGLER_FACTOR` × the median for their stage, flagged by shard
   index in the report ``obs`` section and ``BENCH_parallel.json``.

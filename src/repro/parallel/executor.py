@@ -23,6 +23,9 @@ A shard carries its own inputs.  A stage passes :func:`run_sharded` a
 the executor calls it in the parent when it first dispatches that shard
 and hands the task the cut shard, so a pool submission pickles only its
 own slice, and only the slices of shards in flight are alive at once.
+The pool keeps :data:`IN_FLIGHT_PER_WORKER` submissions per worker in
+flight, so a worker that finishes a shard takes the next one from the
+pool's queue instead of waiting for the parent to harvest and submit.
 
 Telemetry crosses the process boundary by value: each worker records into a
 fresh private bundle, returns its snapshot alongside the shard result, and
@@ -35,6 +38,8 @@ dispatch: a completed attempt's ``<label>.shard`` span carries its
 ``attempt``, an adopted worker span also its ``worker``, queue wait and
 submission size in pickled bytes, and a pool fan-out's span carries the
 pool's identity.  :class:`repro.obs.flight.FlightView` reads them back.
+Queue wait runs from submit to the worker's start, so it includes the time
+a submission waited inside the pool behind the others in flight.
 
 Both backends are *supervised* when given a
 :class:`~repro.resilience.ResilienceConfig` and/or a
@@ -45,10 +50,14 @@ Both backends are *supervised* when given a
   the policy's attempt limit;
 * the pool detects dead workers (``BrokenProcessPool``, whether it
   surfaces from a result or from the next submit) and hung workers
-  (``ParallelConfig.shard_timeout_s``), rebuilds itself in place (keeping
-  its identity and counting the restart), re-dispatches the survivors,
-  and runs a shard whose pool attempts are exhausted *in-process* before
-  quarantining it;
+  (``ParallelConfig.shard_timeout_s``, which counts from worker pickup:
+  workers take submissions first in, first out, so a shard's deadline
+  starts when it joins the oldest ``workers`` unfinished submissions,
+  never before its submit), rebuilds itself in place (keeping
+  its identity and counting the restart), re-dispatches what it held
+  (charging an attempt only to the oldest ``workers``, which can have
+  run), and runs a shard whose pool attempts are exhausted *in-process*
+  before quarantining it;
 * a quarantined shard yields a :class:`~repro.resilience.ShardLoss`
   sentinel in the result list, and :func:`run_sharded` aborts with
   :class:`~repro.resilience.ShardQuarantinedError` if the losses exceed
@@ -70,6 +79,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Any, Callable
 
 from repro._util import require
@@ -104,6 +114,12 @@ ShardTask = Callable[[Shard, Telemetry | None], Any]
 
 #: Cuts one shard's own inputs, which the task reads as ``shard.payload``.
 ShardPayload = Callable[[Shard], Any]
+
+#: Submissions a pool fan-out keeps in flight per worker.  Beyond the
+#: ``workers`` a worker can be running, each waits inside the pool, so a
+#: worker that finishes a shard picks up the next one at once instead of
+#: idling through the parent's harvest-and-submit round trip.
+IN_FLIGHT_PER_WORKER = 3
 
 
 def usable_cpu_count() -> int:
@@ -144,7 +160,9 @@ class ParallelConfig:
 
     backend: str = "serial"
     workers: int | str = 1
-    #: Per-shard execution timeout; ``None`` (default) never times out.
+    #: Per-shard execution timeout, counted from worker pickup (time a
+    #: shard waits queued inside the pool is not charged); ``None``
+    #: (default) never times out.
     #: On the pool a shard past its deadline is treated as a hung worker;
     #: retry/fallback behaviour then follows the stage's
     #: :class:`~repro.resilience.ResilienceConfig` (or the timeout error
@@ -349,8 +367,8 @@ class PoolExecutor:
         profile = capture and telemetry.tracer.profiler is not None
         obs = ensure_telemetry(telemetry)
         # The pool always holds the configured worker count; ``window``
-        # only bounds in-flight submissions for small stages.
-        window = min(self.workers, len(shards))
+        # bounds in-flight submissions, fewer for small stages.
+        window = min(IN_FLIGHT_PER_WORKER * self.workers, len(shards))
         results: dict[int, Any] = {}
         snapshots: dict[int, tuple[dict[str, Any], float, int, int]] = {}
         # Work-stealing discipline: dispatch largest-estimated-cost-first
@@ -361,7 +379,10 @@ class PoolExecutor:
         # broken pool), which go first and are never cut again.
         fresh: deque[Shard] = deque(steal_order(shards))
         queue: deque[tuple[Shard, int]] = deque()
-        active: dict[Future, tuple[Shard, int, float | None, float, int]] = {}
+        # In submit order, which is the order the workers take them in.
+        active: dict[Future, tuple[Shard, int, float, int]] = {}
+        # Deadlines of the submissions a worker can have picked up.
+        deadlines: dict[Future, float] = {}
         restarts = 0
         task_bytes = measure_payload(task)[0] if capture else 0
         pool = get_pool(self.workers, preferred_start_method())
@@ -381,20 +402,22 @@ class PoolExecutor:
                     queue.appendleft((shard, attempt))
                     pool_broken = True
                     break
-                deadline = (
-                    time.monotonic() + self.shard_timeout_s
-                    if self.shard_timeout_s is not None
-                    else None
-                )
                 # Submission wall time gives the shard span's queue wait
                 # (worker start wall − submit wall).
                 active[future] = (
                     shard,
                     attempt,
-                    deadline,
                     time.time() if capture else 0.0,
                     task_bytes + measure_payload(shard)[0] if capture else 0,
                 )
+            if self.shard_timeout_s is not None:
+                # Workers take submissions first in, first out, so only the
+                # oldest ``workers`` unfinished ones can have been picked
+                # up.  A shard's deadline starts when it joins them, after
+                # its submit, so time queued in the pool is never charged.
+                now = time.monotonic()
+                for future in islice(active, self.workers):
+                    deadlines.setdefault(future, now + self.shard_timeout_s)
             if pool_broken:
                 poll: float | None = 0.0  # harvest what already finished
             elif self.shard_timeout_s is not None:
@@ -404,44 +427,57 @@ class PoolExecutor:
             else:
                 poll = None
             done, _pending = wait(list(active), timeout=poll, return_when=FIRST_COMPLETED)
+            broken: dict[Future, Exception] = {}  # torn down below, in submit order
             for future in done:
-                shard, attempt, _deadline, submit_wall, payload_bytes = active.pop(future)
+                deadlines.pop(future, None)
                 try:
                     value, snapshot = future.result()
+                except BrokenProcessPool as error:
+                    broken[future] = error
+                    pool_broken = True
+                    continue
                 except Exception as error:  # noqa: BLE001 — classified in _dispose
-                    pool_broken = pool_broken or isinstance(error, BrokenProcessPool)
+                    shard, attempt, _submit, _bytes = active.pop(future)
                     self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
-                else:
-                    results[shard.index] = value
-                    if snapshot is not None:
-                        snapshots[shard.index] = (snapshot, submit_wall, attempt, payload_bytes)
+                    continue
+                shard, attempt, submit_wall, payload_bytes = active.pop(future)
+                results[shard.index] = value
+                if snapshot is not None:
+                    snapshots[shard.index] = (snapshot, submit_wall, attempt, payload_bytes)
             if done:
                 obs.progress(label, len(results), len(shards))
             obs.heartbeat(label=label, in_flight=len(active))
             now = time.monotonic()
-            hung = {
-                future
-                for future, (_shard, _attempt, deadline, _submit, _bytes) in active.items()
-                if deadline is not None and now > deadline
-            }
+            hung = {future for future, deadline in deadlines.items() if now > deadline}
             if pool_broken or hung:
                 # A broken pool fails every in-flight future; a hung worker
                 # permanently occupies a slot.  Either way this pool is
-                # unusable: rebuild it and re-dispatch the survivors.
+                # unusable: rebuild it and re-dispatch what it held.
                 if pool_broken:
                     obs.count("resilience.worker_crashes")
                 obs.count("resilience.timeouts", len(hung))
-                survivors = list(active.items())
-                active.clear()
-                restarts += 1
-                pool.rebuild()
-                for future, (shard, attempt, _deadline, _submit, _bytes) in survivors:
+                torn = []
+                for future, (shard, attempt, _submit, _bytes) in active.items():
                     if future in hung:
                         error: Exception = ShardTimeoutError(
                             f"shard {shard.index} exceeded its {self.shard_timeout_s}s timeout"
                         )
                     else:
-                        error = WorkerCrashError("worker pool torn down mid-shard")
+                        error = broken.get(future) or WorkerCrashError(
+                            "worker pool torn down mid-shard"
+                        )
+                    torn.append((shard, attempt, error))
+                active.clear()
+                deadlines.clear()
+                restarts += 1
+                pool.rebuild()
+                # First in, first out again: only the oldest ``workers``
+                # torn-down shards can have run, and each is charged an
+                # attempt.  The rest never ran; like a shard whose submit
+                # met a broken pool, they go back with their attempt.
+                for shard, attempt, _error in torn[self.workers:]:
+                    queue.appendleft((shard, attempt))
+                for shard, attempt, error in torn[: self.workers]:
                     self._dispose(task, shard, attempt, error, queue, results, telemetry, obs, label)
         # Handle-cumulative ``restarts`` plus this stage's own share.
         self.pool_info = dict(pool.info(), stage_restarts=restarts)
@@ -627,7 +663,7 @@ def _merge_worker_snapshot(
     :func:`~repro.obs.trace.shift_spans`) and tagged with the worker id,
     the completed ``attempt``, the submission's ``payload_bytes``, and
     ``queue_wait_ms``: worker start minus submission, both in parent wall
-    time.
+    time, so it includes the time the submission waited inside the pool.
     """
     if telemetry.metrics.enabled:
         telemetry.metrics.merge_json(snapshot)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import pickle
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.parallel import (
     SerialExecutor,
     Shard,
     ShardPlan,
+    WorkerPool,
     make_executor,
     measure_payload,
     resolve_workers,
@@ -35,6 +38,7 @@ from repro.parallel import (
     steal_order,
     usable_cpu_count,
 )
+from repro.parallel.executor import IN_FLIGHT_PER_WORKER
 from repro.resilience import ResilienceConfig, RetryPolicy
 
 
@@ -55,6 +59,11 @@ def _boom_shard(shard: Shard, telemetry) -> None:
 
 
 def _payload_shard(shard: Shard, telemetry):
+    return shard.payload
+
+
+def _slow_payload_shard(shard: Shard, telemetry):
+    time.sleep(0.05)
     return shard.payload
 
 
@@ -529,6 +538,54 @@ class TestPoolBackend:
         assert results == [10 * i for i in range(plan.n_shards)]
         assert cuts == Counter(range(plan.n_shards))
         assert telemetry.metrics.counter(counter) == plan.n_shards
+
+    def test_in_flight_submissions_stay_within_the_window(self, monkeypatch):
+        """The pool keeps ``IN_FLIGHT_PER_WORKER`` submissions per worker
+        in flight and never more, requeues included, and cuts each shard
+        once: only the slices of shards in flight are alive."""
+        lock = threading.Lock()
+        outstanding = peak = 0
+        submit = WorkerPool.submit
+
+        def settle(_future):
+            nonlocal outstanding
+            with lock:
+                outstanding -= 1
+
+        def counted_submit(pool, fn, *args, **kwargs):
+            nonlocal outstanding, peak
+            future = submit(pool, fn, *args, **kwargs)
+            with lock:
+                outstanding += 1
+                peak = max(peak, outstanding)
+            future.add_done_callback(settle)
+            return future
+
+        cuts = Counter()
+
+        def cut(shard):
+            cuts[shard.index] += 1
+            return 10 * shard.index
+
+        monkeypatch.setattr(WorkerPool, "submit", counted_submit)
+        telemetry = Telemetry.capture()
+        plan = ShardPlan.of(range(40), chunk_size=2)
+        try:
+            results = run_sharded(
+                _slow_payload_shard,
+                plan,
+                ParallelConfig(backend="pool", workers=2),
+                telemetry=telemetry,
+                faults=_FIRST_ATTEMPT_FAILS,
+                resilience=ResilienceConfig(),
+                payload=cut,
+            )
+        finally:
+            shutdown_pools()
+        assert results == [10 * i for i in range(plan.n_shards)]
+        assert peak == IN_FLIGHT_PER_WORKER * 2
+        assert cuts == Counter(range(plan.n_shards))
+        assert telemetry.metrics.counter("resilience.requeues") == plan.n_shards
 
 
 @pytest.mark.parallel

@@ -32,7 +32,14 @@ from repro.faults import (
     WorkerCrashError,
 )
 from repro.obs import Telemetry
-from repro.parallel import ParallelConfig, Shard, ShardPlan, run_sharded, shutdown_pools
+from repro.parallel import (
+    ParallelConfig,
+    PoolExecutor,
+    Shard,
+    ShardPlan,
+    run_sharded,
+    shutdown_pools,
+)
 from repro.resilience import (
     CoverageReport,
     ErrorBudget,
@@ -54,6 +61,28 @@ def _sum_shard(shard: Shard, telemetry) -> int:
 
 def _slow_shard(shard: Shard, telemetry) -> int:
     time.sleep(30.0)
+    return sum(shard.items)
+
+
+def _sleepy_shard(shard: Shard, telemetry) -> int:
+    time.sleep(0.6)
+    return sum(shard.items)
+
+
+def _first_shard_hangs(shard: Shard, telemetry) -> int:
+    if shard.index == 0:
+        time.sleep(30.0)
+    return sum(shard.items)
+
+
+def _hang_after_the_first(shard: Shard, telemetry) -> int:
+    """Shard 0 takes 0.5 s; a later shard notes its pickup wall time in
+    the file its payload names, then hangs."""
+    if shard.index == 0:
+        time.sleep(0.5)
+    else:
+        Path(shard.payload).write_text(repr(time.time()))
+        time.sleep(30.0)
     return sum(shard.items)
 
 
@@ -375,6 +404,67 @@ class TestProcessSupervision:
         )
         assert time.monotonic() - start < 20.0
         assert len(results) == 1 and isinstance(results[0], ShardLoss)
+
+    def test_time_queued_in_the_pool_is_not_charged(self):
+        """A shard's deadline starts when a worker can have picked it up,
+        not at submit: on one worker with several submissions in flight,
+        four 0.6 s shards finish under a 1.0 s timeout although each of
+        the last three waits at least 0.6 s in the pool first."""
+        config = ParallelConfig(backend="pool", workers=1, shard_timeout_s=1.0)
+        plan = ShardPlan.of(range(8), chunk_size=2)
+        telemetry = Telemetry.capture()
+        results = run_sharded(
+            _sleepy_shard, plan, config, telemetry=telemetry, resilience=ResilienceConfig()
+        )
+        assert results == [sum(s.items) for s in plan.shards()]
+        assert telemetry.metrics.counter("resilience.timeouts") == 0
+
+    def test_queued_shard_that_hangs_is_caught_a_timeout_after_pickup(self, tmp_path):
+        """A shard that hangs after waiting in the pool is caught
+        ``shard_timeout_s`` after its pickup, not after its submit, and
+        within one poll interval of that (the slack covers the result's
+        round trip and the rebuild)."""
+        config = ParallelConfig(backend="pool", workers=1, shard_timeout_s=1.0)
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1),
+            fallback_in_process=False,
+            budget=ErrorBudget(shard_loss_fraction=1.0),
+        )
+        pickup = tmp_path / "pickup"
+        results = run_sharded(
+            _hang_after_the_first,
+            ShardPlan.of([1, 2], chunk_size=1),
+            config,
+            resilience=resilience,
+            payload=lambda shard: str(pickup),
+        )
+        held_s = time.time() - float(pickup.read_text())
+        assert results[0] == 1 and isinstance(results[1], ShardLoss)
+        assert config.shard_timeout_s - 0.1 < held_s
+        assert held_s < config.shard_timeout_s + PoolExecutor._POLL_S + 0.25
+
+    def test_rebuild_charges_only_shards_that_can_have_run(self):
+        """A rebuild charges an attempt to the oldest ``workers`` shards it
+        tears down; a shard still queued in the pool never ran and goes
+        back uncharged, so one attempt and no fallback lose only the
+        hung shard."""
+        config = ParallelConfig(backend="pool", workers=1, shard_timeout_s=0.5)
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1),
+            fallback_in_process=False,
+            budget=ErrorBudget(shard_loss_fraction=1.0),
+        )
+        telemetry = Telemetry.capture()
+        results = run_sharded(
+            _first_shard_hangs,
+            ShardPlan.of([1, 2, 3], chunk_size=1),
+            config,
+            telemetry=telemetry,
+            resilience=resilience,
+        )
+        assert isinstance(results[0], ShardLoss) and results[1:] == [2, 3]
+        assert telemetry.metrics.counter("resilience.timeouts") == 1
+        assert telemetry.metrics.counter("resilience.quarantined_shards") == 1
 
     def test_rebuild_kills_hung_workers_before_exit(self):
         """A rebuilt pool's hung workers are killed, not abandoned: a
