@@ -1,4 +1,4 @@
-"""Clustering hot-path bench: one call per ISP, heap OPTICS, same bytes.
+"""Clustering hot-path bench: one call per ISP, dense-frontier OPTICS, same bytes.
 
 One large synthetic ISP (scaled past paper scale: 500+ offnet IPs measured
 from 163 vantage points) clustered at both xi settings, three ways:
@@ -8,14 +8,19 @@ from 163 vantage points) clustered at both xi settings, three ways:
   OPTICS scan, recomputed for every xi.  This is the differential-harness
   baseline the acceptance criterion's >= 3x speedup is measured against.
 * **unshared** — the optimized kernels (triangle-mirrored distance matrix,
-  heap-frontier OPTICS), one ``cluster_isp_offnets`` call per xi: every xi
+  dense-frontier OPTICS), one ``cluster_isp_offnets`` call per xi: every xi
   recomputes both.
 * **optimized** — the shipped pipeline path: one ``cluster_isp_offnets``
   call at every xi, which computes the distance matrix and the OPTICS
   ordering once.
 
 All three must produce identical labels; the snapshot lands in
-``BENCH_clustering.json``.
+``BENCH_clustering.json`` with the host's ``cpu_count``.
+
+The workload's columns have 3 % NaN holes, so it times the distance
+kernel's NaN branch (a ``cumsum`` over each chunk's kept prefix), not the
+NaN-free branch the study's analyzable ISPs take; that branch is timed by
+``bench/run.py``'s ``clustering.pairwise_trimmed_manhattan`` probe.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by the CI ``bench-smoke`` job)
 shrinks the workload, skips the snapshot write, and — the point of the job —
@@ -38,6 +43,7 @@ from repro._util import format_table
 from repro.clustering.sites import ClusteringConfig, cluster_isp_offnets
 from repro.clustering.xi import extract_xi_clusters, split_clusters_on_spikes, xi_labels
 from repro.obs import Telemetry
+from repro.parallel import usable_cpu_count
 
 from benchmarks.conftest import emit
 from tests.oracles import optics_order_reference, pairwise_trimmed_manhattan_reference
@@ -145,6 +151,7 @@ def test_bench_clustering_snapshot():
     snapshot = {
         "bench": "clustering-hot-path",
         "format": "repro-bench-v1",
+        "cpu_count": usable_cpu_count(),
         "workload": {"n_ips": n_ips, "n_vps": 163, "n_sites": 25, "xis": list(XIS)},
         "identical_labels": True,
         "min_speedup": MIN_SPEEDUP,

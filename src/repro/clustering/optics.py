@@ -6,13 +6,13 @@ exact setting the colocation study needs: no a-priori number or size of
 clusters.  The output is the cluster-ordering with reachability and core
 distances, consumed by the xi extraction in :mod:`repro.clustering.xi`.
 
-The ordering loop keeps a lazy-deletion binary heap of
-``(reachability, point_id)`` candidates instead of scanning every
-unprocessed point for the argmin at each step, and records each point's
-reachability at the moment it is popped, so no replay pass is needed.
+The ordering loop keeps a dense frontier, every unprocessed point's best
+reachability so far, so each step is three whole-array operations (new
+reachabilities, a minimum into the frontier, an argmin).  It records each
+point's reachability when it is selected, so no replay pass is needed.
 The original scan-and-replay loop lives on as the test oracle
 (``tests/oracles.py``); the property tests prove the two bit-equal on
-adversarial inputs: the heap pops in ``(reachability, id)`` order, which
+adversarial inputs: ``argmin`` returns the first of equal minima, which
 is exactly the scan's "smallest reachability, ties by smallest id" rule,
 and every float written comes from the same ``np.maximum(core, row)``
 expression.
@@ -20,7 +20,6 @@ expression.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,7 @@ def optics_order(
         sorted_rows = np.sort(working, axis=1)  # column 0 is the self-distance 0
         core = sorted_rows[:, min_pts - 1]
 
-    ordering, reachability = _order_heap(working, core)
+    ordering, reachability = _order_frontier(working, core)
 
     obs = ensure_telemetry(telemetry)
     if obs.metrics.enabled:
@@ -92,50 +91,32 @@ def optics_order(
     )
 
 
-def _order_heap(working: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Heap-frontier ordering loop: returns ``(ordering, reachability)``.
+def _order_frontier(working: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense-frontier ordering loop: returns ``(ordering, reachability)``.
 
-    A lazy-deletion heap holds ``(reachability, point_id)`` candidates;
-    entries are pushed only on strict improvement, so reachabilities only
-    ever shrink and a popped entry is current iff its value still matches
-    ``reach_by_point``.  Popping in ``(reachability, id)`` order reproduces
-    the reference's "argmin, first occurrence wins" tie-break exactly, and
-    recording ``reach_by_point`` at pop time *is* the
-    reachability-at-selection the reference recovers by replaying.
+    ``frontier`` holds each unprocessed point's reachability and inf for
+    processed points, and the minimum that lowers it skips processed
+    points, so they stay at inf.  Its ``argmin`` is the unprocessed point
+    with the smallest reachability, ties to the smallest id; when that
+    minimum is inf the exploration is exhausted and the next one starts at
+    the smallest unprocessed id with reachability inf, as in the reference.
     """
     n = working.shape[0]
     ordering = np.empty(n, dtype=int)
-    reachability = np.full(n, np.inf)
-    reach_by_point = np.full(n, np.inf)
-    processed = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int]] = []
-    position = 0
-
-    for start in range(n):
-        if processed[start]:
-            continue
-        # Begin a new exploration at the unprocessed point with smallest id
-        # (deterministic); its reachability is still inf at this moment —
-        # a restart only happens when every unprocessed point is at inf.
-        current = start
-        while True:
-            processed[current] = True
-            ordering[position] = current
-            reachability[position] = reach_by_point[current]
-            position += 1
-            if np.isfinite(core[current]):
-                new_reach = np.maximum(core[current], working[current])
-                improved = np.flatnonzero(~processed & (new_reach < reach_by_point))
-                if improved.size:
-                    reach_by_point[improved] = new_reach[improved]
-                    for value, index in zip(new_reach[improved].tolist(), improved.tolist()):
-                        heapq.heappush(heap, (value, index))
-            current = -1
-            while heap:
-                value, index = heapq.heappop(heap)
-                if not processed[index] and value == reach_by_point[index]:
-                    current = index
-                    break
-            if current < 0:
-                break  # frontier exhausted: restart from the outer loop
+    reachability = np.empty(n)
+    frontier = np.full(n, np.inf)
+    unprocessed = np.ones(n, dtype=bool)
+    cores = core.tolist()
+    current = 0
+    for position in range(n):
+        ordering[position] = current
+        reachability[position] = frontier[current]
+        frontier[current] = np.inf
+        unprocessed[current] = False
+        if cores[current] < np.inf:
+            new_reach = np.maximum(cores[current], working[current])
+            np.minimum(frontier, new_reach, out=frontier, where=unprocessed)
+        current = int(frontier.argmin())
+        if frontier[current] == np.inf:
+            current = int(unprocessed.argmax())
     return ordering, reachability

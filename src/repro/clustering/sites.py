@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro._util import require, require_fraction
-from repro.clustering.distance import pairwise_trimmed_manhattan
+from repro._util import require
+from repro.clustering.distance import pairwise_trimmed_manhattan, require_trim_fraction
 from repro.clustering.optics import optics_order
 from repro.clustering.xi import extract_xi_clusters, split_clusters_on_spikes, xi_labels
 from repro.obs import Telemetry, ensure_telemetry
@@ -42,7 +42,7 @@ class ClusteringConfig:
     def __post_init__(self) -> None:
         require(0.0 < self.xi < 1.0, "xi must be in (0, 1)")
         require(self.min_pts >= 2, "min_pts must be >= 2")
-        require_fraction(self.trim_fraction, "trim_fraction")
+        require_trim_fraction(self.trim_fraction)
         require(self.spike_factor > 1.0, "spike_factor must be > 1")
 
 
@@ -61,11 +61,11 @@ class SiteClustering:
         require(self.labels.shape == (len(self.ips),), "labels must align with ips")
         self._clusters = {}
         self._position_of = {}
-        for position, (ip, label) in enumerate(zip(self.ips, self.labels)):
+        for position, (ip, label) in enumerate(zip(self.ips, self.labels.tolist())):
             # setdefault keeps the first occurrence, like list.index did.
             self._position_of.setdefault(ip, position)
             if label >= 0:
-                self._clusters.setdefault(int(label), []).append(ip)
+                self._clusters.setdefault(label, []).append(ip)
 
     @property
     def clusters(self) -> list[list[int]]:
@@ -75,7 +75,7 @@ class SiteClustering:
     @property
     def noise_ips(self) -> list[int]:
         """IPs OPTICS did not place in any cluster, sorted."""
-        return sorted(ip for ip, label in zip(self.ips, self.labels) if label < 0)
+        return sorted(ip for ip, label in zip(self.ips, self.labels.tolist()) if label < 0)
 
     def label_of(self, ip: int) -> int:
         """Cluster label of ``ip`` (-1 if unclustered).
@@ -158,9 +158,10 @@ def cluster_isp_offnets(
             labels = np.full(n, -1, dtype=int)
             labels[positions] = xi_labels(n, clusters)
         clustering = SiteClustering(ips=list(ips), labels=labels, config=config)
-        obs.count("cluster.clusters_found", len(clustering.clusters))
-        obs.count("cluster.noise_ips", len(clustering.noise_ips))
-        obs.observe("cluster.sites_per_isp", clustering.site_count)
+        if obs.metrics.enabled:
+            obs.count("cluster.clusters_found", len(clustering.clusters))
+            obs.count("cluster.noise_ips", len(clustering.noise_ips))
+            obs.observe("cluster.sites_per_isp", clustering.site_count)
         clusterings.append(clustering)
     return clusterings
 

@@ -11,6 +11,7 @@ clusters → the conservative bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,18 +166,21 @@ def split_clusters_on_spikes(
     revert to noise, i.e. "not colocated").
     """
     require(spike_factor > 1.0, "spike_factor must be > 1")
+    plot = reachability.tolist()
     result: list[XiCluster] = []
     for cluster in clusters:
-        interior = reachability[cluster.start + 1 : cluster.end + 1]
-        finite = interior[np.isfinite(interior)]
-        if finite.size == 0:
+        finite = sorted(filter(math.isfinite, plot[cluster.start + 1 : cluster.end + 1]))
+        if not finite:
             result.append(cluster)
             continue
-        threshold = spike_factor * max(float(np.median(finite)), 1e-12)
+        # np.median's arithmetic: the middle value, or the mean of the two.
+        middle = len(finite) // 2
+        median = finite[middle] if len(finite) % 2 else (finite[middle - 1] + finite[middle]) / 2
+        threshold = spike_factor * max(median, 1e-12)
         segment_start = cluster.start
         for position in range(cluster.start + 1, cluster.end + 1):
-            value = reachability[position]
-            if not np.isfinite(value) or value > threshold:
+            value = plot[position]
+            if not math.isfinite(value) or value > threshold:
                 if position - segment_start >= min_cluster_size:
                     result.append(XiCluster(segment_start, position - 1))
                 segment_start = position

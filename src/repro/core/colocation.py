@@ -48,22 +48,20 @@ def colocated_fraction(
     """Fraction of ``hypergiant``'s IPs colocated with another hypergiant.
 
     An IP is colocated iff its cluster contains an IP of a different
-    hypergiant; unclustered IPs are not colocated.  Returns None when the
-    clustering holds no IPs of ``hypergiant``.
+    hypergiant, or one missing from ``hypergiant_of_ip``; unclustered IPs
+    are not colocated.  Returns None when the clustering holds no IPs of
+    ``hypergiant``.
     """
-    own_ips = [ip for ip in clustering.ips if hypergiant_of_ip.get(ip) == hypergiant]
-    if not own_ips:
+    own_labels: list[int] = []
+    shared: set[int] = set()  # labels holding another hypergiant's IP
+    for ip, label in zip(clustering.ips, clustering.labels.tolist()):
+        if hypergiant_of_ip.get(ip) == hypergiant:
+            own_labels.append(label)
+        elif label >= 0:
+            shared.add(label)
+    if not own_labels:
         return None
-    hypergiants_by_label: dict[int, set[str]] = {}
-    for ip, label in zip(clustering.ips, clustering.labels):
-        if label >= 0:
-            hypergiants_by_label.setdefault(int(label), set()).add(hypergiant_of_ip.get(ip, "?"))
-    colocated = 0
-    for ip in own_ips:
-        label = clustering.label_of(ip)
-        if label >= 0 and len(hypergiants_by_label[label] - {hypergiant}) > 0:
-            colocated += 1
-    return colocated / len(own_ips)
+    return sum(label in shared for label in own_labels) / len(own_labels)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Each function here is the plain, slow form of a kernel in ``src/repro``:
 a per-pair or per-column loop, a full sort where the kernel selects, a
-per-call rebuild where it keeps state, or the original O(n²)-per-step
-scan.  No pipeline code calls them.  The property tests, the
+per-call rebuild where it keeps state, the original O(n²)-per-step
+scan, or the same loop over numpy scalars where the kernel iterates
+Python lists.  No pipeline code calls them.  The property tests, the
 equivalence tests and ``benchmarks/test_bench_clustering.py`` compare
 the shipped kernels with these, and ``tests/test_parallel_equivalence.py`` patches
 :func:`order_reference` into :mod:`repro.clustering.optics` to show the
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import require, require_fraction
-from repro.clustering.distance import trimmed_manhattan
+from repro._util import require
+from repro.clustering.distance import require_trim_fraction, trimmed_manhattan
 from repro.clustering.optics import OpticsResult
+from repro.clustering.sites import SiteClustering
+from repro.clustering.xi import XiCluster
 from repro.mlab.pings import PingConfig, Probes
 from repro.mlab.vantage import VantagePoint
 from repro.topology.facilities import Facility, Rack
@@ -37,7 +40,7 @@ def optics_order_reference(distances: np.ndarray, min_pts: int = 2) -> OpticsRes
 
 
 def order_reference(working: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop-in for ``repro.clustering.optics._order_heap``: scan, then replay."""
+    """Drop-in for ``repro.clustering.optics._order_frontier``: scan, then replay."""
     ordering = _order_reference(working, core)
     return ordering, _reorder_reachability(working, core, ordering)
 
@@ -113,11 +116,13 @@ def pairwise_trimmed_manhattan_reference(
     :func:`repro.clustering.distance.pairwise_trimmed_manhattan` at paper
     scale.
 
-    Note the per-pair mean sums only the *kept* prefix while the vectorised
-    path divides a cumulative sum — mathematically equal but not bitwise, so
-    equivalence tests compare with a tight tolerance rather than ``==``.
+    Note the per-pair mean takes numpy's pairwise sum of the *kept* prefix
+    while the vectorised path adds the kept entries in ascending order one
+    at a time — mathematically equal but not bitwise, so equivalence tests
+    compare with a tight tolerance rather than ``==``.
+    :func:`trimmed_sum_reference` is the loop with the kernel's arithmetic.
     """
-    require_fraction(trim_fraction, "trim_fraction")
+    require_trim_fraction(trim_fraction)
     columns = np.asarray(columns, dtype=float)
     require(columns.ndim == 2, "columns must be (n_vps, n_ips)")
     n_ips = columns.shape[1]
@@ -128,6 +133,81 @@ def pairwise_trimmed_manhattan_reference(
                 columns[:, i], columns[:, j], trim_fraction
             )
     return matrix
+
+
+def trimmed_sum_reference(columns: np.ndarray, trim_fraction: float = 0.2) -> np.ndarray:
+    """Per-pair loop with the arithmetic of the NaN-free distance kernel.
+
+    Each pair sorts ``|a - b|`` and divides the ``kept - 1`` entry of its
+    ``np.cumsum`` (the kept entries added in ascending order, one at a
+    time) by ``kept``, so on NaN-free columns with at least two vantage
+    points it must equal
+    :func:`repro.clustering.distance.pairwise_trimmed_manhattan` bit for bit.
+    """
+    columns = np.asarray(columns, dtype=float)
+    n_vps, n_ips = columns.shape
+    kept = n_vps - int(np.floor(trim_fraction * n_vps))
+    matrix = np.zeros((n_ips, n_ips))
+    for i in range(n_ips):
+        for j in range(i + 1, n_ips):
+            differences = np.sort(np.abs(columns[:, i] - columns[:, j]))
+            matrix[i, j] = matrix[j, i] = np.cumsum(differences)[kept - 1] / kept
+    return matrix
+
+
+# -- xi spike split ------------------------------------------------------------------
+
+
+def split_clusters_on_spikes_reference(
+    reachability: np.ndarray,
+    clusters: list[XiCluster],
+    spike_factor: float = 5.0,
+    min_cluster_size: int = 2,
+) -> list[XiCluster]:
+    """:func:`repro.clustering.xi.split_clusters_on_spikes` on numpy scalars
+    and ``np.median``."""
+    require(spike_factor > 1.0, "spike_factor must be > 1")
+    result: list[XiCluster] = []
+    for cluster in clusters:
+        interior = reachability[cluster.start + 1 : cluster.end + 1]
+        finite = interior[np.isfinite(interior)]
+        if finite.size == 0:
+            result.append(cluster)
+            continue
+        threshold = spike_factor * max(float(np.median(finite)), 1e-12)
+        segment_start = cluster.start
+        for position in range(cluster.start + 1, cluster.end + 1):
+            value = reachability[position]
+            if not np.isfinite(value) or value > threshold:
+                if position - segment_start >= min_cluster_size:
+                    result.append(XiCluster(segment_start, position - 1))
+                segment_start = position
+        if cluster.end + 1 - segment_start >= min_cluster_size:
+            result.append(XiCluster(segment_start, cluster.end))
+    return result
+
+
+# -- Table 2 -------------------------------------------------------------------------
+
+
+def colocated_fraction_reference(
+    clustering: SiteClustering, hypergiant_of_ip: dict[int, str], hypergiant: str
+) -> float | None:
+    """:func:`repro.core.colocation.colocated_fraction` through per-label
+    hypergiant sets and a ``label_of`` lookup per own IP."""
+    own_ips = [ip for ip in clustering.ips if hypergiant_of_ip.get(ip) == hypergiant]
+    if not own_ips:
+        return None
+    hypergiants_by_label: dict[int, set[str]] = {}
+    for ip, label in zip(clustering.ips, clustering.labels):
+        if label >= 0:
+            hypergiants_by_label.setdefault(int(label), set()).add(hypergiant_of_ip.get(ip, "?"))
+    colocated = 0
+    for ip in own_ips:
+        label = clustering.label_of(ip)
+        if label >= 0 and len(hypergiants_by_label[label] - {hypergiant}) > 0:
+            colocated += 1
+    return colocated / len(own_ips)
 
 
 # -- clustering agreement ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the trimmed distance, OPTICS, xi extraction, and site driver."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +81,23 @@ class TestTrimmedManhattan:
         d_ab = trimmed_manhattan(a, b, trim)
         assert d_ab >= 0
         assert d_ab == pytest.approx(trimmed_manhattan(b, a, trim))
+
+    @pytest.mark.parametrize("trim", [1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda trim: ClusteringConfig(trim_fraction=trim),
+            lambda trim: trimmed_manhattan(np.zeros(5), np.arange(5.0), trim),
+            lambda trim: pairwise_trimmed_manhattan(np.zeros((5, 3)), trim),
+        ],
+        ids=["ClusteringConfig", "trimmed_manhattan", "pairwise_trimmed_manhattan"],
+    )
+    def test_trim_fraction_must_keep_a_vantage_point(self, build, trim):
+        """At trim_fraction 1 no vantage point is kept, so there is no mean:
+        every entry point rejects it, naming the value."""
+        message = rf"trim_fraction must be in \[0, 1\), got {re.escape(repr(trim))}"
+        with pytest.raises(ValueError, match=message):
+            build(trim)
 
     @pytest.mark.parametrize("holes", [False, True])
     @pytest.mark.parametrize("n_vps", [163, 6])

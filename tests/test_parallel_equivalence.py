@@ -278,11 +278,11 @@ class TestGoldenExport:
 
     def test_reference_implementations_reproduce_golden_digest(self, tmp_path, monkeypatch):
         """The kept reference OPTICS loop exports the same bytes — the
-        heap/reference choice is provably presentation-free end to end."""
+        frontier/reference choice is provably presentation-free end to end."""
         from repro.clustering import optics
         from tests.oracles import order_reference
 
-        monkeypatch.setattr(optics, "_order_heap", order_reference)
+        monkeypatch.setattr(optics, "_order_frontier", order_reference)
         study = run_study(_study_config(ParallelConfig()))
         save_archive(study, tmp_path / "ref")
         assert _composite_digest(tmp_path / "ref") == GOLDEN_EXPORT_SHA256

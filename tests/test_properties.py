@@ -3,23 +3,28 @@
 These complement the per-module unit tests with invariants that must hold
 for *any* input: clustering invariance under input order and scale, distance-matrix
 consistency between the reference and vectorised implementations, xi label
-structure, spike-split soundness, and rack placement and probe selection
-against their references.
+structure, spike-split soundness, and rack placement, probe selection,
+the spike split and Table 2's colocated fraction against their references.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.clustering import distance
 from repro.clustering.distance import pairwise_trimmed_manhattan, trimmed_manhattan
 from repro.clustering.optics import optics_order
 from repro.clustering.sites import (
     ClusteringConfig,
+    SiteClustering,
     cluster_isp_offnets,
     pair_confusion_counts,
     rand_index,
 )
 from repro.clustering.xi import XiCluster, extract_xi_clusters, split_clusters_on_spikes, xi_labels
+from repro.core.colocation import colocated_fraction
 from repro.deployment.placement import _RackPlanner
 from repro.mlab.pings import PingConfig, Probes, draw_probes, ping_rtts
 from repro.topology.asn import AS, ASRole
@@ -28,10 +33,13 @@ from repro.topology.geo import City
 
 from tests.oracles import (
     RackPlannerReference,
+    colocated_fraction_reference,
     optics_order_reference,
     pair_confusion_counts_reference,
     pairwise_trimmed_manhattan_reference,
     ping_rtts_reference,
+    split_clusters_on_spikes_reference,
+    trimmed_sum_reference,
 )
 
 
@@ -69,8 +77,8 @@ class TestDistanceEquivalence:
 def symmetric_distances(draw):
     """Random symmetric distance matrices stressing the OPTICS edge cases.
 
-    Quantized values force reachability *ties* (the heap's lexicographic
-    pop must match the reference argmin's first-occurrence tie-break), NaN
+    Quantized values force reachability *ties* (the frontier's argmin
+    must match the reference argmin's first-occurrence tie-break), NaN
     holes exercise unconnectable pairs, and zeroing whole off-diagonal
     blocks creates disconnected components (outer-loop restarts).
     """
@@ -93,7 +101,7 @@ def symmetric_distances(draw):
 
 
 class TestOpticsImplementationEquivalence:
-    """The heap frontier must be bit-equal to the reference scan — the
+    """The dense frontier must be bit-equal to the reference scan — the
     determinism contract the clustering artifacts rest on."""
 
     @given(symmetric_distances(), st.integers(2, 4))
@@ -136,6 +144,37 @@ class TestDistanceTriangleEquivalence:
         reference = pairwise_trimmed_manhattan_reference(columns, trim)
         assert np.allclose(fast, reference, atol=1e-9, equal_nan=True)
         assert np.array_equal(fast, fast.T, equal_nan=True)
+
+
+class TestTrimmedSumEquivalence:
+    @given(
+        st.integers(2, 200),
+        st.integers(2, 24),
+        st.floats(0.0, 0.9),
+        st.one_of(st.none(), st.integers(1, 300)),
+        st.integers(0, 2**31 - 1),
+    )
+    # One pair, alone in its block; 3 IPs in three one-pair chunks; 10 IPs
+    # (45 pairs) in chunks of 4 whose last holds one pair; the shipped
+    # chunk size at 200 vantage points (327 pairs) across four chunks.
+    @example(n_vps=163, n_ips=2, trim=0.2, chunk_pairs=None, seed=0)
+    @example(n_vps=2, n_ips=3, trim=0.0, chunk_pairs=1, seed=1)
+    @example(n_vps=40, n_ips=10, trim=0.2, chunk_pairs=4, seed=2)
+    @example(n_vps=200, n_ips=50, trim=0.2, chunk_pairs=None, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_nan_free_matrix_is_bit_equal_to_sequential_sums(self, n_vps, n_ips, trim, chunk_pairs, seed):
+        """On NaN-free columns every entry is the ascending sequential sum
+        of the pair's kept entries over ``kept``, whatever block the pair
+        is summed in: the shipped chunk size (``None``) or ``chunk_pairs``
+        pairs per block."""
+        rng = np.random.default_rng(seed)
+        columns = rng.uniform(1.0, 200.0, size=(n_vps, n_ips))
+        # Quantised columns: equal latencies, zero and tied discrepancies.
+        columns[:, rng.random(n_ips) < 0.3] = np.round(columns[:, :1], 0)
+        floats = distance.PAIR_CHUNK_FLOATS if chunk_pairs is None else chunk_pairs * n_vps
+        with mock.patch.object(distance, "PAIR_CHUNK_FLOATS", floats):
+            fast = pairwise_trimmed_manhattan(columns, trim)
+        assert fast.tobytes() == trimmed_sum_reference(columns, trim).tobytes()
 
 
 class TestOpticsInvariances:
@@ -323,3 +362,63 @@ class TestXiProperties:
         once = split_clusters_on_spikes(plot, clusters)
         twice = split_clusters_on_spikes(plot, once)
         assert once == twice == clusters
+
+
+@st.composite
+def spiky_plots(draw):
+    """Reachability plots with interior infs and a tiny value alphabet
+    (tied values, ties with the threshold), and arbitrary clusters on them:
+    odd- and even-length interiors, nested and overlapping intervals."""
+    n = draw(st.integers(2, 30))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    alphabet = np.append(rng.choice([0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0, 12.5], size=4), np.inf)
+    plot = alphabet[rng.integers(0, alphabet.size, size=n)]
+    plot[0] = np.inf
+    n_clusters = draw(st.integers(0, 4))
+    clusters = []
+    for _ in range(n_clusters):
+        start = draw(st.integers(0, n - 1))
+        clusters.append(XiCluster(start, draw(st.integers(start, n - 1))))
+    return plot, clusters
+
+
+class TestSpikeSplitEquivalence:
+    @given(spiky_plots(), st.sampled_from([1.5, 2.0, 2.5, 5.0, 9.0]), st.integers(2, 4))
+    @example(
+        plot_and_clusters=(np.array([np.inf, 1.0, 3.0, 2.0, 10.0, 1.0]), [XiCluster(0, 5)]),
+        factor=5.0,
+        min_cluster_size=2,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_clusters_as_reference(self, plot_and_clusters, factor, min_cluster_size):
+        """The median of the finite interior, taken as np.median takes it,
+        splits at the same positions as the numpy-scalar loop."""
+        plot, clusters = plot_and_clusters
+        assert split_clusters_on_spikes(plot, clusters, factor, min_cluster_size) == (
+            split_clusters_on_spikes_reference(plot, clusters, factor, min_cluster_size)
+        )
+
+
+class TestColocatedFractionEquivalence:
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1, 4), st.sampled_from(["Google", "Meta", "Netflix", None])),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from(["Google", "Meta", "Netflix", "Akamai"]),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_fraction_as_reference(self, rows, hypergiant, seed):
+        """Noise labels, IPs missing from ``hypergiant_of_ip`` (``None``)
+        and a hypergiant absent from the clustering (Akamai): one pass
+        gives the fraction the per-label sets give."""
+        ips = np.random.default_rng(seed).permutation(10 * len(rows))[: len(rows)].tolist()
+        clustering = SiteClustering(
+            ips=ips, labels=np.array([label for label, _ in rows]), config=ClusteringConfig()
+        )
+        hypergiant_of_ip = {ip: owner for ip, (_, owner) in zip(ips, rows) if owner is not None}
+        expected = colocated_fraction_reference(clustering, hypergiant_of_ip, hypergiant)
+        assert colocated_fraction(clustering, hypergiant_of_ip, hypergiant) == expected
