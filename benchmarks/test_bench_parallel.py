@@ -16,6 +16,13 @@ queue-wait share, per-shard payload bytes (each submission carries only
 its own shard's slice of the stage's arrays), and per-stage pool
 identity/restarts — the *why* behind every wall time.
 
+The speedups are smoke numbers.  Each round times one small study per
+leg, so a committed speedup cannot resolve a change of ±15 %: six runs
+of one tree read 0.98–1.31× at 2 workers.  A claim that parallel
+execution got faster or slower rests on alternating pairs of the
+benchmark of record (``bench/run.py``, workload ``study-small-pool2``),
+not on this file.
+
 The JSON records the host's CPU count: the speedup assertion (pool
 backend, 4 workers, >= ``TARGET_SPEEDUP_4W``) only arms when the hardware
 can physically deliver parallelism (>= 4 usable cores); on smaller hosts

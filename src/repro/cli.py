@@ -150,7 +150,8 @@ def _parallel_from_args(args: argparse.Namespace):
     )
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--faults`` and ``--shard-timeout``, the resilience flags ``serve`` reads."""
     parser.add_argument(
         "--faults",
         metavar="PATH",
@@ -158,18 +159,22 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         help="fault-plan JSON for deterministic chaos testing (see repro.faults)",
     )
     parser.add_argument(
+        "--shard-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-shard timeout; hung workers are requeued (when retries are on) or fatal",
+    )
+
+
+def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_fault_arguments(parser)
+    parser.add_argument(
         "--retry",
         type=int,
         default=None,
         metavar="N",
         help="enable the resilience layer: at most N attempts per shard / store load",
-    )
-    parser.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard timeout; hung workers are requeued (with --retry) or fatal",
     )
     parser.add_argument(
         "--shard-loss-budget",
@@ -202,6 +207,27 @@ def _resilience_from_args(args: argparse.Namespace):
     return ResilienceConfig(
         retry=RetryPolicy(max_attempts=retries),
         budget=ErrorBudget(shard_loss_fraction=budget if budget is not None else 0.0),
+    )
+
+
+def _add_gc_arguments(parser: argparse.ArgumentParser, store_help: str) -> None:
+    """The store and bounds both ``sweep gc`` and ``timeline gc`` take."""
+    parser.add_argument("--store-dir", required=True, metavar="DIR", help=store_help)
+    parser.add_argument("--max-entries", type=int, default=None, help="keep at most N entries")
+    parser.add_argument("--max-bytes", type=int, default=None, help="keep at most N bytes")
+    parser.add_argument(
+        "--max-quarantine-entries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="keep at most N quarantined (corrupt) entries, oldest evicted first",
+    )
+    parser.add_argument(
+        "--max-quarantine-age-s",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="evict quarantined entries older than this many seconds",
     )
 
 
@@ -487,13 +513,17 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 
     store = (StudyStore if args.command == "sweep" else StageStore)(args.store_dir)
     before = store.stats()
-    evicted = store.gc(
-        max_entries=args.max_entries,
-        max_bytes=args.max_bytes,
-        max_age_s=getattr(args, "max_age_s", None),  # only ``timeline gc`` has --max-age-s
-        max_quarantine_entries=args.max_quarantine_entries,
-        max_quarantine_age_s=args.max_quarantine_age_s,
-    )
+    try:
+        evicted = store.gc(
+            max_entries=args.max_entries,
+            max_bytes=args.max_bytes,
+            max_age_s=getattr(args, "max_age_s", None),  # only ``timeline gc`` has --max-age-s
+            max_quarantine_entries=args.max_quarantine_entries,
+            max_quarantine_age_s=args.max_quarantine_age_s,
+        )
+    except ValueError as error:  # a negative bound; nothing was touched
+        print(str(error), file=sys.stderr)
+        return 2
     after = store.stats()
     print(
         f"evicted {len(evicted)} of {before.entries} entries "
@@ -619,15 +649,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer, ServeConfig
 
-    config = ServeConfig(
-        state_dir=args.state_dir,
-        parallel=_parallel_from_args(args),
-        max_queue=args.max_queue,
-        tenant_quota=args.tenant_quota,
-        faults=_faults_from_args(args),
-        gc_max_entries=args.gc_max_entries,
-        gc_max_bytes=args.gc_max_bytes,
-    )
+    try:
+        config = ServeConfig(
+            state_dir=args.state_dir,
+            parallel=_parallel_from_args(args),
+            max_queue=args.max_queue,
+            tenant_quota=args.tenant_quota,
+            faults=_faults_from_args(args),
+            gc_max_entries=args.gc_max_entries,
+            gc_max_bytes=args.gc_max_bytes,
+        )
+    except ValueError as error:  # a setting that would break the server
+        print(str(error), file=sys.stderr)
+        return 2
     server = ReproServer(config, host=args.host, port=args.port)
     recovered = server.scheduler.recovered
     print(f"repro serve listening on {server.url} (state: {args.state_dir})", file=sys.stderr)
@@ -730,25 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_status.set_defaults(handler=_cmd_sweep_status)
 
     sweep_gc = sweep_sub.add_parser("gc", help="evict least-recently-used store entries")
-    sweep_gc.add_argument(
-        "--store-dir", required=True, metavar="DIR", help="durable study store directory"
-    )
-    sweep_gc.add_argument("--max-entries", type=int, default=None, help="keep at most N entries")
-    sweep_gc.add_argument("--max-bytes", type=int, default=None, help="keep at most N bytes")
-    sweep_gc.add_argument(
-        "--max-quarantine-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep at most N quarantined (corrupt) entries, oldest evicted first",
-    )
-    sweep_gc.add_argument(
-        "--max-quarantine-age-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="evict quarantined entries older than this many seconds",
-    )
+    _add_gc_arguments(sweep_gc, "durable study store directory")
     sweep_gc.set_defaults(handler=_cmd_store_gc)
 
     timeline = subparsers.add_parser(
@@ -756,31 +772,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline_sub = timeline.add_subparsers(dest="timeline_command", required=False)
     timeline_gc = timeline_sub.add_parser("gc", help="evict oldest stage-store entries")
-    timeline_gc.add_argument(
-        "--store-dir", required=True, metavar="DIR", help="stage store directory"
-    )
-    timeline_gc.add_argument("--max-entries", type=int, default=None, help="keep at most N entries")
-    timeline_gc.add_argument("--max-bytes", type=int, default=None, help="keep at most N bytes")
+    _add_gc_arguments(timeline_gc, "stage store directory")
     timeline_gc.add_argument(
         "--max-age-s",
         type=float,
         default=None,
         metavar="SECONDS",
         help="evict entries older than this many seconds",
-    )
-    timeline_gc.add_argument(
-        "--max-quarantine-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep at most N quarantined (corrupt) entries, oldest evicted first",
-    )
-    timeline_gc.add_argument(
-        "--max-quarantine-age-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="evict quarantined entries older than this many seconds",
     )
     _add_scenario_argument(timeline)
     _add_telemetry_arguments(timeline)
@@ -931,7 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound the shared stores to N bytes (GC runs between campaigns)",
     )
     _add_parallel_arguments(serve)
-    _add_resilience_arguments(serve)
+    # A campaign's retries and loss budget come from its submission.
+    _add_fault_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     info = subparsers.add_parser("info", help="version and available options")

@@ -381,12 +381,9 @@ def run_study(
             obs.count("cluster.isps_analyzed", len(campaign.analyzable_isp_asns))
             if precomputed is None:
                 # Work units are whole ISPs, each clustered at every xi in
-                # one call; a shard carries its ISPs' RTT columns.  Per-ISP
-                # cost estimates (|ips|², the OPTICS distance-matrix term)
-                # let the executors dispatch the heaviest ISPs first.
+                # one call; a shard carries its ISPs' RTT columns.
                 isps = [(asn, campaign.ips_by_isp[asn]) for asn in campaign.analyzable_isp_asns]
-                isp_costs = [float(len(ips)) ** 2 for _asn, ips in isps]
-                plan = ShardPlan.of(isps, chunk_size=CLUSTERING_ISPS_PER_SHARD, costs=isp_costs)
+                plan = ShardPlan.of(isps, chunk_size=CLUSTERING_ISPS_PER_SHARD)
                 configs = tuple(ClusteringConfig(xi=xi) for xi in config.xis)
                 shard_results = run_sharded(
                     partial(_cluster_shard, configs),

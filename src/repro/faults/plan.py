@@ -130,11 +130,6 @@ class FaultSpec:
             )
         require(self.hang_s >= 0, "hang_s must be >= 0")
 
-    @property
-    def transient(self) -> bool:
-        """Whether retrying is guaranteed to clear this fault."""
-        return self.fail_attempts is not None
-
     def to_json(self) -> dict[str, Any]:
         """JSON-serialisable form."""
         return {
@@ -184,11 +179,6 @@ class FaultPlan:
         # Accept lists for ergonomic construction; store a hashable tuple.
         if not isinstance(self.specs, tuple):
             object.__setattr__(self, "specs", tuple(self.specs))
-
-    @property
-    def transient_only(self) -> bool:
-        """Whether every spec is transient (artifact-inert under retries)."""
-        return all(spec.transient for spec in self.specs)
 
     def sites(self) -> frozenset[str]:
         """Every site this plan can touch."""

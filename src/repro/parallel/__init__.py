@@ -12,9 +12,9 @@ bit-reproducibility:
   shard sees the same randomness on every backend;
 * :func:`run_sharded` executes the shards on the configured backend
   (:class:`SerialExecutor` or the persistent, supervised
-  :class:`PoolExecutor`) and merges results in shard order — dispatch is
-  largest-cost-first (:func:`steal_order`) but the merge is keyed by shard
-  index, so scheduling never touches bytes;
+  :class:`PoolExecutor`); both dispatch in shard-index order and merge
+  results keyed by shard index, so the order in which pool shards finish
+  never touches bytes;
 * each shard carries its own inputs: a stage's ``payload`` function cuts
   a shard's slice of the stage's arrays in the parent when the shard is
   first dispatched, so a pool submission pickles only that slice.
@@ -37,13 +37,8 @@ from repro.parallel.executor import (
     run_sharded,
     usable_cpu_count,
 )
-from repro.parallel.plan import Shard, ShardPlan, steal_order
-from repro.parallel.pool import (
-    WorkerPool,
-    get_pool,
-    pool_snapshot,
-    shutdown_pools,
-)
+from repro.parallel.plan import Shard, ShardPlan
+from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
 from repro.parallel.shm import measure_payload
 
 __all__ = [
@@ -58,12 +53,10 @@ __all__ = [
     "get_pool",
     "make_executor",
     "measure_payload",
-    "pool_snapshot",
     "preferred_start_method",
     "process_backend_available",
     "resolve_workers",
     "run_sharded",
     "shutdown_pools",
-    "steal_order",
     "usable_cpu_count",
 ]

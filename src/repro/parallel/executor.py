@@ -4,11 +4,10 @@ A *shard task* is a picklable callable ``task(shard, telemetry) -> result``.
 Both backends return results **in shard-index order**, so a sharded stage
 is a drop-in replacement for its serial loop: determinism comes from the
 :class:`~repro.parallel.plan.ShardPlan` (partition and RNG streams fixed
-before dispatch), not from execution order.  Dispatch order is a free
-variable the pool exploits: shards enter it largest-estimated-cost-first
-(:func:`~repro.parallel.plan.steal_order`) so uneven shards cannot
-straggle a stage, while the ordered merge keeps the result list — and
-therefore every artifact byte — identical.
+before dispatch), not from execution order.  The pool submits shards in
+index order but they finish in any order; the merge keyed by
+``shard.index`` keeps the result list — and therefore every artifact
+byte — identical.
 
 Two backends:
 
@@ -46,8 +45,8 @@ Both backends are *supervised* when given a
 :class:`~repro.faults.FaultPlan`:
 
 * a shard that fails with a retryable error (transient injected fault,
-  dead worker, broken pool, per-shard timeout) is retried/requeued up to
-  the policy's attempt limit;
+  dead worker, broken pool, per-shard timeout) is retried/requeued at
+  once, up to the policy's attempt limit;
 * the pool detects dead workers (``BrokenProcessPool``, whether it
   surfaces from a result or from the next submit) and hung workers
   (``ParallelConfig.shard_timeout_s``, which counts from worker pickup:
@@ -100,10 +99,9 @@ from repro.resilience import (
     ShardQuarantinedError,
     ShardTimeoutError,
     is_retryable,
-    jitter_rng,
 )
 
-from repro.parallel.plan import Shard, ShardPlan, steal_order
+from repro.parallel.plan import Shard, ShardPlan
 from repro.parallel.pool import get_pool
 from repro.parallel.shm import measure_payload
 
@@ -301,9 +299,6 @@ class SerialExecutor:
             except Exception as error:  # noqa: BLE001 — classified below
                 if policy is not None and is_retryable(error) and policy.retries_left(attempt):
                     obs.count("resilience.retries")
-                    delay = policy.delay_s(attempt, jitter_rng(label, shard.index))
-                    if delay > 0:
-                        time.sleep(delay)
                     attempt += 1
                     continue
                 if self.resilience is not None:
@@ -371,13 +366,11 @@ class PoolExecutor:
         window = min(IN_FLIGHT_PER_WORKER * self.workers, len(shards))
         results: dict[int, Any] = {}
         snapshots: dict[int, tuple[dict[str, Any], float, int, int]] = {}
-        # Work-stealing discipline: dispatch largest-estimated-cost-first
-        # so uneven shards overlap instead of straggling; the merge below
-        # is keyed by shard.index, so dispatch order cannot change bytes.
-        # A fresh shard is cut just before its first submit; ``queue``
-        # holds shards already cut (requeues, and a submit that met a
-        # broken pool), which go first and are never cut again.
-        fresh: deque[Shard] = deque(steal_order(shards))
+        # Fresh shards go out in index order, each cut just before its
+        # first submit; ``queue`` holds shards already cut (requeues, and
+        # a submit that met a broken pool), which go first and are never
+        # cut again.  The merge below is keyed by shard.index.
+        fresh: deque[Shard] = deque(shards)
         queue: deque[tuple[Shard, int]] = deque()
         # In submit order, which is the order the workers take them in.
         active: dict[Future, tuple[Shard, int, float, int]] = {}
@@ -501,9 +494,6 @@ class PoolExecutor:
         policy = self.resilience.retry if self.resilience is not None else None
         if policy is not None and is_retryable(error) and policy.retries_left(attempt):
             obs.count("resilience.requeues")
-            delay = policy.delay_s(attempt, jitter_rng(label, shard.index))
-            if delay > 0:
-                time.sleep(delay)
             # Requeued shards go to the front: they have already waited a
             # full dispatch cycle, and running them next keeps the
             # stage's tail short.

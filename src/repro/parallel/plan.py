@@ -14,19 +14,16 @@ Invariants (property-tested in ``tests/test_parallel.py``):
 * **order-stable** — concatenating ``shards()`` in index order reproduces
   the original item order for *any* chunk size.
 
-Shards optionally carry a **cost estimate** (``ShardPlan.of(...,
-costs=...)``, summed per chunk): the pool backend *dispatches*
-largest-cost-first (:func:`steal_order`, classic LPT scheduling) so one
-oversized ISP doesn't straggle the whole stage, while results are still
-*merged* in shard-index order — dispatch order is an execution detail and
-provably cannot change artifact bytes.
+The executors dispatch shards in index order and merge results by
+``shard.index``, so completion order is an execution detail that cannot
+change artifact bytes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -40,33 +37,12 @@ class Shard:
 
     index: int
     items: tuple[Any, ...]
-    #: Estimated execution cost (work-stealing dispatch key); defaults to
-    #: the item count.  Never consulted for partitioning or merging.
-    cost: float | None = field(default=None, compare=False)
     #: The shard's own inputs, cut by :func:`~repro.parallel.run_sharded`'s
     #: ``payload`` function when the shard is first dispatched.
     payload: Any = None
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def cost_estimate(self) -> float:
-        """The dispatch-ordering key: explicit cost, else the item count."""
-        return float(len(self.items)) if self.cost is None else self.cost
-
-
-def steal_order(shards: Sequence[Shard]) -> list[Shard]:
-    """Shards in dispatch order: largest estimated cost first, index-stable.
-
-    The work-stealing queue discipline of the pool backend: big shards
-    enter the pool first so their tails overlap the small shards' work
-    instead of starting last and straggling.  Ties (and the default
-    all-equal costs) preserve index order, so plans without estimates
-    dispatch exactly as before.  Purely an execution-order choice — the
-    executors still key results by ``shard.index``.
-    """
-    return sorted(shards, key=lambda shard: (-shard.cost_estimate, shard.index))
 
 
 @dataclass(frozen=True)
@@ -75,32 +51,14 @@ class ShardPlan:
 
     items: tuple[Any, ...]
     chunk_size: int
-    #: Optional per-item cost estimates (same length as ``items``); each
-    #: shard's cost is the sum over its slice.  Purely advisory: costs
-    #: shape dispatch order, never the partition or the RNG streams.
-    costs: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         require(self.chunk_size >= 1, "chunk_size must be >= 1")
-        if self.costs is not None:
-            require(
-                len(self.costs) == len(self.items),
-                f"costs length {len(self.costs)} != items length {len(self.items)}",
-            )
 
     @classmethod
-    def of(
-        cls,
-        items: Iterable[Any] | Sequence[Any],
-        chunk_size: int,
-        costs: Iterable[float] | None = None,
-    ) -> "ShardPlan":
+    def of(cls, items: Iterable[Any], chunk_size: int) -> "ShardPlan":
         """Build a plan over ``items`` (materialised in iteration order)."""
-        return cls(
-            items=tuple(items),
-            chunk_size=int(chunk_size),
-            costs=None if costs is None else tuple(float(c) for c in costs),
-        )
+        return cls(items=tuple(items), chunk_size=int(chunk_size))
 
     @property
     def n_items(self) -> int:
@@ -115,15 +73,7 @@ class ShardPlan:
     def shards(self) -> list[Shard]:
         """The contiguous chunks, in index order."""
         return [
-            Shard(
-                index=i,
-                items=self.items[i * self.chunk_size : (i + 1) * self.chunk_size],
-                cost=(
-                    None
-                    if self.costs is None
-                    else float(sum(self.costs[i * self.chunk_size : (i + 1) * self.chunk_size]))
-                ),
-            )
+            Shard(index=i, items=self.items[i * self.chunk_size : (i + 1) * self.chunk_size])
             for i in range(self.n_shards)
         ]
 

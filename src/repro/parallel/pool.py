@@ -144,12 +144,6 @@ def get_pool(workers: int, start_method: str) -> WorkerPool:
         return pool
 
 
-def pool_snapshot() -> list[dict[str, Any]]:
-    """Every live pool's :meth:`~WorkerPool.info` (observability surface)."""
-    with _LOCK:
-        return [pool.info() for _workers, pool in sorted(_POOLS.items())]
-
-
 def shutdown_pools() -> None:
     """Shut down and forget every persistent pool (idempotent).
 

@@ -3,9 +3,9 @@
 Three pieces cooperate to make partial failure a first-class, *measured*
 outcome instead of a crash:
 
-* :class:`RetryPolicy` (:mod:`repro.resilience.retry`) — bounded
-  attempts with classified retryable-vs-fatal errors and deterministic
-  backoff jitter; applied to shard execution and store loads.
+* :class:`RetryPolicy` (:mod:`repro.resilience.retry`) — bounded,
+  immediate attempts with classified retryable-vs-fatal errors; applied
+  to shard execution and store loads.
 * :class:`ResilienceConfig` / :class:`ErrorBudget` — how much loss a
   sharded stage may absorb (quarantined shards become
   :class:`ShardLoss` sentinels) before the run aborts with
@@ -31,7 +31,6 @@ from repro.resilience.retry import (
     ShardTimeoutError,
     call_with_retry,
     is_retryable,
-    jitter_rng,
 )
 
 
@@ -88,5 +87,4 @@ __all__ = [
     "ShardTimeoutError",
     "call_with_retry",
     "is_retryable",
-    "jitter_rng",
 ]

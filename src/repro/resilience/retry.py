@@ -1,25 +1,21 @@
-"""Bounded, classified retries with deterministic backoff jitter.
+"""Bounded, classified retries.
 
 The policy separates *retryable* errors — transient injected faults, dead
-or hung workers, broken pools, OS-level timeouts — from *fatal* ones
-(bad configs, fatal injected faults, genuine bugs), and spaces attempts
-with exponential backoff whose jitter comes from a seeded generator, so
-two runs of the same plan retry on the same schedule.  Delays default to
-zero: tests and the chaos harness exercise attempt *counting* without
-paying wall-clock time.
+or hung workers, broken pools, timeouts, dropped connections — from
+*fatal* ones (bad configs, fatal injected faults, genuine bugs), and
+bounds how many attempts a call gets.  A retry runs at once: what it
+waits for is a fresh worker or a fault plan's next attempt, never the
+clock.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
-from repro._util import require, require_non_negative
+from repro._util import require
 from repro.faults import FatalFaultError, TransientFaultError, WorkerCrashError
 
 
@@ -53,75 +49,41 @@ def is_retryable(error: BaseException) -> bool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded attempts with exponential backoff and deterministic jitter."""
+    """A bound on attempts; each retry runs at once."""
 
     #: Total attempts (first try included); 1 disables retrying.
     max_attempts: int = 3
-    #: Delay before the first retry; 0 retries immediately.
-    base_delay_s: float = 0.0
-    #: Multiplier applied per further retry.
-    backoff: float = 2.0
-    #: Ceiling on any single delay.
-    max_delay_s: float = 30.0
-    #: Fraction of the delay added as seeded-random jitter (decorrelates
-    #: retry storms without sacrificing reproducibility).
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         require(self.max_attempts >= 1, "max_attempts must be >= 1")
-        require_non_negative(self.base_delay_s, "base_delay_s")
-        require(self.backoff >= 1.0, "backoff must be >= 1")
-        require_non_negative(self.max_delay_s, "max_delay_s")
-        require(0.0 <= self.jitter <= 1.0, f"jitter must be in [0, 1], got {self.jitter!r}")
 
     def retries_left(self, attempt: int) -> bool:
         """Whether attempt number ``attempt`` (0-based) has a successor."""
         return attempt + 1 < self.max_attempts
-
-    def delay_s(self, attempt: int, rng: np.random.Generator | None = None) -> float:
-        """Backoff delay after failed attempt ``attempt`` (0-based)."""
-        delay = min(self.base_delay_s * self.backoff**attempt, self.max_delay_s)
-        if self.jitter and rng is not None:
-            delay *= 1.0 + self.jitter * float(rng.random())
-        return min(delay, self.max_delay_s)
-
-
-def jitter_rng(label: str, index: int, salt: int = 0) -> np.random.Generator:
-    """A generator for backoff jitter, independent of all artifact streams.
-
-    Derived from ``(label, index, salt)`` alone — never from the shard's
-    measurement stream — so jittered retries cannot perturb artifacts.
-    """
-    return np.random.default_rng([salt, index, *[ord(ch) for ch in label]])
 
 
 def call_with_retry(
     fn: Callable[[int], Any],
     policy: RetryPolicy,
     *,
-    classify: Callable[[BaseException], bool] = is_retryable,
     on_retry: Callable[[int, BaseException], None] | None = None,
-    rng: np.random.Generator | None = None,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Any:
     """Call ``fn(attempt)`` until it succeeds or the policy is exhausted.
 
     ``fn`` receives the 0-based attempt number (injection points use it
-    to distinguish transient from permanent faults).  Non-retryable
-    errors propagate immediately; the last retryable error propagates
-    when attempts run out.  ``on_retry(attempt, error)`` fires before
-    each re-attempt — the hook metrics/logging use.
+    to distinguish transient from permanent faults).  Errors
+    :func:`is_retryable` rejects propagate immediately; the last
+    retryable error propagates when attempts run out.
+    ``on_retry(attempt, error)`` fires before each re-attempt — the hook
+    metrics/logging use.
     """
     attempt = 0
     while True:
         try:
             return fn(attempt)
         except BaseException as error:  # noqa: BLE001 — classification decides
-            if not classify(error) or not policy.retries_left(attempt):
+            if not is_retryable(error) or not policy.retries_left(attempt):
                 raise
             if on_retry is not None:
                 on_retry(attempt, error)
-            delay = policy.delay_s(attempt, rng)
-            if delay > 0:
-                sleep(delay)
             attempt += 1

@@ -35,7 +35,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Any
 
-from repro._util import atomic_write_text
+from repro._util import atomic_write_text, require, require_non_negative
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import Telemetry
 from repro.parallel import ParallelConfig, shutdown_pools
@@ -116,6 +116,17 @@ class ServeConfig:
     gc_max_bytes: int | None = None
     #: Retry-After seconds surfaced with 429/503 responses.
     retry_after_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Checked here so ``repro serve`` refuses to start: a zero queue or
+        # quota refuses every submission, and a negative gc bound fails
+        # every gc between campaigns.
+        require(self.max_queue >= 1, f"max_queue must be >= 1, got {self.max_queue!r}")
+        require(self.tenant_quota >= 1, f"tenant_quota must be >= 1, got {self.tenant_quota!r}")
+        if self.gc_max_entries is not None:
+            require_non_negative(self.gc_max_entries, "gc_max_entries")
+        if self.gc_max_bytes is not None:
+            require_non_negative(self.gc_max_bytes, "gc_max_bytes")
 
 
 class Scheduler:

@@ -30,6 +30,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._util import require_non_negative
 from repro.obs import MetricsRegistry, NullMetrics
 
 
@@ -175,9 +176,20 @@ class ObjectStore:
         most ``max_entries`` entries and ``max_bytes`` bytes remain; the
         quarantine is pruned the same way by its own count and age bounds
         (quarantined entries are only kept for post-mortems).  ``None``
-        disables a bound.  Staging debris of writers that have exited is
-        always reclaimed.  Returns the evicted keys, oldest first.
+        disables a bound; a negative bound raises :class:`ValueError`
+        before any file is touched.  Staging debris of writers that have
+        exited is always reclaimed.  Returns the evicted keys, oldest first.
         """
+        bounds = {
+            "max_entries": max_entries,
+            "max_bytes": max_bytes,
+            "max_age_s": max_age_s,
+            "max_quarantine_entries": max_quarantine_entries,
+            "max_quarantine_age_s": max_quarantine_age_s,
+        }
+        for name, bound in bounds.items():
+            if bound is not None:
+                require_non_negative(bound, name)
         for path in (self.root / "tmp").glob("*"):
             if _writer_exited(path.name):
                 _delete(path)

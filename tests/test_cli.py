@@ -300,6 +300,17 @@ class TestTimelineGcCommand:
         assert main(["timeline", "gc", "--store-dir", str(tmp_path / "stages")]) == 0
         assert "evicted 0 of 1 entries" in capsys.readouterr().out
 
+    def test_negative_bound_is_refused(self, capsys, tmp_path):
+        from repro.store import StageStore
+        from repro.store.stages import stage_key
+
+        store = StageStore(tmp_path / "stages")
+        store.put("epoch", stage_key("epoch", {"i": 0}), {"row": 0})
+        argv = ["timeline", "gc", "--store-dir", str(tmp_path / "stages"), "--max-age-s", "-5"]
+        assert main(argv) == 2
+        assert "max_age_s must be >= 0" in capsys.readouterr().err
+        assert StageStore(tmp_path / "stages").stats().entries == 1
+
     def test_timeline_run_still_parses_without_subcommand(self):
         from repro.cli import build_parser
 
@@ -323,3 +334,23 @@ class TestServeParser:
     def test_state_dir_is_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve"])
+
+    def test_campaign_resilience_flags_are_rejected(self, capsys):
+        """``serve`` reads ``--faults`` and ``--shard-timeout``; a campaign's
+        retries and loss budget come from its submission."""
+        parser = build_parser()
+        base = ["serve", "--state-dir", "/tmp/state"]
+        args = parser.parse_args([*base, "--faults", "plan.json", "--shard-timeout", "5"])
+        assert args.faults == "plan.json" and args.shard_timeout == 5.0
+        for flag in (["--retry", "3"], ["--shard-loss-budget", "0.5"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*base, *flag])
+
+    def test_settings_that_break_the_server_refuse_to_start(self, capsys, monkeypatch, tmp_path):
+        import repro.serve
+
+        monkeypatch.setattr(repro.serve, "ReproServer", lambda *a, **k: pytest.fail("started"))
+        state = tmp_path / "state"
+        assert main(["serve", "--state-dir", str(state), "--gc-max-entries", "-1"]) == 2
+        assert "gc_max_entries must be >= 0" in capsys.readouterr().err
+        assert not state.exists()

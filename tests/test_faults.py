@@ -150,17 +150,6 @@ class TestAttemptGating:
                 plan.decide("scan.record", i, attempt=0) is not None
             )
 
-    def test_transient_only(self):
-        transient = FaultPlan(
-            seed=1,
-            specs=(FaultSpec(site="parallel.shard", kind="crash", rate=0.5, fail_attempts=1),),
-        )
-        permanent = FaultPlan(
-            seed=1, specs=(FaultSpec(site="mlab.ping", kind="drop", rate=0.5),)
-        )
-        assert transient.transient_only
-        assert not permanent.transient_only
-
     def test_decide_any_checks_aliases(self):
         plan = FaultPlan(
             seed=1, specs=(FaultSpec(site="campaign.shard", kind="crash", rate=1.0),)

@@ -35,7 +35,6 @@ from repro.parallel import (
     resolve_workers,
     run_sharded,
     shutdown_pools,
-    steal_order,
     usable_cpu_count,
 )
 from repro.parallel.executor import IN_FLIGHT_PER_WORKER
@@ -65,6 +64,12 @@ def _payload_shard(shard: Shard, telemetry):
 def _slow_payload_shard(shard: Shard, telemetry):
     time.sleep(0.05)
     return shard.payload
+
+
+def _sleep_then_echo_shard(shard: Shard, telemetry) -> tuple[int, tuple]:
+    """Sleep ``shard.payload`` seconds, then echo like :func:`_echo_shard`."""
+    time.sleep(shard.payload)
+    return shard.index, shard.items
 
 
 #: Every shard fails its first attempt, transiently.
@@ -128,47 +133,6 @@ class TestShardPlan:
     def test_shard_rngs_label_namespacing(self):
         plan = ShardPlan.of(range(10), chunk_size=5)
         assert _shard_streams(plan, 1, "campaign")[0] != _shard_streams(plan, 1, "clustering")[0]
-
-
-class TestStealOrder:
-    @given(
-        costs=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=0, max_size=50),
-        chunk=st.integers(1, 7),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_permutation_sorted_by_cost_index_stable(self, costs, chunk):
-        plan = ShardPlan.of(range(len(costs)), chunk_size=chunk, costs=costs)
-        shards = plan.shards()
-        ordered = steal_order(shards)
-        # A permutation: same shards, nothing dropped or duplicated.
-        assert sorted(s.index for s in ordered) == [s.index for s in shards]
-        # Non-increasing cost, and ties resolve in index order.
-        keys = [(-s.cost_estimate, s.index) for s in ordered]
-        assert keys == sorted(keys)
-
-    @given(n=st.integers(0, 60), chunk=st.integers(1, 8))
-    @settings(max_examples=100, deadline=None)
-    def test_default_costs_preserve_index_order(self, n, chunk):
-        # Without estimates every full shard ties (and the tail shard is
-        # smallest), so dispatch order degenerates to nearly index order —
-        # crucially it is *deterministic* for any input.
-        shards = ShardPlan.of(range(n), chunk_size=chunk).shards()
-        ordered = steal_order(shards)
-        full = [s.index for s in ordered if len(s) == chunk]
-        assert full == sorted(full)
-
-    def test_merge_unaffected_by_dispatch_order(self):
-        # The executors key results by shard.index, so any dispatch
-        # permutation yields identical output — spot-check via costs that
-        # force reverse dispatch.
-        items = list(range(20))
-        plan_costed = ShardPlan.of(items, chunk_size=3, costs=list(range(20)))
-        plan_plain = ShardPlan.of(items, chunk_size=3)
-        assert run_sharded(_echo_shard, plan_costed) == run_sharded(_echo_shard, plan_plain)
-
-    def test_costs_length_validated(self):
-        with pytest.raises(ValueError):
-            ShardPlan.of(range(4), chunk_size=2, costs=[1.0])
 
 
 class TestShardSeeds:
@@ -307,6 +271,35 @@ class TestProcessExecution:
         finally:
             shutdown_pools()
         assert [index for index, _ in results] == list(range(plan.n_shards))
+
+    def test_merge_order_survives_reverse_completion(self):
+        """Each shard sleeps less than the one before it, so on two workers
+        they finish in reverse index order; the results still come back in
+        index order, equal to the serial run's."""
+        plan = ShardPlan.of(range(6), chunk_size=3)
+        delays = [0.5, 0.05]
+
+        def delay(shard):
+            return delays[shard.index]
+
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        try:
+            results = run_sharded(
+                _sleep_then_echo_shard,
+                plan,
+                ParallelConfig(backend="pool", workers=2),
+                telemetry=telemetry,
+                label="stage",
+                payload=delay,
+            )
+        finally:
+            shutdown_pools()
+        fanout = telemetry.tracer.find("stage.fanout")
+        spans = [span for span in fanout.children if span.name == "stage.shard"]
+        ends = [span.start_s + span.duration_s for span in spans]
+        assert len(ends) == plan.n_shards and ends == sorted(ends, reverse=True)
+        assert [index for index, _ in results] == list(range(plan.n_shards))
+        assert results == run_sharded(_sleep_then_echo_shard, plan, payload=delay)
 
     def test_worker_telemetry_merges_without_double_counting(self):
         plan = ShardPlan.of(range(22), chunk_size=4)

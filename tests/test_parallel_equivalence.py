@@ -6,8 +6,8 @@ each run with :func:`repro.io.archive.save_archive`, and asserts the
 archives are **byte-identical** file by file.  This is the strongest
 equivalence claim the executor makes: not "statistically close", but the
 same artifact bytes a third party would download — and it holds through
-the per-shard payload cut and the largest-cost-first work-stealing
-dispatch, both of which are execution details the merge provably erases.
+the per-shard payload cut and the order in which pool shards finish,
+both of which are execution details the index-keyed merge erases.
 
 A second axis checks that execution knobs that *should* be inert (backend,
 workers) are, while knobs documented to shape the artifact (chunk size,

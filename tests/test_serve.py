@@ -155,6 +155,17 @@ class TestAdmission:
         assert created
         scheduler.journal.close()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"max_queue": 0}, {"tenant_quota": 0}, {"gc_max_entries": -1}, {"gc_max_bytes": -1}],
+    )
+    def test_settings_that_break_the_server_are_refused(self, tmp_path, setting):
+        """A zero queue or quota would refuse every submission, and a
+        negative gc bound would fail every gc between campaigns."""
+        (name,) = setting
+        with pytest.raises(ValueError, match=name):
+            ServeConfig(state_dir=tmp_path / "state", **setting)
+
     def test_dedup_bypasses_admission(self, tmp_path):
         """A re-submission of a queued campaign is free — it never counts
         against the queue bound."""

@@ -415,6 +415,26 @@ class TestGcAndIndex:
         assert live.exists()
         assert store.stats() == before
 
+    @pytest.mark.parametrize(
+        "bound",
+        ["max_entries", "max_bytes", "max_age_s", "max_quarantine_entries", "max_quarantine_age_s"],
+    )
+    def test_negative_bound_is_refused_before_any_eviction(self, tmp_path, bound):
+        """A negative bound is a mistake, not one every entry exceeds: gc
+        names it and evicts nothing, quarantine included."""
+        from repro.store import StageStore, stage_key
+
+        store = StageStore(tmp_path / "store", metrics=MetricsRegistry())
+        keys = [stage_key("epoch", {"i": i}) for i in range(4)]
+        for i, key in enumerate(keys):
+            store.put("epoch", key, {"row": i})
+        store._quarantine(keys[3])
+        quarantined = sorted(store.quarantine_dir.iterdir())
+        with pytest.raises(ValueError, match=f"^{bound} must be >= 0"):
+            store.gc(**{bound: -1})
+        assert sorted(store.keys()) == sorted(keys[:3])
+        assert sorted(store.quarantine_dir.iterdir()) == quarantined
+
 
 class TestCachedStudyKeying:
     def test_same_name_different_backend_does_not_collide(self):
