@@ -9,18 +9,20 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro._util import format_table
-from repro.deployment.growth import build_epoch_series
+from repro.deployment.growth import DEFAULT_EPOCH_TRAJECTORIES
+from repro.timeline import TimelineSpec, build_timeline
 
 
 @pytest.mark.benchmark(group="longitudinal")
 def test_longitudinal_cohosting(benchmark, default_study):
-    series = benchmark.pedantic(
-        build_epoch_series, args=(default_study.internet,), kwargs={"seed": 3}, rounds=1, iterations=1
+    spec = TimelineSpec(start="2017Q1", end="2023Q1", anchors=DEFAULT_EPOCH_TRAJECTORIES, seed=3)
+    timeline = benchmark.pedantic(
+        build_timeline, args=(default_study.internet, spec), rounds=1, iterations=1
     )
     rows = []
     cohosting_by_epoch = []
-    for epoch in sorted(series.epochs):
-        state = series.state(epoch)
+    for epoch in ("2017", "2019", "2021", "2023"):
+        state = timeline.state_at(f"{epoch}Q1")
         hosting = state.hosting_isps()
         at_least_2 = sum(1 for isp in hosting if len(state.hypergiants_in(isp)) >= 2)
         cohosting_by_epoch.append(at_least_2)

@@ -20,5 +20,6 @@ def test_seed_sensitivity(benchmark):
     assert report.all_within_bands
     # The growth percentages are tight by construction; the capacity
     # metrics must also be stable.
-    assert report.std("COVID offnet change") < 0.05
-    assert report.std("COVID interdomain ratio") < 0.3
+    summary = report.summary()
+    assert summary["COVID offnet change"]["std"] < 0.05
+    assert summary["COVID interdomain ratio"]["std"] < 0.3

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import __version__
 from repro.report import available_sections
@@ -98,19 +98,32 @@ def _telemetry_from_args(args: argparse.Namespace):
     )
 
 
+def _checked(kind: type, accept: Callable[[Any], bool], expected: str) -> Callable[[str], Any]:
+    """An argparse ``type=`` that parses ``kind`` and refuses what ``accept`` rejects.
+
+    An out-of-range flag then ends in a usage error (exit 2) at parse time,
+    not in a traceback from the config constructor that refuses it later.
+    """
+
+    def parse(value: str) -> Any:
+        try:
+            if accept(number := kind(value)):  # NaN fails every bound
+                return number
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return parse
+
+
+_AT_LEAST_ZERO = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_FRACTION = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+
+
 def _workers_spec(value: str) -> "int | str":
     """``--workers`` accepts a positive integer or the literal ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
-    return workers
+    return value if value == "auto" else _AT_LEAST_ONE(value)
 
 
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
@@ -160,7 +173,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shard-timeout",
-        type=float,
+        type=_checked(float, lambda x: x > 0.0, "a number > 0"),
         default=None,
         metavar="SECONDS",
         help="per-shard timeout; hung workers are requeued (when retries are on) or fatal",
@@ -171,14 +184,14 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     _add_fault_arguments(parser)
     parser.add_argument(
         "--retry",
-        type=int,
+        type=_AT_LEAST_ONE,
         default=None,
         metavar="N",
         help="enable the resilience layer: at most N attempts per shard / store load",
     )
     parser.add_argument(
         "--shard-loss-budget",
-        type=float,
+        type=_FRACTION,
         default=None,
         metavar="FRACTION",
         help="with --retry: tolerate losing up to this fraction of shards per stage "
@@ -544,15 +557,19 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.experiments.scenarios import scenario_by_name
     from repro.timeline import TimelineConfig, TimelineReport, TimelineSpec, run_timeline, timeline_status
 
-    spec = TimelineSpec(
-        start=args.start,
-        end=args.end,
-        policy=args.policy,
-        eviction_rate=args.eviction_rate,
-        capacity_ramp_quarters=args.capacity_ramp,
-        edition=args.edition,
-        seed=args.seed,
-    )
+    try:
+        spec = TimelineSpec(
+            start=args.start,
+            end=args.end,
+            policy=args.policy,
+            eviction_rate=args.eviction_rate,
+            capacity_ramp_quarters=args.capacity_ramp,
+            edition=args.edition,
+            seed=args.seed,
+        )
+    except ValueError as error:  # flags that contradict each other (bounds, policy)
+        print(str(error), file=sys.stderr)
+        return 2
     config = TimelineConfig.from_study(
         scenario_by_name(args.scenario).config,
         spec,
@@ -719,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     peering = subparsers.add_parser("peering", help="run the §4.2.1 traceroute campaign")
     _add_scenario_argument(peering)
     peering.add_argument("--hypergiant", default="Google", choices=("Google", "Netflix", "Meta", "Akamai"))
-    peering.add_argument("--regions", type=int, default=4, help="source regions (paper: 112)")
+    peering.add_argument("--regions", type=_AT_LEAST_ONE, default=4, help="source regions (paper: 112)")
     peering.set_defaults(handler=_cmd_peering)
 
     mapping = subparsers.add_parser("mapping", help="run the steering-blindness experiment")
@@ -746,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_arguments(sweep_run)
     sweep_run.add_argument(
         "--max-cells",
-        type=int,
+        type=_AT_LEAST_ONE,
         default=None,
         metavar="N",
         help="run only the first N cells of the expansion (deterministic prefix)",
@@ -794,14 +811,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline.add_argument(
         "--eviction-rate",
-        type=float,
+        type=_FRACTION,
         default=0.0,
         metavar="FRACTION",
         help="per-quarter, per-deployment eviction probability (requires --policy churn)",
     )
     timeline.add_argument(
         "--capacity-ramp",
-        type=int,
+        type=_AT_LEAST_ZERO,
         default=0,
         metavar="QUARTERS",
         help="ramp new deployments to full capacity over this many quarters (default: 0)",
@@ -809,7 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument(
         "--edition", choices=("2021", "2023"), default="2023", help="scan edition (default: %(default)s)"
     )
-    timeline.add_argument("--seed", type=int, default=0, help="timeline event-stream seed (default: 0)")
+    timeline.add_argument(
+        "--seed", type=_AT_LEAST_ZERO, default=0, help="timeline event-stream seed (default: 0)"
+    )
     timeline.add_argument(
         "--store-dir",
         metavar="DIR",
@@ -818,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline.add_argument(
         "--max-epochs",
-        type=int,
+        type=_AT_LEAST_ONE,
         default=None,
         metavar="N",
         help="run only the first N quarters (deterministic prefix)",
@@ -870,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hypergiant(s) for the peering-inference stage (repeatable; default: Google)",
     )
     evaluate.add_argument(
-        "--regions", type=int, default=4, help="traceroute source regions (paper: 112)"
+        "--regions", type=_AT_LEAST_ONE, default=4, help="traceroute source regions (paper: 112)"
     )
     evaluate.add_argument(
         "--scorecard-out",

@@ -10,7 +10,6 @@ the 2021→2023 footprint evolution (:mod:`repro.deployment.growth`).
 from repro.deployment.growth import (
     DeploymentHistory,
     build_deployment_history,
-    epoch_key,
     parse_epoch_label,
 )
 from repro.deployment.hypergiants import (
@@ -29,7 +28,6 @@ __all__ = [
     "OffnetServer",
     "PlacementConfig",
     "build_deployment_history",
-    "epoch_key",
     "parse_epoch_label",
     "place_offnets",
     "profile_by_name",

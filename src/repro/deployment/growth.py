@@ -44,11 +44,6 @@ def parse_epoch_label(label: str) -> tuple[int, int]:
     return (year, quarter)
 
 
-def epoch_key(label: str) -> tuple[int, int]:
-    """Calendar sort key for epoch labels (alias of :func:`parse_epoch_label`)."""
-    return parse_epoch_label(label)
-
-
 @dataclass
 class DeploymentHistory:
     """Deployment snapshots keyed by epoch label."""
@@ -58,15 +53,6 @@ class DeploymentHistory:
     def state(self, epoch: str) -> DeploymentState:
         """The snapshot at ``epoch`` (KeyError if absent)."""
         return self.epochs[epoch]
-
-    @property
-    def latest(self) -> DeploymentState:
-        """The snapshot at the calendar-greatest epoch label.
-
-        Quarterly and yearly labels interleave correctly ("2024Q3" beats
-        "2024" but loses to "2025"); lexicographic ordering would not.
-        """
-        return self.epochs[max(self.epochs, key=epoch_key)]
 
 
 def _early_adopter_weights(deployments: list[Deployment]) -> np.ndarray:
@@ -114,66 +100,14 @@ def build_deployment_history(
 #: Approximate footprint fraction (relative to 2023) per year, shaped after
 #: the SIGCOMM'21 "Seven Years in the Life of Hypergiants' Off-Nets"
 #: longitudinal curves: Akamai was built out early and flat; the others
-#: ramped through the late 2010s.
+#: ramped through the late 2010s.  The report's ``long`` section feeds
+#: them to :func:`repro.timeline.events.build_timeline` as anchors.
 DEFAULT_EPOCH_TRAJECTORIES: dict[str, dict[str, float]] = {
     "Google": {"2017": 0.45, "2019": 0.62, "2021": 3810 / 4697, "2023": 1.0},
     "Netflix": {"2017": 0.25, "2019": 0.45, "2021": 2115 / 2906, "2023": 1.0},
     "Meta": {"2017": 0.15, "2019": 0.50, "2021": 2214 / 2588, "2023": 1.0},
     "Akamai": {"2017": 0.95, "2019": 1.0, "2021": 1.0, "2023": 1.0},
 }
-
-
-def build_epoch_series(
-    internet: Internet,
-    trajectories: dict[str, dict[str, float]] | None = None,
-    profiles: tuple[HypergiantProfile, ...] = DEFAULT_HYPERGIANT_PROFILES,
-    config: PlacementConfig | None = None,
-    seed: int | np.random.Generator = 0,
-) -> DeploymentHistory:
-    """A multi-epoch history (2017-2023 by default) with nested footprints.
-
-    Each epoch's footprint is a subset of the next ones (monotone growth),
-    drawn with the same early-adopters-are-large skew as the two-epoch
-    history.  Supports the §3.1 longitudinal claim that cohosting keeps
-    rising.
-    """
-    trajectories = trajectories or DEFAULT_EPOCH_TRAJECTORIES
-    root = make_rng(seed)
-    final_state = place_offnets(internet, profiles, config, seed=spawn_rng(root, "placement"), epoch="2023")
-    epochs_sorted = sorted({epoch for t in trajectories.values() for epoch in t}, key=epoch_key)
-    require(epochs_sorted and epochs_sorted[-1] == "2023", "trajectories must end at 2023")
-
-    rng_subset = spawn_rng(root, "subsets")
-    epochs: dict[str, DeploymentState] = {"2023": final_state}
-    # Walk backwards so each epoch is a subset of its successor.
-    current: dict[str, list[Deployment]] = {}
-    for profile in sorted(profiles, key=lambda p: p.name):
-        current[profile.name] = [d for d in final_state.deployments if d.hypergiant == profile.name]
-    for epoch in reversed(epochs_sorted[:-1]):
-        kept: list[Deployment] = []
-        for profile in sorted(profiles, key=lambda p: p.name):
-            pool = current[profile.name]
-            ratio_here = trajectories.get(profile.name, {}).get(epoch, 1.0)
-            ratio_next = 1.0
-            for later in epochs_sorted:
-                if epoch_key(later) > epoch_key(epoch) and later in trajectories.get(profile.name, {}):
-                    ratio_next = trajectories[profile.name][later]
-                    break
-            keep_fraction = min(1.0, ratio_here / ratio_next) if ratio_next else 1.0
-            n_keep = int(round(keep_fraction * len(pool)))
-            if n_keep >= len(pool):
-                subset = list(pool)
-            elif n_keep == 0:
-                subset = []
-            else:
-                weights = _early_adopter_weights(pool)
-                probabilities = weights / weights.sum()
-                indices = rng_subset.choice(len(pool), size=n_keep, replace=False, p=probabilities)
-                subset = [pool[i] for i in sorted(indices)]
-            current[profile.name] = subset
-            kept.extend(subset)
-        epochs[epoch] = DeploymentState(epoch=epoch, deployments=kept)
-    return DeploymentHistory(epochs=epochs)
 
 
 def growth_percent(history: DeploymentHistory, hypergiant: str) -> float:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util import format_table, require
+from repro._util import format_table
 from repro.core.country import CountryHostingResult, country_hosting_fractions
 from repro.core.pipeline import Study
-from repro.deployment.growth import epoch_key
 from repro.population.users import PopulationDataset
 from repro.scan.detection import OffnetInventory
 
@@ -38,14 +37,9 @@ def figure1_panels(
 
 @dataclass
 class Figure1Result:
-    """The three panels (k = 2, 3, 4), per requested epoch.
-
-    ``panels`` holds the calendar-latest epoch (the classic shape);
-    ``panels_by_epoch`` every requested epoch.
-    """
+    """The three panels (k = 2, 3, 4) for the 2023 inventory."""
 
     panels: dict[int, CountryHostingResult] = field(default_factory=dict)
-    panels_by_epoch: dict[str, dict[int, CountryHostingResult]] = field(default_factory=dict)
 
     def majority_country_count(self, k: int) -> int:
         """Countries where the majority of users are in >= k-HG ISPs."""
@@ -78,21 +72,6 @@ class Figure1Result:
         return "\n".join(lines)
 
 
-def run_figure1(study: Study, epochs: tuple[str, ...] | None = None) -> Figure1Result:
-    """Compute the three Figure-1 panels per epoch.
-
-    ``epochs`` defaults to every epoch in the study; the legacy
-    ``panels`` field always holds the calendar-latest requested epoch,
-    so the default two-epoch study reproduces the historical result
-    exactly.
-    """
-    if epochs is None:
-        epochs = tuple(sorted(study.inventories, key=epoch_key))
-    require(bool(epochs), "need at least one epoch")
-    for epoch in epochs:
-        require(epoch in study.inventories, f"study has no inventory for epoch {epoch!r}")
-    result = Figure1Result()
-    for epoch in epochs:
-        result.panels_by_epoch[epoch] = figure1_panels(study.inventories[epoch], study.population)
-    result.panels = dict(result.panels_by_epoch[max(epochs, key=epoch_key)])
-    return result
+def run_figure1(study: Study) -> Figure1Result:
+    """Compute the three Figure-1 panels from the 2023 inventory."""
+    return Figure1Result(panels=figure1_panels(study.latest_inventory, study.population))

@@ -52,20 +52,17 @@ class Figure2Result:
         four_low, four_high = self.four_hg_range()
         headers = ["Statistic", "measured", "paper"]
         rows = [
-            ["users in ISPs with offnets", f"{100 * self.coverage['hosting']:.0f}%", "76%"],
-            ["users in analyzable ISPs", f"{100 * self.coverage['analyzable']:.0f}%", "56%"],
-            [
-                "covered users w/ facility serving >=25%",
-                f"{100 * share_low:.0f}%-{100 * share_high:.0f}%",
-                "71%-82%",
-            ],
-            [
-                "covered users w/ 4-HG facility",
-                f"{100 * four_low:.0f}%-{100 * four_high:.0f}%",
-                "18%-31%",
-            ],
+            ["users in ISPs with offnets", _percent(self.coverage["hosting"]), _percent(PAPER_HOSTING_USER_FRACTION)],
+            ["users in analyzable ISPs", _percent(self.coverage["analyzable"]), _percent(PAPER_ANALYZABLE_USER_FRACTION)],
+            ["covered users w/ facility serving >=25%", _percent(share_low, share_high), _percent(*PAPER_SHARE25_RANGE)],
+            ["covered users w/ 4-HG facility", _percent(four_low, four_high), _percent(*PAPER_FOUR_HG_RANGE)],
         ]
         return format_table(headers, rows)
+
+
+def _percent(*fractions: float) -> str:
+    """Fractions as whole percents: ``76%``, or a range such as ``71%-82%``."""
+    return "-".join(f"{100 * fraction:.0f}%" for fraction in fractions)
 
 
 def run_figure2(study: Study) -> Figure2Result:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util import format_table, require
+from repro._util import format_table
 from repro.core.pipeline import Study
-from repro.deployment.growth import epoch_key
 from repro.rdns.validation import ConsistencyClass, ValidationSummary
 from repro.scan.detection import OffnetInventory
 
@@ -37,17 +36,10 @@ def cohosting_counts(inventory: OffnetInventory) -> dict[int, int]:
 
 @dataclass
 class Section32Result:
-    """Cohosting distribution (all requested epochs) plus validation per xi.
-
-    ``cohosting_by_epoch`` carries every epoch; ``cohosting`` /
-    ``cohosting_2021`` remain the calendar-latest / calendar-earliest
-    epochs' counts, so two-epoch callers see exactly the historical
-    shape (and :meth:`render` is unchanged).
-    """
+    """Cohosting distribution (2023 and 2021) plus validation per xi."""
 
     cohosting: dict[int, int] = field(default_factory=dict)
     cohosting_2021: dict[int, int] = field(default_factory=dict)
-    cohosting_by_epoch: dict[str, dict[int, int]] = field(default_factory=dict)
     validations: dict[float, ValidationSummary] = field(default_factory=dict)
 
     def cohosting_fraction(self, k: int) -> float:
@@ -88,29 +80,12 @@ class Section32Result:
         return "\n\n".join(blocks)
 
 
-def run_section32(study: Study, epochs: tuple[str, ...] | None = None) -> Section32Result:
-    """Count cohosting levels per epoch and validate clusters.
-
-    ``epochs`` defaults to every epoch in the study (the classic
-    2021/2023 pair); pass an explicit list to restrict or reorder.  The
-    legacy ``cohosting`` / ``cohosting_2021`` fields hold the
-    calendar-latest and calendar-earliest requested epochs, which for
-    the default two-epoch study reproduces the historical result
-    exactly.
-    """
-    if epochs is None:
-        epochs = tuple(sorted(study.inventories, key=epoch_key))
-    require(bool(epochs), "need at least one epoch")
-    for epoch in epochs:
-        require(epoch in study.inventories, f"study has no inventory for epoch {epoch!r}")
-    result = Section32Result()
-    for epoch in epochs:
-        result.cohosting_by_epoch[epoch] = cohosting_counts(study.inventories[epoch])
-    result.cohosting = dict(result.cohosting_by_epoch[max(epochs, key=epoch_key)])
-    result.cohosting_2021 = dict(result.cohosting_by_epoch[min(epochs, key=epoch_key)])
-    if len(epochs) == 1:
-        # A single epoch has no "earlier" snapshot to compare against.
-        result.cohosting_2021 = {}
+def run_section32(study: Study) -> Section32Result:
+    """Count cohosting levels in both epochs and validate clusters at every xi."""
+    result = Section32Result(
+        cohosting=cohosting_counts(study.latest_inventory),
+        cohosting_2021=cohosting_counts(study.inventories["2021"]),
+    )
     for xi in study.config.xis:
         result.validations[xi] = study.validation(xi)
     return result

@@ -70,12 +70,15 @@ class Section42Result:
     def render(self) -> str:
         """§4.2.1 and §4.2.2 tables, measured vs paper."""
         headers = ["§4.2.1 statistic", "measured", "paper"]
-        rows = [
-            ["peer", f"{100 * self.fraction(PeeringEvidence.PEER):.1f}%", "38.2%"],
-            ["possible (unresponsive)", f"{100 * self.fraction(PeeringEvidence.POSSIBLE_PEER):.1f}%", "13.3%"],
-            ["no evidence", f"{100 * self.fraction(PeeringEvidence.NO_EVIDENCE):.1f}%", "48.4%"],
-            ["peers via IXP at least once", f"{100 * self.inference.ixp_at_least_once_fraction():.1f}%", "62.2%"],
-            ["peers only via IXP", f"{100 * self.inference.ixp_only_fraction():.1f}%", "42.5%"],
+        fractions = [
+            ("peer", self.fraction(PeeringEvidence.PEER), PAPER_PEER_FRACTION),
+            ("possible (unresponsive)", self.fraction(PeeringEvidence.POSSIBLE_PEER), PAPER_POSSIBLE_FRACTION),
+            ("no evidence", self.fraction(PeeringEvidence.NO_EVIDENCE), PAPER_NO_EVIDENCE_FRACTION),
+            ("peers via IXP at least once", self.inference.ixp_at_least_once_fraction(), PAPER_IXP_AT_LEAST_ONCE),
+            ("peers only via IXP", self.inference.ixp_only_fraction(), PAPER_IXP_ONLY),
+        ]
+        rows = [[label, f"{100 * measured:.1f}%", f"{100 * paper:.1f}%"] for label, measured, paper in fractions]
+        rows += [
             ["inference precision (vs ground truth)", f"{self.precision:.3f}", "n/a"],
             ["inference recall (vs ground truth)", f"{self.recall:.3f}", "n/a"],
         ]

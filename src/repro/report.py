@@ -121,12 +121,16 @@ def _s6(study: Study) -> str:
 @_register("long", "Section 3.1: the longitudinal cohosting trend (2017-2023)")
 def _long(study: Study) -> str:
     from repro._util import format_table
-    from repro.deployment.growth import build_epoch_series
+    from repro.deployment.growth import DEFAULT_EPOCH_TRAJECTORIES
+    from repro.timeline import TimelineSpec, build_timeline
 
-    series = build_epoch_series(study.internet, seed=3)
+    timeline = build_timeline(
+        study.internet,
+        TimelineSpec(start="2017Q1", end="2023Q1", anchors=DEFAULT_EPOCH_TRAJECTORIES, seed=3),
+    )
     rows = []
-    for epoch in sorted(series.epochs):
-        state = series.state(epoch)
+    for epoch in ("2017", "2019", "2021", "2023"):
+        state = timeline.state_at(f"{epoch}Q1")
         hosting = state.hosting_isps()
         at_least_2 = sum(1 for isp in hosting if len(state.hypergiants_in(isp)) >= 2)
         rows.append(

@@ -3,11 +3,9 @@
 A reproduction on a *synthetic* substrate must show its numbers are
 properties of the model, not of one lucky seed.  :func:`run_sensitivity`
 expands a seed axis into a :mod:`repro.sweep` campaign, runs each seed's
-compact study (optionally resumable through a
-:class:`~repro.store.StudyStore`, optionally parallel), and collects
-each headline metric; :class:`SensitivityReport` summarises mean /
-spread / range and flags metrics whose paper-shape assertion failed on
-any seed.
+compact study and returns the campaign's report: per-seed values plus
+each metric's mean / spread / range and the seeds on which its
+paper-shape band failed.
 
 :class:`MetricSpec` now lives in :mod:`repro.sweep.metrics` (re-exported
 here unchanged) so every campaign — not just seed sensitivity — shares
@@ -16,14 +14,9 @@ the same named-observable abstraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro._util import format_table, require
+from repro._util import require
 from repro.core.pipeline import Study, StudyConfig
-from repro.parallel import ParallelConfig
-from repro.store import StudyStore
+from repro.sweep.campaign import CampaignReport, run_campaign
 from repro.sweep.grid import ParameterGrid
 from repro.sweep.metrics import MetricSpec
 from repro.topology.generator import InternetConfig
@@ -42,9 +35,9 @@ def _netflix_growth(study: Study) -> float:
 
 
 def _cohosting_2(study: Study) -> float:
-    from repro.experiments.section32 import run_section32
+    from repro.experiments.section32 import Section32Result, cohosting_counts
 
-    return run_section32(study).cohosting_fraction(2)
+    return Section32Result(cohosting=cohosting_counts(study.latest_inventory)).cohosting_fraction(2)
 
 
 def _hosting_users(study: Study) -> float:
@@ -89,51 +82,6 @@ DEFAULT_METRICS: tuple[MetricSpec, ...] = (
 )
 
 
-@dataclass
-class SensitivityReport:
-    """Per-metric distributions across the seed set."""
-
-    seeds: tuple[int, ...]
-    values: dict[str, list[float]] = field(default_factory=dict)
-    specs: dict[str, MetricSpec] = field(default_factory=dict)
-
-    def mean(self, name: str) -> float:
-        """Mean of one metric over seeds."""
-        return float(np.mean(self.values[name]))
-
-    def std(self, name: str) -> float:
-        """Standard deviation of one metric over seeds."""
-        return float(np.std(self.values[name]))
-
-    def out_of_band(self, name: str) -> int:
-        """How many seeds violated the metric's acceptance band."""
-        spec = self.specs[name]
-        return sum(1 for value in self.values[name] if not spec.within_band(value))
-
-    @property
-    def all_within_bands(self) -> bool:
-        """Whether every metric held its shape on every seed."""
-        return all(self.out_of_band(name) == 0 for name in self.values)
-
-    def render(self) -> str:
-        """Summary table across seeds."""
-        headers = ["metric", "mean", "std", "min", "max", "paper", "violations"]
-        rows = []
-        for name, series in self.values.items():
-            rows.append(
-                [
-                    name,
-                    f"{np.mean(series):.3f}",
-                    f"{np.std(series):.3f}",
-                    f"{min(series):.3f}",
-                    f"{max(series):.3f}",
-                    self.specs[name].paper_value,
-                    f"{self.out_of_band(name)}/{len(series)}",
-                ]
-            )
-        return format_table(headers, rows)
-
-
 def sensitivity_grid(
     seeds: tuple[int, ...],
     n_access_isps: int = 70,
@@ -157,24 +105,12 @@ def run_sensitivity(
     seeds: tuple[int, ...] = (11, 22, 33, 44, 55),
     n_access_isps: int = 70,
     n_vantage_points: int = 40,
-    metrics: tuple[MetricSpec, ...] = DEFAULT_METRICS,
-    store: StudyStore | None = None,
-    parallel: ParallelConfig | None = None,
-) -> SensitivityReport:
-    """Run compact studies across ``seeds`` and collect ``metrics``.
+) -> CampaignReport:
+    """Run compact studies across ``seeds`` and collect :data:`DEFAULT_METRICS`.
 
-    Implemented as a :func:`repro.sweep.campaign.run_campaign` over
-    :func:`sensitivity_grid`: pass ``store`` to make the run durable and
-    resumable (each seed checkpoints as it completes), ``parallel`` to
-    fan seeds out across the worker pool.  Values are identical to
+    A :func:`repro.sweep.campaign.run_campaign` over
+    :func:`sensitivity_grid`, one cell per seed; values are identical to
     the historical serial loop.
     """
-    from repro.sweep.campaign import run_campaign
-
     grid = sensitivity_grid(seeds, n_access_isps=n_access_isps, n_vantage_points=n_vantage_points)
-    campaign = run_campaign(grid, metrics=metrics, store=store, parallel=parallel)
-    report = SensitivityReport(seeds=tuple(int(seed) for seed in seeds))
-    for spec in metrics:
-        report.specs[spec.name] = spec
-        report.values[spec.name] = campaign.series(spec.name)
-    return report
+    return run_campaign(grid, metrics=DEFAULT_METRICS)

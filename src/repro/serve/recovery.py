@@ -25,9 +25,6 @@ from typing import Any
 
 from repro.serve.journal import read_journal
 
-#: Campaign lifecycle states, in rough transition order.
-STATUSES = ("QUEUED", "RUNNING", "DONE", "DEGRADED", "LOST")
-
 
 def _fresh_record(campaign: str, record: dict[str, Any]) -> dict[str, Any]:
     return {

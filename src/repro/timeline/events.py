@@ -1,7 +1,8 @@
 """The event-driven deployment timeline.
 
-Generalizes :func:`repro.deployment.growth.build_epoch_series`'s static
-ratio table into a deterministic, seeded stream of quarterly events:
+Turns a table of footprint ratios at anchor epochs (such as
+:data:`repro.deployment.growth.DEFAULT_EPOCH_TRAJECTORIES`) into a
+deterministic, seeded stream of quarterly events:
 
     :class:`TimelineSpec` → ``[DeploymentEvent]`` → :meth:`Timeline.state_at`
 

@@ -30,6 +30,13 @@ class TestReport:
         text = build_report(small_study, sections=("t2", "t1"))
         assert text.index("Table 2") < text.index("Table 1")
 
+    def test_longitudinal_cohosting_never_falls(self, small_study):
+        text = build_report(small_study, sections=("long",))
+        rows = [line.split() for line in text.splitlines() if line[:4].isdigit()]
+        assert [row[0] for row in rows] == ["2017", "2019", "2021", "2023"]
+        cohosting = [int(row[-1]) for row in rows]
+        assert cohosting == sorted(cohosting)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -52,6 +59,35 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["study", "--backend", "process"])
         assert exit_info.value.code == 2
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "--retry", "0"],
+            ["study", "--retry", "2", "--shard-loss-budget", "2"],
+            ["study", "--backend", "pool", "--workers", "2", "--shard-timeout", "0"],
+            ["sweep", "run", "--spec", "SPEC", "--max-cells", "0"],
+            ["timeline", "--max-epochs", "0"],
+            ["timeline", "--capacity-ramp", "-1"],
+            ["timeline", "--policy", "churn", "--eviction-rate", "1.5"],
+            ["timeline", "--eviction-rate", "0.5"],
+            ["timeline", "--start", "2019"],
+            ["timeline", "--seed", "-1"],
+            ["peering", "--regions", "0"],
+            ["eval", "--regions", "0"],
+        ],
+    )
+    def test_usage_error_not_traceback(self, argv, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({"scenario": "small"}))
+        try:
+            status = main([str(spec) if arg == "SPEC" else arg for arg in argv])
+        except SystemExit as exit_info:
+            status = exit_info.code
+        assert status == 2
+        assert capsys.readouterr().err
 
 
 class TestCommands:

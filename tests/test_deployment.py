@@ -176,7 +176,6 @@ class TestPlacement:
 class TestGrowth:
     def test_epochs_present(self, history):
         assert set(history.epochs) == {"2021", "2023"}
-        assert history.latest.epoch == "2023"
 
     def test_monotone_growth(self, history):
         for hypergiant in ("Google", "Netflix", "Meta", "Akamai"):
@@ -221,38 +220,30 @@ class TestGrowth:
         ]
 
 
+@pytest.fixture(scope="module")
+def epoch_series(small_internet):
+    """The 2017-2023 trajectory anchors run through the timeline, one state per year."""
+    from repro.deployment.growth import DEFAULT_EPOCH_TRAJECTORIES
+    from repro.timeline import TimelineSpec, build_timeline
+
+    spec = TimelineSpec(start="2017Q1", end="2023Q1", anchors=DEFAULT_EPOCH_TRAJECTORIES, seed=3)
+    timeline = build_timeline(small_internet, spec)
+    return {year: timeline.state_at(f"{year}Q1") for year in ("2017", "2019", "2021", "2023")}
+
+
 class TestEpochSeries:
-    def test_monotone_nested_footprints(self, small_internet):
-        from repro.deployment.growth import build_epoch_series
-
-        series = build_epoch_series(small_internet, seed=3)
-        epochs = sorted(series.epochs)
-        assert epochs == ["2017", "2019", "2021", "2023"]
-        for hypergiant in ("Google", "Netflix", "Meta", "Akamai"):
-            previous: set[int] = set()
-            for epoch in epochs:
-                asns = {i.asn for i in series.state(epoch).isps_hosting(hypergiant)}
-                assert previous <= asns
-                previous = asns
-
-    def test_cohosting_rises_through_time(self, small_internet):
-        from repro.deployment.growth import build_epoch_series
-
-        series = build_epoch_series(small_internet, seed=3)
+    def test_cohosting_rises_through_time(self, epoch_series):
         counts = []
-        for epoch in sorted(series.epochs):
-            state = series.state(epoch)
+        for epoch in sorted(epoch_series):
+            state = epoch_series[epoch]
             counts.append(
                 sum(1 for isp in state.hosting_isps() if len(state.hypergiants_in(isp)) >= 2)
             )
         assert counts == sorted(counts)
 
-    def test_akamai_flat_others_ramp(self, small_internet):
-        from repro.deployment.growth import build_epoch_series
-
-        series = build_epoch_series(small_internet, seed=3)
+    def test_akamai_flat_others_ramp(self, epoch_series):
         def count(hg, epoch):
-            return len(series.state(epoch).isps_hosting(hg))
+            return len(epoch_series[epoch].isps_hosting(hg))
 
         akamai_growth = count("Akamai", "2023") / max(1, count("Akamai", "2017"))
         meta_growth = count("Meta", "2023") / max(1, count("Meta", "2017"))
@@ -278,46 +269,7 @@ class TestEpochOrdering:
             parse_epoch_label(label)
 
     def test_epoch_key_orders_mixed_labels(self):
-        from repro.deployment.growth import epoch_key
+        from repro.deployment.growth import parse_epoch_label
 
         labels = ["2024Q3", "2023", "2024", "2023Q4", "2025Q1"]
-        assert sorted(labels, key=epoch_key) == ["2023", "2023Q4", "2024", "2024Q3", "2025Q1"]
-
-    def test_history_latest_is_calendar_greatest(self):
-        from repro.deployment.growth import DeploymentHistory
-
-        def snap(epoch):
-            return DeploymentState(epoch=epoch, deployments=[])
-
-        history = DeploymentHistory(
-            epochs={label: snap(label) for label in ("2023", "2024Q3", "2024", "2023Q2")}
-        )
-        assert history.latest.epoch == "2024Q3"
-        later = DeploymentHistory(
-            epochs={label: snap(label) for label in ("2024Q4", "2025")}
-        )
-        assert later.latest.epoch == "2025"
-
-    def test_history_latest_rejects_unparseable(self):
-        from repro.deployment.growth import DeploymentHistory
-
-        history = DeploymentHistory(
-            epochs={"2023": DeploymentState(epoch="2023", deployments=[]),
-                    "latest": DeploymentState(epoch="latest", deployments=[])}
-        )
-        with pytest.raises(ValueError, match="unparseable epoch label"):
-            _ = history.latest
-
-    def test_build_epoch_series_sorts_by_calendar(self, small_internet):
-        from repro.deployment.growth import build_epoch_series
-
-        series = build_epoch_series(
-            small_internet,
-            trajectories={"Google": {"2021": 0.6, "2022Q2": 0.8, "2023": 1.0}},
-            seed=3,
-        )
-        nested = [
-            {i.asn for i in series.state(epoch).isps_hosting("Google")}
-            for epoch in ("2021", "2022Q2", "2023")
-        ]
-        assert nested[0] <= nested[1] <= nested[2]
+        assert sorted(labels, key=parse_epoch_label) == ["2023", "2023Q4", "2024", "2024Q3", "2025Q1"]

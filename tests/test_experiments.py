@@ -7,7 +7,7 @@ crossovers fall must hold.  All run on the shared small-scenario study.
 
 import pytest
 
-from repro.experiments.figure1 import PAPER_FULL_K4_COUNTRIES, run_figure1
+from repro.experiments.figure1 import PAPER_FULL_K4_COUNTRIES, figure1_panels, run_figure1
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.scenarios import SMALL_SCENARIO, cached_study, scenario_by_name
 from repro.experiments.section32 import run_section32
@@ -73,6 +73,14 @@ class TestFigure1:
         result = run_figure1(study)
         text = result.render()
         assert "US" in text and "MN" in text
+
+    def test_panels_grow_from_2021_to_2023(self, study):
+        # Monotone growth: every country's >=2-HG user fraction is
+        # no smaller in 2023 than in 2021.
+        panels_2021 = figure1_panels(study.inventories["2021"], study.population)
+        panels_2023 = figure1_panels(study.inventories["2023"], study.population)
+        for code, frac in panels_2021[2].fraction_by_country.items():
+            assert panels_2023[2].fraction(code) >= frac - 1e-12
 
 
 class TestTable2:
@@ -285,49 +293,3 @@ class TestDispersalCounterfactual:
         for outcome in (result.status_quo, result.dispersed):
             assert outcome.outage_hypergiants >= 2
             assert outcome.outage_interdomain_ratio > 1.0
-
-
-class TestEpochListExperiments:
-    """Satellite regression: section32/figure1 accept arbitrary epoch lists,
-    and the default two-epoch output is byte-identical to the explicit one."""
-
-    def test_section32_default_matches_explicit_pair(self, study):
-        default = run_section32(study)
-        explicit = run_section32(study, epochs=("2021", "2023"))
-        assert default.render() == explicit.render()
-        assert default.cohosting == explicit.cohosting
-        assert default.cohosting_2021 == explicit.cohosting_2021
-
-    def test_section32_single_epoch(self, study):
-        result = run_section32(study, epochs=("2023",))
-        assert set(result.cohosting_by_epoch) == {"2023"}
-        assert result.cohosting_2021 == {}
-        assert result.cohosting == result.cohosting_by_epoch["2023"]
-
-    def test_section32_unknown_epoch_rejected(self, study):
-        with pytest.raises(ValueError, match="no inventory"):
-            run_section32(study, epochs=("2021", "2030Q1"))
-
-    def test_section32_latest_is_calendar_not_positional(self, study):
-        reversed_order = run_section32(study, epochs=("2023", "2021"))
-        assert reversed_order.cohosting == run_section32(study).cohosting
-        assert reversed_order.cohosting_2021 == run_section32(study).cohosting_2021
-
-    def test_figure1_default_matches_explicit_pair(self, study):
-        default = run_figure1(study)
-        explicit = run_figure1(study, epochs=("2021", "2023"))
-        assert default.render() == explicit.render()
-        assert default.summary() == explicit.summary()
-
-    def test_figure1_panels_per_epoch(self, study):
-        result = run_figure1(study)
-        assert set(result.panels_by_epoch) == {"2021", "2023"}
-        # Monotone growth: every country's >=2-HG user fraction is
-        # no smaller in 2023 than in 2021.
-        for code, frac in result.panels_by_epoch["2021"][2].fraction_by_country.items():
-            assert result.panels_by_epoch["2023"][2].fraction(code) >= frac - 1e-12
-
-    def test_figure1_single_epoch(self, study):
-        result = run_figure1(study, epochs=("2021",))
-        assert set(result.panels_by_epoch) == {"2021"}
-        assert result.panels == result.panels_by_epoch["2021"]

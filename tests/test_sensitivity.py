@@ -12,17 +12,17 @@ def report():
 
 class TestSensitivity:
     def test_collects_every_metric(self, report):
-        assert set(report.values) == {spec.name for spec in DEFAULT_METRICS}
-        for series in report.values.values():
-            assert len(series) == 2
+        assert set(report.summary()) == {spec.name for spec in DEFAULT_METRICS}
+        for spec in DEFAULT_METRICS:
+            assert len(report.series(spec.name)) == 2
 
     def test_statistics(self, report):
         name = DEFAULT_METRICS[0].name
-        assert report.mean(name) == pytest.approx(sum(report.values[name]) / 2)
-        assert report.std(name) >= 0
+        assert report.summary()[name]["mean"] == pytest.approx(sum(report.series(name)) / 2)
+        assert report.summary()[name]["std"] >= 0
 
     def test_bands_checked(self, report):
-        for name in report.values:
+        for name in report.summary():
             assert 0 <= report.out_of_band(name) <= 2
 
     def test_render(self, report):
@@ -34,6 +34,18 @@ class TestSensitivity:
         spec = MetricSpec("m", lambda s: 0.0, 0.0, 1.0, "x")
         assert spec.within_band(0.5)
         assert not spec.within_band(1.5)
+
+    def test_default_metrics_skip_cluster_validation(self, small_study, monkeypatch):
+        from repro.core.pipeline import Study
+        from repro.sweep.metrics import evaluate_metrics
+
+        expected = evaluate_metrics(small_study, DEFAULT_METRICS)
+
+        def refuse(study, xi):
+            raise AssertionError("a sweep metric ran the hostname validation")
+
+        monkeypatch.setattr(Study, "validation", refuse)
+        assert evaluate_metrics(small_study, DEFAULT_METRICS) == expected
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
