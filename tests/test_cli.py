@@ -1,11 +1,20 @@
 """Tests for the CLI and the report generator."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.report import available_sections, build_report
+
+from tests.conftest import _require_golden_numpy
+
+#: sha256 of the small-scenario report over every section but ``obs``
+#: (which renders run timings): 14,204 characters under numpy 2.4, the
+#: same under every string-hash seed.  A drift is a behaviour change in
+#: some experiment, model or renderer the report runs.
+SMALL_SCENARIO_REPORT_SHA256 = "048c025578064869eb1988c3779ebdbd337577f25d42a1d8caa9c6bd199dbbf3"
 
 
 class TestReport:
@@ -29,6 +38,12 @@ class TestReport:
     def test_section_order_preserved(self, small_study):
         text = build_report(small_study, sections=("t2", "t1"))
         assert text.index("Table 2") < text.index("Table 1")
+
+    def test_small_scenario_report_matches_pinned_digest(self, small_study):
+        _require_golden_numpy()
+        sections = tuple(section for section in available_sections() if section != "obs")
+        text = build_report(small_study, sections=sections)
+        assert hashlib.sha256(text.encode()).hexdigest() == SMALL_SCENARIO_REPORT_SHA256
 
     def test_longitudinal_cohosting_never_falls(self, small_study):
         text = build_report(small_study, sections=("long",))
