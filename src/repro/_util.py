@@ -9,16 +9,14 @@ module does not perturb the stream seen by another.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import uuid
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
-from typing import TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
 
 #: Speed of light in fibre, metres per second (~2/3 of c in vacuum).
 FIBRE_LIGHT_SPEED_M_S = 2.0e8
@@ -54,6 +52,18 @@ def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:
     components' randomness independent of the order in which they are built.
     """
     return np.random.default_rng(spawn_seed(rng, label))
+
+
+def hash_u64(material: str) -> int:
+    """A 64-bit integer that is a pure function of ``material`` (blake2b)."""
+    return int.from_bytes(hashlib.blake2b(material.encode(), digest_size=8).digest(), "big")
+
+
+def hash_coin(material: str) -> float:
+    """A uniform [0, 1) value that is a pure function of ``material``: a
+    coin that consumes no random stream, so deciding it never shifts
+    another component's draws."""
+    return hash_u64(material) / 2**64
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -117,20 +127,6 @@ def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-def weighted_choice_without_replacement(
-    rng: np.random.Generator, items: Sequence[T], weights: Iterable[float], k: int
-) -> list[T]:
-    """Sample ``k`` distinct items with probability proportional to ``weights``."""
-    weights = np.asarray(list(weights), dtype=float)
-    require(len(items) == len(weights), "items and weights must align")
-    require(0 <= k <= len(items), "k out of range")
-    if k == 0:
-        return []
-    probabilities = weights / weights.sum()
-    indices = rng.choice(len(items), size=k, replace=False, p=probabilities)
-    return [items[i] for i in indices]
-
-
 def great_circle_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in metres between two (lat, lon) points (haversine)."""
     return haversine_m(lat1, lon1, lat_cos(lat1), lat2, lon2, lat_cos(lat2))
@@ -185,11 +181,6 @@ def ccdf(values: Sequence[float], weights: Sequence[float] | None = None) -> tup
     # P(X >= v_i): weight of items at index >= i (inclusive of ties handled by sort order).
     tail = np.cumsum(sorted_weights[::-1])[::-1]
     return sorted_values, tail / total
-
-
-def format_percent(fraction: float, digits: int = 1) -> str:
-    """Format ``fraction`` in [0, 1] as a percent string like ``'42.5%'``."""
-    return f"{100.0 * fraction:.{digits}f}%"
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -3,7 +3,7 @@
 §4 argues three things: offnets run near capacity (§4.1), dedicated peering
 is missing or undersized (§4.2), and spillover onto shared IXP/transit links
 causes collateral damage (§4.3).  This package turns that argument into a
-runnable model: diurnal per-service demand (:mod:`repro.capacity.demand`),
+runnable model: diurnal demand (:mod:`repro.capacity.demand`),
 capacity objects for offnet sites, PNIs, IXP ports and transit
 (:mod:`repro.capacity.links`), the overflow waterfall
 (:mod:`repro.capacity.spillover`), failure/surge events
@@ -17,7 +17,6 @@ from repro.capacity.events import DemandSurge, FacilityOutage, HypergiantSiteFai
 from repro.capacity.flashcrowd import FacilityUplink, FlashCrowdEvent, colocated_vs_dispersed, simulate_flash_crowd
 from repro.capacity.isolation import IsolationPolicy
 from repro.capacity.links import IspCapacityPlan, build_capacity_plan
-from repro.capacity.services import ServiceAwareDemandModel
 from repro.capacity.spillover import HourlyFlow, SpilloverModel, SpilloverReport
 from repro.capacity.upgrades import UpgradeConfig, simulate_upgrade_cycle
 
@@ -34,7 +33,6 @@ __all__ = [
     "IsolationPolicy",
     "IspCapacityPlan",
     "Scenario",
-    "ServiceAwareDemandModel",
     "SpilloverModel",
     "SpilloverReport",
     "UpgradeConfig",

@@ -106,16 +106,14 @@ def simulate_cascade(
     scenario: Scenario,
     population: PopulationDataset,
     asns: list[int] | None = None,
-    baseline_utilization_cap: float = 1.0,
-    scenario_utilization_cap: float = 1.0,
     telemetry: Telemetry | None = None,
 ) -> CascadeReport:
     """Run ``scenario`` against its baseline over a full day.
 
-    ``asns`` restricts the simulation (default: every planned ISP).  The
-    utilization caps set the offnet operating points: §4.1's COVID analysis
-    uses a healthy baseline (~0.9) against a crisis scenario running flat
-    out (1.0).
+    ``asns`` restricts the simulation (default: every planned ISP).  Both
+    sides run offnets to capacity; §4.1's COVID analysis, which contrasts
+    a healthy operating point with a crisis one, is
+    :func:`repro.experiments.section41_capacity.run_covid_experiment`.
 
     With ``telemetry``, each hourly round is accounted: ``cascade.rounds``,
     ``cascade.congested_rounds``, per-round overloaded shared links
@@ -133,13 +131,8 @@ def simulate_cascade(
     report = CascadeReport(scenario_name=scenario.name)
     with obs.span("cascade", scenario=scenario.name, isps=len(asns)):
         for asn in asns:
-            baseline_reports = baseline_model.daily_reports(
-                asn, offnet_utilization_cap=baseline_utilization_cap
-            )
-            multipliers = scenario.demand_multipliers(asn)
-            scenario_reports = scenario_model.daily_reports(
-                asn, multipliers, offnet_utilization_cap=scenario_utilization_cap
-            )
+            baseline_reports = baseline_model.daily_reports(asn)
+            scenario_reports = scenario_model.daily_reports(asn, scenario.demand_multipliers(asn))
             base_offnet, base_inter, _, _, _ = _day_totals(baseline_reports)
             scen_offnet, scen_inter, scen_unserved, congested, collateral = _day_totals(scenario_reports)
             if obs.metrics.enabled:

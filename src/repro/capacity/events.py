@@ -93,11 +93,6 @@ class Scenario:
         return damaged
 
 
-def covid_scenario(hypergiants: tuple[str, ...] = ("Netflix",), multiplier: float = 1.58) -> Scenario:
-    """The §4.1 lockdown experiment: sustained demand surge, no failures."""
-    return Scenario(name="covid-lockdown", surges=[DemandSurge(multiplier, hypergiants)])
-
-
 def facility_outage_scenario(facility_id: int) -> Scenario:
     """The §3.3 correlated-risk event: one shared facility goes dark."""
     return Scenario(name=f"facility-{facility_id}-outage", facility_outages=[FacilityOutage(facility_id)])

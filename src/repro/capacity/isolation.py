@@ -41,10 +41,9 @@ def allocate(
 ) -> tuple[dict[str, float], float, float]:
     """Allocate a shared link under ``policy``.
 
-    Returns ``(granted per flow, throttled background volume, utilization)``
-    — the same contract as the fair-share helper in
-    :mod:`repro.capacity.spillover`, so the spillover model can swap
-    policies.
+    Returns ``(granted per flow, throttled background volume, utilization
+    = offered / capacity)``; :class:`~repro.capacity.spillover.SpilloverModel`
+    runs both shared links through it under its ``policy``.
     """
     require_non_negative(background, "background")
     for name, volume in wanted.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util import require, require_non_negative
+from repro._util import require
 from repro.capacity.demand import DemandModel
 from repro.capacity.isolation import IsolationPolicy, allocate
 from repro.capacity.links import IspCapacityPlan
@@ -78,25 +78,6 @@ class SpilloverReport:
     def congested(self) -> bool:
         """Whether any shared link ran above capacity this hour."""
         return self.ixp_utilization > 1.0 or self.transit_utilization > 1.0
-
-
-def _fair_share(wanted: dict[str, float], background: float, capacity: float) -> tuple[dict[str, float], float, float]:
-    """Fair-share allocation on a congested link.
-
-    Returns (granted per flow, throttled background volume, utilization =
-    offered / capacity).  When offered <= capacity everyone gets what they
-    want; otherwise all flows are scaled by capacity / offered.
-    """
-    require_non_negative(background, "background")
-    offered = background + sum(wanted.values())
-    if capacity <= 0:
-        return ({name: 0.0 for name in wanted}, background, float("inf") if offered > 0 else 0.0)
-    utilization = offered / capacity
-    if offered <= capacity:
-        return (dict(wanted), 0.0, utilization)
-    factor = capacity / offered
-    granted = {name: volume * factor for name, volume in wanted.items()}
-    return (granted, background * (1.0 - factor), utilization)
 
 
 @dataclass
@@ -190,13 +171,7 @@ class SpilloverModel:
         return report
 
     def daily_reports(
-        self,
-        asn: int,
-        demand_multipliers: dict[str, float] | None = None,
-        offnet_utilization_cap: float = 1.0,
+        self, asn: int, demand_multipliers: dict[str, float] | None = None
     ) -> list[SpilloverReport]:
-        """All 24 hourly reports for one ISP."""
-        return [
-            self.report(asn, hour, demand_multipliers, offnet_utilization_cap)
-            for hour in range(24)
-        ]
+        """All 24 hourly reports for one ISP, offnets run to capacity."""
+        return [self.report(asn, hour, demand_multipliers) for hour in range(24)]

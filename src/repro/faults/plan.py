@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro._util import require, require_fraction
+from repro._util import hash_coin, require, require_fraction
 
 #: Site names with wired injection points (documentation + validation).
 KNOWN_SITES = (
@@ -158,9 +158,7 @@ def _fires(seed: int, site: str, index: int, slot: int, rate: float) -> bool:
     """The deterministic coin: hash ``(seed, site, index, slot)`` to [0, 1)."""
     if rate >= 1.0:
         return True
-    material = f"{seed}:{site}:{index}:{slot}".encode()
-    digest = hashlib.blake2b(material, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64 < rate
+    return hash_coin(f"{seed}:{site}:{index}:{slot}") < rate
 
 
 def stable_index(text: str) -> int:

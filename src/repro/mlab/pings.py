@@ -77,37 +77,20 @@ def draw_probes(
     rng.random(out=loss)
 
 
-def ping_rtts(
-    base_rtts_ms: np.ndarray,
-    config: PingConfig,
-    rng: np.random.Generator | Probes,
-    drop_mask: np.ndarray | None = None,
-) -> np.ndarray:
+def ping_rtts(base_rtts_ms: np.ndarray, config: PingConfig, probes: Probes) -> np.ndarray:
     """Measure each target once: second-smallest of ``pings_per_target`` pings.
 
     ``base_rtts_ms`` has shape ``(n,)``; entries that are NaN (unreachable
     targets) stay NaN.  Returns shape ``(n,)`` with NaN where fewer than
     ``min_responses`` probes answered.
 
-    ``rng`` is the stream the probes are drawn from (:func:`draw_probes`),
-    or :class:`Probes` already drawn, which are consumed in place: a
-    campaign shard draws each vantage point's probes between that row's
-    coins, then measures the whole shard in one call.
-
-    ``drop_mask`` (optional, bool shape ``(n,)``) marks targets whose
-    measurements are lost to injected faults (the ``mlab.ping`` site).  It
-    is applied *after* every RNG draw, so a dropped target consumes exactly
-    the randomness an undropped one would — injection never shifts the
-    probe streams of its neighbours.
+    ``probes`` are the targets' draws (:func:`draw_probes`), consumed in
+    place: a campaign shard draws each vantage point's probes between that
+    row's coins, then measures the whole shard in one call.
     """
     base = np.asarray(base_rtts_ms, dtype=float)
     shape = (base.shape[0], config.pings_per_target)
-    if isinstance(rng, Probes):
-        probes = rng
-        require(probes.queueing.shape == shape, f"probes must have shape {shape}")
-    else:
-        probes = Probes(np.empty(shape), np.empty(shape), np.empty(shape))
-        draw_probes(rng, *probes)
+    require(probes.queueing.shape == shape, f"probes must have shape {shape}")
     floor = base[:, None]
     samples = probes.queueing
     samples *= config.queueing_mean_ms
@@ -131,8 +114,6 @@ def ping_rtts(
         measured = smallest if config.aggregation == "min" else second_smallest
     # Too few answers leave no value; a NaN base leaves NaN whatever answers.
     measured[config.pings_per_target - lost.sum(axis=0) < config.min_responses] = np.nan
-    if drop_mask is not None:
-        measured[drop_mask] = np.nan
     return measured
 
 

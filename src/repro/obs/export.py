@@ -152,7 +152,7 @@ def write_compact_snapshot(
 # -- Chrome trace-event export ----------------------------------------------------
 
 
-def chrome_trace_json(telemetry: Telemetry, process_name: str = "repro") -> dict[str, Any]:
+def chrome_trace_json(telemetry: Telemetry) -> dict[str, Any]:
     """The span forest as a Chrome trace-event document.
 
     Every span becomes one complete event (``"ph": "X"``) with its start
@@ -163,7 +163,7 @@ def chrome_trace_json(telemetry: Telemetry, process_name: str = "repro") -> dict
     row per worker under the main thread's row.
     """
     events: list[dict[str, Any]] = [
-        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": process_name}}
+        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "repro"}}
     ]
 
     def visit(span: Span, tid: str) -> None:
@@ -189,19 +189,19 @@ def chrome_trace_json(telemetry: Telemetry, process_name: str = "repro") -> dict
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    telemetry: Telemetry, path: str | Path, process_name: str = "repro"
-) -> Path:
+def write_chrome_trace(telemetry: Telemetry, path: str | Path) -> Path:
     """Write the Chrome trace to ``path`` (atomically) and return it."""
-    return atomic_write_text(
-        path, json.dumps(chrome_trace_json(telemetry, process_name), indent=1) + "\n"
-    )
+    return atomic_write_text(path, json.dumps(chrome_trace_json(telemetry), indent=1) + "\n")
 
 
 # -- text renderings -------------------------------------------------------------
 
 
-def render_span_tree(tracer: Tracer | NullTracer, max_children: int = 10) -> str:
+#: Children listed under one span; the shorter rest fold into one line.
+_SPAN_TREE_CHILDREN = 10
+
+
+def render_span_tree(tracer: Tracer | NullTracer) -> str:
     """An indented stage-time tree; large fan-outs are elided by duration."""
     if not tracer.roots:
         return "no spans recorded"
@@ -213,10 +213,10 @@ def render_span_tree(tracer: Tracer | NullTracer, max_children: int = 10) -> str
         )
         lines.append(f"{'  ' * depth}{span.name:<{max(1, 28 - 2 * depth)}} {span.duration_ms:9.1f} ms{attrs}")
         children = sorted(span.children, key=lambda s: s.duration_s, reverse=True)
-        for child in children[:max_children]:
+        for child in children[:_SPAN_TREE_CHILDREN]:
             visit(child, depth + 1)
-        if len(children) > max_children:
-            rest = children[max_children:]
+        if len(children) > _SPAN_TREE_CHILDREN:
+            rest = children[_SPAN_TREE_CHILDREN:]
             rest_ms = 1000.0 * sum(s.duration_s for s in rest)
             lines.append(f"{'  ' * (depth + 1)}... (+{len(rest)} more) {rest_ms:9.1f} ms")
 

@@ -17,11 +17,12 @@ certificate-based detector, as scenario knobs on the scan:
 
 Each knob is a fraction of offnet servers that adopt the evasion.  Whether
 a given server evades is a pure function of ``(seed, knob, ip)`` — the
-same blake2b-coin idiom as :mod:`repro.faults` — so evasion never draws
-from the scan's RNG streams: certificates of non-evading servers are
-byte-identical to the evasion-off run, and raising a fraction can only
-grow the evading set (detection recall is monotonically non-increasing in
-every knob, which ``tests/test_evasion.py`` asserts).
+hash coin :mod:`repro.faults` uses too (:func:`repro._util.hash_coin`) —
+so evasion never draws from the scan's RNG streams: certificates of
+non-evading servers are byte-identical to the evasion-off run, and
+raising a fraction can only grow the evading set (detection recall is
+monotonically non-increasing in every knob, which
+``tests/test_evasion.py`` asserts).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro._util import require_fraction
+from repro._util import hash_coin, require_fraction
 from repro.deployment.placement import OffnetServer
 from repro.scan.certificates import TRUSTED_ISSUERS, Certificate
 
@@ -42,9 +43,7 @@ ROTATING_SAN = "rotating_san"
 
 def _coin(seed: int, knob: str, ip: int) -> float:
     """A uniform [0, 1) draw that is a pure function of its arguments."""
-    material = f"evasion:{seed}:{knob}:{ip}".encode()
-    digest = hashlib.blake2b(material, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64
+    return hash_coin(f"evasion:{seed}:{knob}:{ip}")
 
 
 @dataclass(frozen=True)

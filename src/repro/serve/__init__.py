@@ -11,11 +11,10 @@ whatever it cannot prove finished, and replays it from cache to
 """
 
 from repro.serve.app import MAX_BODY_BYTES, ReproServer
-from repro.serve.journal import JOURNAL_SCHEMA, Journal, JournalView, read_journal, record_crc
+from repro.serve.journal import Journal, JournalView, read_journal, record_crc
 from repro.serve.model import (
     CAMPAIGN_KINDS,
     RESULT_FORMAT,
-    STATUSES,
     build_grid,
     build_timeline_config,
     campaign_id,
@@ -37,7 +36,6 @@ __all__ = [
     "CAMPAIGN_KINDS",
     "DRAIN_FLAG",
     "DrainRequested",
-    "JOURNAL_SCHEMA",
     "Journal",
     "JournalView",
     "MAX_BODY_BYTES",
@@ -46,7 +44,6 @@ __all__ = [
     "RESULT_FORMAT",
     "RecoveredState",
     "ReproServer",
-    "STATUSES",
     "Scheduler",
     "ServeConfig",
     "build_grid",

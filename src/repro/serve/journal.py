@@ -40,9 +40,6 @@ from typing import Any
 
 from repro.faults import FaultPlan, raise_injected
 
-#: Format tag stamped into every journal's opening record.
-JOURNAL_SCHEMA = "repro-serve-journal-v1"
-
 
 def _canonical(record: dict[str, Any]) -> str:
     """Deterministic JSON text (sorted keys, compact separators)."""

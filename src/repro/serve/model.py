@@ -39,9 +39,6 @@ from typing import Any
 
 from repro._util import require
 
-#: Campaign lifecycle states exposed over the API.
-STATUSES = ("QUEUED", "RUNNING", "DONE", "DEGRADED", "LOST")
-
 #: Supported campaign kinds.
 CAMPAIGN_KINDS = ("study", "sweep", "timeline")
 

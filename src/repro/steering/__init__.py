@@ -8,26 +8,22 @@ Google/Netflix/Meta now embed customized, site-specific URLs in returned
 web pages while hosting the pages themselves onnet; Akamai still uses DNS
 but only honours EDNS-Client-Subnet from allow-listed resolvers.
 
-This package builds that machinery — authoritative DNS with ECS
-(:mod:`repro.steering.dns`), embedded-URL steering
-(:mod:`repro.steering.urls`), and the ground-truth steering policy
-(:mod:`repro.steering.policy`) — then replays the 2013 technique against it
-(:mod:`repro.steering.mapping`) and shows exactly where it goes blind.
+This package builds that machinery — authoritative DNS with ECS and
+site-specific hostnames (:mod:`repro.steering.dns`) and the ground-truth
+steering policy (:mod:`repro.steering.policy`) — then replays the 2013
+technique against it (:mod:`repro.steering.mapping`) and shows exactly
+where it goes blind.
 """
 
-from repro.steering.dns import DnsAuthority, DnsQuery, DnsResponse, EcsPolicy
+from repro.steering.dns import DnsAuthority, DnsQuery, DnsResponse
 from repro.steering.mapping import ClientMappingResult, run_client_mapping
 from repro.steering.policy import SteeringPolicy, build_steering_policy
-from repro.steering.urls import EmbeddedUrlFrontend, PlaybackManifest
 
 __all__ = [
     "ClientMappingResult",
     "DnsAuthority",
     "DnsQuery",
     "DnsResponse",
-    "EcsPolicy",
-    "EmbeddedUrlFrontend",
-    "PlaybackManifest",
     "SteeringPolicy",
     "build_steering_policy",
     "run_client_mapping",

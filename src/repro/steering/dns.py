@@ -28,14 +28,6 @@ from repro.topology.asn import AS
 from repro.topology.generator import Internet
 
 
-class EcsPolicy(enum.Enum):
-    """How an authority treats EDNS-Client-Subnet."""
-
-    HONOR_ALL = "honor_all"
-    ALLOWLIST_ONLY = "allowlist_only"
-    IGNORE = "ignore"
-
-
 class SteeringMode(enum.Enum):
     """How the hypergiant maps clients to caches."""
 

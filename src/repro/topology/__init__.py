@@ -17,7 +17,7 @@ from repro.topology.generator import Internet, InternetConfig, generate_internet
 from repro.topology.geo import City, Country, World, default_world
 from repro.topology.ixp import IXP
 from repro.topology.prefixes import Prefix
-from repro.topology.relationships import ASGraph, Relationship
+from repro.topology.relationships import ASGraph
 
 __all__ = [
     "AS",
@@ -31,7 +31,6 @@ __all__ = [
     "InternetConfig",
     "Prefix",
     "Rack",
-    "Relationship",
     "World",
     "default_world",
     "generate_internet",

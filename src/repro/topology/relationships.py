@@ -21,13 +21,6 @@ from repro._util import require
 from repro.topology.asn import AS
 
 
-class Relationship(enum.Enum):
-    """Business relationship of an edge, from the perspective of (a, b)."""
-
-    CUSTOMER_TO_PROVIDER = "c2p"
-    PEER_TO_PEER = "p2p"
-
-
 class PeeringMedium(enum.Enum):
     """How a peer↔peer edge is realised physically."""
 

@@ -10,7 +10,6 @@ encoding: light → dark = low → high).
 """
 
 from repro.viz.ccdf import render_ccdf
-from repro.viz.sparkline import render_sparkline
 from repro.viz.worldmap import render_world_map
 
-__all__ = ["render_ccdf", "render_sparkline", "render_world_map"]
+__all__ = ["render_ccdf", "render_world_map"]

@@ -262,12 +262,7 @@ def implausible_for_single_location(
 # -- probe aggregation ---------------------------------------------------------------
 
 
-def ping_rtts_reference(
-    base_rtts_ms: np.ndarray,
-    config: PingConfig,
-    probes: Probes,
-    drop_mask: np.ndarray | None = None,
-) -> np.ndarray:
+def ping_rtts_reference(base_rtts_ms: np.ndarray, config: PingConfig, probes: Probes) -> np.ndarray:
     """:func:`repro.mlab.pings.ping_rtts` on pre-drawn ``probes``, through a
     full sort of each target's samples: ranks 0 and 1 of the sorted row,
     and too few answers read off a NaN at rank ``min_responses - 1``."""
@@ -283,8 +278,6 @@ def ping_rtts_reference(
     else:
         measured = samples[:, 0 if config.aggregation == "min" else 1].copy()
     measured[np.isnan(samples[:, config.min_responses - 1])] = np.nan
-    if drop_mask is not None:
-        measured[drop_mask] = np.nan
     return measured
 
 

@@ -10,16 +10,16 @@ from repro.capacity.events import (
     DemandSurge,
     Scenario,
     bad_update_scenario,
-    covid_scenario,
     facility_outage_scenario,
 )
+from repro.capacity.isolation import IsolationPolicy, allocate
 from repro.capacity.links import (
     IXP_PORT_TIERS,
     ProvisioningConfig,
     build_capacity_plan,
     _pick_port_tier,
 )
-from repro.capacity.spillover import SpilloverModel, _fair_share
+from repro.capacity.spillover import SpilloverModel
 from repro.population.users import build_population_dataset
 
 
@@ -156,18 +156,22 @@ class TestCapacityPlan:
 
 
 class TestFairShare:
+    """The spillover model's default shared-link discipline."""
+
     def test_no_congestion_grants_all(self):
-        granted, collateral, utilization = _fair_share({"a": 5.0}, 2.0, 10.0)
+        granted, collateral, utilization = allocate(IsolationPolicy.FAIR_SHARE, {"a": 5.0}, 2.0, 10.0)
         assert granted == {"a": 5.0} and collateral == 0.0 and utilization == 0.7
 
     def test_congestion_throttles_proportionally(self):
-        granted, collateral, utilization = _fair_share({"a": 6.0, "b": 6.0}, 8.0, 10.0)
+        granted, collateral, utilization = allocate(
+            IsolationPolicy.FAIR_SHARE, {"a": 6.0, "b": 6.0}, 8.0, 10.0
+        )
         assert utilization == 2.0
         assert granted["a"] == pytest.approx(3.0)
         assert collateral == pytest.approx(4.0)
 
     def test_zero_capacity(self):
-        granted, collateral, utilization = _fair_share({"a": 1.0}, 1.0, 0.0)
+        granted, collateral, utilization = allocate(IsolationPolicy.FAIR_SHARE, {"a": 1.0}, 1.0, 0.0)
         assert granted["a"] == 0.0 and collateral == 1.0
 
     @given(
@@ -177,7 +181,7 @@ class TestFairShare:
     )
     @settings(max_examples=50, deadline=None)
     def test_property_served_never_exceeds_capacity_or_demand(self, wanted, background, capacity):
-        granted, collateral, _ = _fair_share(wanted, background, capacity)
+        granted, collateral, _ = allocate(IsolationPolicy.FAIR_SHARE, wanted, background, capacity)
         assert sum(granted.values()) + (background - collateral) <= capacity * (1 + 1e-9) or (
             sum(wanted.values()) + background <= capacity
         )
@@ -278,15 +282,8 @@ class TestEventsAndCascade:
             small_internet, state23, demand, ProvisioningConfig(offnet_headroom=0.62), seed=11
         )
         asns = [i.asn for i in state23.isps_hosting("Netflix")][:25]
-        report = simulate_cascade(
-            small_internet,
-            demand,
-            constrained,
-            covid_scenario(),
-            population,
-            asns=asns,
-            baseline_utilization_cap=0.9,
-        )
+        lockdown = Scenario(name="covid-lockdown", surges=[DemandSurge(1.58, ("Netflix",))])
+        report = simulate_cascade(small_internet, demand, constrained, lockdown, population, asns=asns)
         # Offnets bounded below the surge, interdomain grows (the
         # aggregate dilutes across all hypergiants; the Netflix-specific
         # paper numbers are asserted in test_experiments).

@@ -208,8 +208,8 @@ class TestGrowth:
         assert wins / trials > 0.5
 
     def test_derive_earlier_state_full_ratio(self, state23):
-        profile = profile_by_name("Akamai")
-        earlier = derive_earlier_state(state23, (profile,), seed=0)
+        assert profile_by_name("Akamai").footprint_2021_ratio == 1.0
+        earlier = derive_earlier_state(state23, seed=0)
         assert len(earlier.isps_hosting("Akamai")) == len(state23.isps_hosting("Akamai"))
 
     def test_history_deterministic(self, small_internet):

@@ -26,7 +26,7 @@ from repro.mlab.matrix import (
     apply_quality_filters,
     measure_offnets,
 )
-from repro.mlab.pings import PingConfig, ping_rtts
+from repro.mlab.pings import PingConfig, Probes, draw_probes, ping_rtts
 from repro.mlab.vantage import build_vantage_points
 from repro.parallel import Shard
 
@@ -210,27 +210,34 @@ class TestLatencyModel:
         assert matrix.max() < 600.0  # ms
 
 
+def _drawn(n, config, rng):
+    """Probes for ``n`` targets, drawn from ``rng`` as a campaign shard draws them."""
+    probes = Probes(*(np.empty((n, config.pings_per_target)) for _ in range(3)))
+    draw_probes(rng, *probes)
+    return probes
+
+
 class TestPings:
     def test_second_smallest_at_least_base(self):
         base = np.full(100, 10.0)
-        measured = ping_rtts(base, PingConfig(), make_rng(1))
+        measured = ping_rtts(base, PingConfig(), _drawn(100, PingConfig(), make_rng(1)))
         valid = measured[~np.isnan(measured)]
         assert (valid >= 10.0).all()
 
     def test_nan_base_stays_nan(self):
         base = np.array([np.nan, 5.0])
-        measured = ping_rtts(base, PingConfig(), make_rng(1))
+        measured = ping_rtts(base, PingConfig(), _drawn(2, PingConfig(), make_rng(1)))
         assert np.isnan(measured[0]) and not np.isnan(measured[1])
 
     def test_high_loss_yields_nan(self):
         base = np.full(200, 10.0)
         config = PingConfig(loss_probability=0.95)
-        measured = ping_rtts(base, config, make_rng(1))
+        measured = ping_rtts(base, config, _drawn(200, config, make_rng(1)))
         assert np.isnan(measured).mean() > 0.8
 
     def test_second_smallest_close_to_base(self):
         base = np.full(500, 20.0)
-        measured = ping_rtts(base, PingConfig(), make_rng(2))
+        measured = ping_rtts(base, PingConfig(), _drawn(500, PingConfig(), make_rng(2)))
         valid = measured[~np.isnan(measured)]
         # The second order statistic of 8 sheds most queueing noise.
         assert valid.mean() - 20.0 < 0.5
@@ -244,16 +251,15 @@ class TestPings:
     @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
     @pytest.mark.parametrize("aggregation", ["second_smallest", "min", "median"])
     def test_same_bits_and_stream_as_reference(self, aggregation):
-        """Building the samples in place changes no bit of the result and
-        leaves the stream where the reference leaves it."""
+        """Drawing the probes into buffers and combining them in place
+        changes no bit of the result and leaves the stream where the
+        reference leaves it."""
         config = PingConfig(aggregation=aggregation, loss_probability=0.3)
         base = np.linspace(1.0, 80.0, 60)
         base[::7] = np.nan
-        drop = np.zeros(60, dtype=bool)
-        drop[5] = True
         in_place, reference = make_rng(9), make_rng(9)
-        measured = ping_rtts(base, config, in_place, drop_mask=drop)
-        expected = _ping_row_reference(base, config, reference, drop_mask=drop)
+        measured = ping_rtts(base, config, _drawn(60, config, in_place))
+        expected = _ping_row_reference(base, config, reference)
         assert measured.tobytes() == expected.tobytes()
         assert in_place.random() == reference.random()
 

@@ -5,7 +5,6 @@ import pytest
 from repro.steering.dns import DnsQuery, SteeringMode, site_hostname
 from repro.steering.mapping import MappingConfig, build_authority, run_client_mapping
 from repro.steering.policy import ServingSource, build_steering_policy
-from repro.steering.urls import EmbeddedUrlFrontend
 
 
 @pytest.fixture(scope="module")
@@ -120,14 +119,16 @@ class TestDnsAuthority:
 
 
 class TestEmbeddedUrls:
+    """The site hostnames a front end embeds in its pages, resolved as a
+    browser inside the ISP would."""
+
     def test_manifest_points_to_true_serving_sites(self, small_internet, state23, meta_frontend):
         isp = state23.isps_hosting("Meta")[0]
-        frontend = EmbeddedUrlFrontend(meta_frontend)
-        manifest = frontend.fetch_manifest(isp)
-        assert manifest.uses_offnet
-        ips = frontend.content_ips(isp)
+        names = meta_frontend.site_hostnames_for(isp)
+        assert names
+        ips = {ip for name in names for ip in meta_frontend.resolve(DnsQuery(name, resolver_ip=0)).answers}
         truth = {s.ip for s in state23.deployment_of("Meta", isp).servers}
-        assert set(ips) == truth
+        assert ips == truth
 
     def test_manifest_empty_for_onnet_served_isp(self, small_internet, policy, meta_frontend):
         onnet_isps = [
@@ -136,8 +137,7 @@ class TestEmbeddedUrls:
             if policy.decision("Meta", isp).source is ServingSource.ONNET
         ]
         if onnet_isps:
-            frontend = EmbeddedUrlFrontend(meta_frontend)
-            assert not frontend.fetch_manifest(onnet_isps[0]).uses_offnet
+            assert meta_frontend.site_hostnames_for(onnet_isps[0]) == []
 
 
 class TestClientMapping:

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from repro._util import (
     atomic_write_text,
     ccdf,
-    format_percent,
     format_table,
     great_circle_m,
     make_rng,
@@ -19,7 +18,6 @@ from repro._util import (
     require_non_negative,
     require_positive,
     spawn_rng,
-    weighted_choice_without_replacement,
     zipf_weights,
 )
 
@@ -92,29 +90,6 @@ class TestZipf:
         assert (weights > 0).all()
 
 
-class TestWeightedChoice:
-    def test_without_replacement_distinct(self):
-        rng = make_rng(3)
-        items = list(range(20))
-        chosen = weighted_choice_without_replacement(rng, items, [1.0] * 20, 10)
-        assert len(set(chosen)) == 10
-
-    def test_k_zero(self):
-        assert weighted_choice_without_replacement(make_rng(0), [1, 2], [1, 1], 0) == []
-
-    def test_heavy_weight_dominates(self):
-        rng = make_rng(5)
-        counts = 0
-        for _ in range(200):
-            chosen = weighted_choice_without_replacement(rng, ["a", "b"], [100.0, 1.0], 1)
-            counts += chosen[0] == "a"
-        assert counts > 150
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice_without_replacement(make_rng(0), [1], [1, 2], 1)
-
-
 class TestGeodesy:
     def test_zero_distance(self):
         assert great_circle_m(10, 20, 10, 20) == pytest.approx(0.0)
@@ -178,12 +153,6 @@ class TestCcdf:
 
 
 class TestFormatting:
-    def test_format_percent(self):
-        assert format_percent(0.425) == "42.5%"
-
-    def test_format_percent_digits(self):
-        assert format_percent(0.5, digits=0) == "50%"
-
     def test_format_table_alignment(self):
         table = format_table(["a", "bb"], [["x", "y"], ["longer", "z"]])
         lines = table.splitlines()

@@ -85,25 +85,3 @@ class TestWorldMap:
         with pytest.raises(ValueError):
             render_world_map(default_world(), {}, width=5)
 
-
-class TestSparkline:
-    def test_shape_and_bounds(self):
-        from repro.viz import render_sparkline
-
-        text = render_sparkline([1.0, 2.0, 3.0, 2.0, 1.0], label="demand")
-        assert text.startswith("demand: ")
-        assert "[1.00..3.00]" in text
-
-    def test_flat_series_midline(self):
-        from repro.viz import render_sparkline
-        from repro.viz.sparkline import SPARK_CHARS
-
-        text = render_sparkline([5.0, 5.0, 5.0])
-        midline = SPARK_CHARS[round(0.5 * (len(SPARK_CHARS) - 1))]
-        assert midline * 3 in text
-
-    def test_empty_rejected(self):
-        from repro.viz import render_sparkline
-
-        with pytest.raises(ValueError):
-            render_sparkline([])
